@@ -57,6 +57,7 @@ from .recovery import (
     recover_by_sparse_decoding,
     recover_replacement_exhaustive,
     recover_replacement_randomized,
+    recover_table,
 )
 from .structure import (
     StructureMatrix,

@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import corruption, estimators, metrics, recovery
-from .data import Dataset, load_dataset_csv, save_dataset_csv
+from .data import load_dataset_csv, save_dataset_csv
 from .datagen import draw_latents, make_structure, synthesize
-from .errors import EstimatorFailure
+from .errors import AllSamplesDiscardedError, EstimatorFailure
 from .experiment import (
     ConfigError,
     ingest_csv,
@@ -110,21 +110,10 @@ def cmd_recover(args) -> int:
     prefix = _out_prefix(cfg, args)
     if method == "known_structure":
         a = load_structure_csv(_need(cfg, "structure_csv"))
-        kept = []
-        recovered, discarded = [], []
-        for i in range(ds.n_samples):
-            outcome = recovery.impute_from_structure(ds.values[i], a)
-            if outcome.status is recovery.RecoveryStatus.UNRECOVERABLE:
-                discarded.append(i)
-                continue
-            if outcome.status is recovery.RecoveryStatus.RECOVERED:
-                recovered.append(i)
-            kept.append(outcome.sample)
-        if not kept:
-            raise ConfigError("every sample was unrecoverable")
-        report = recovery.CompletionReport(
-            Dataset(np.vstack(kept)), recovered, discarded, 0, True
-        )
+        try:
+            report = recovery.recover_table(ds, a)
+        except AllSamplesDiscardedError:
+            raise ConfigError("every sample was unrecoverable") from None
     elif method == "iterative_svd":
         report = recovery.iterative_svd_complete(
             ds,

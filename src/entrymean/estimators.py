@@ -15,9 +15,9 @@ from .errors import (
 )
 from .recovery import (
     RecoveryStatus,
-    impute_from_structure,
     iterative_svd_complete,
     recover_replacement_randomized,
+    recover_table,
 )
 from .structure import StructureMatrix
 
@@ -194,19 +194,18 @@ def two_step_estimate(
     if recovery.method == "iterative_svd":
         report = iterative_svd_complete(ds, recovery.rank, recovery.max_iter, recovery.tol)
         repaired = report.completed
+    elif structure is None:
+        raise ValueError(f"{recovery.method} recovery needs the structure matrix")
+    elif recovery.method == "known_structure":
+        repaired = recover_table(ds, structure).completed
     else:
-        if structure is None:
-            raise ValueError(f"{recovery.method} recovery needs the structure matrix")
         if rng is None:
             rng = np.random.default_rng(0)
         rows = []
         for i in range(ds.n_samples):
-            if recovery.method == "known_structure":
-                outcome = impute_from_structure(ds.values[i], structure)
-            else:
-                outcome = recover_replacement_randomized(
-                    structure, ds.values[i], recovery.exponent, rng
-                )
+            outcome = recover_replacement_randomized(
+                structure, ds.values[i], recovery.exponent, rng
+            )
             if outcome.status is not RecoveryStatus.UNRECOVERABLE:
                 rows.append(outcome.sample)
         if not rows:

@@ -272,31 +272,28 @@ def ingest_csv(path, standardize: bool = False) -> Dataset:
     return Dataset(values, ds.mask)
 
 
-def _plan_for(
-    cfg: ExperimentConfig,
-    ds: Dataset,
-    structure: StructureMatrix | None,
-    budget: float,
-    rng: np.random.Generator,
-) -> CorruptionPlan:
-    if cfg.adversary == "sample_shift":
-        return plan_sample_shift(ds, budget, cfg.shift)
-    if cfg.adversary == "tail_hiding":
-        return plan_tail_hiding(ds, budget)
-    if cfg.adversary == "concentrated_hiding":
-        return plan_concentrated_hiding(ds, budget)
-    if structure is None:
-        raise ConfigError("unrecoverable_hiding needs a structure matrix")
-    margin = min_rows_to_drop_rank(structure)
-    return plan_unrecoverable_hiding(ds, budget, margin, rng)
-
-
 @dataclass
 class _TrialContext:
     ds: Dataset
     structure: StructureMatrix | None
     reference: np.ndarray
     covariance: np.ndarray | None
+    margin: int | None = None  # removal margin, for unrecoverable_hiding only
+
+
+def _plan_for(
+    cfg: ExperimentConfig,
+    ctx: _TrialContext,
+    budget: float,
+    rng: np.random.Generator,
+) -> CorruptionPlan:
+    if cfg.adversary == "sample_shift":
+        return plan_sample_shift(ctx.ds, budget, cfg.shift)
+    if cfg.adversary == "tail_hiding":
+        return plan_tail_hiding(ctx.ds, budget)
+    if cfg.adversary == "concentrated_hiding":
+        return plan_concentrated_hiding(ctx.ds, budget)
+    return plan_unrecoverable_hiding(ctx.ds, budget, ctx.margin, rng)
 
 
 def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialContext:
@@ -307,15 +304,20 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialContext:
         ds = synthesize(structure, latents)
         reference = population_mean(structure, cfg.data.latent)
         covariance = population_covariance(structure, cfg.data.latent)
-        return _TrialContext(ds, structure, reference, covariance)
-    ds = ingest_csv(cfg.data.path, cfg.data.standardize)
-    structure = (
-        load_structure_csv(cfg.data.structure_path) if cfg.data.structure_path else None
-    )
-    reference = empirical_mean(ds)
-    clean = ds.values[~ds.mask.any(axis=1)]
-    covariance = np.cov(clean, rowvar=False) if clean.shape[0] > 1 else None
-    return _TrialContext(ds, structure, reference, covariance)
+    else:
+        ds = ingest_csv(cfg.data.path, cfg.data.standardize)
+        structure = (
+            load_structure_csv(cfg.data.structure_path) if cfg.data.structure_path else None
+        )
+        reference = empirical_mean(ds)
+        clean = ds.values[~ds.mask.any(axis=1)]
+        covariance = np.cov(clean, rowvar=False) if clean.shape[0] > 1 else None
+    margin = None
+    if cfg.adversary == "unrecoverable_hiding":
+        if structure is None:
+            raise ConfigError("unrecoverable_hiding needs a structure matrix")
+        margin = min_rows_to_drop_rank(structure)
+    return _TrialContext(ds, structure, reference, covariance, margin)
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list[ResultRow]:
@@ -324,7 +326,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[ResultRow]:
     for budget_idx, budget in enumerate(cfg.budgets):
         # Seed sequences keyed by position make reruns reproducible cell by cell.
         plan_rng = np.random.default_rng((cfg.seed, trial, budget_idx))
-        plan = _plan_for(cfg, ctx.ds, ctx.structure, budget, plan_rng)
+        plan = _plan_for(cfg, ctx, budget, plan_rng)
         corrupted = apply_plan(ctx.ds, plan)
         for method_idx, spec in enumerate(cfg.methods):
             est_rng = np.random.default_rng((cfg.seed, trial, budget_idx, method_idx))

@@ -2,9 +2,10 @@
 
 Three routes are implemented:
 
-* hidden entries, structure known: solve the visible rows for z
-  (:func:`impute_from_structure`), or complete the whole table by iterated
-  truncated SVD when only the rank is known (:func:`iterative_svd_complete`).
+* hidden entries, structure known: solve the visible rows for z, for the
+  whole table at once (:func:`recover_table`) or one sample at a time
+  (:func:`impute_from_structure`); structure unknown, rank known: complete
+  the whole table by iterated rank truncation (:func:`iterative_svd_complete`).
 * replaced entries, structure known: find the point of range(A) closest to
   the corrupted vector in Hamming distance, either exhaustively or by
   sampling independent row subsets.
@@ -28,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import Dataset
-from .errors import CapExceededError, CompletionInfeasibleError
+from .errors import AllSamplesDiscardedError, CapExceededError, CompletionInfeasibleError
 from .structure import (
     StructureMatrix,
     null_space_basis,
@@ -52,32 +53,6 @@ class RecoveryOutcome:
     status: RecoveryStatus
     sample: np.ndarray | None = None
     residual_hamming: int | None = None
-
-
-def impute_from_structure(x: np.ndarray, a: StructureMatrix) -> RecoveryOutcome:
-    """Fill the hidden entries of ``x`` (marked NaN) using the known structure.
-
-    Succeeds exactly when the visible rows of ``a`` still span its full row
-    space; then the latent vector is determined and the sample is rebuilt as
-    A @ z. A least-squares residual above 1e-6 relative means the visible
-    entries themselves are inconsistent with the structure (replaced rather
-    than hidden), which is reported as unrecoverable rather than trusted.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != a.n:
-        raise ValueError(f"sample length {x.size} does not match n={a.n}")
-    visible = ~np.isnan(x)
-    if visible.all():
-        return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
-    full_rank = structure_rank(a)
-    rows = a.entries[visible]
-    if numerical_rank(rows, a.rank_tol) < full_rank:
-        return RecoveryOutcome(RecoveryStatus.UNRECOVERABLE)
-    z, *_ = np.linalg.lstsq(rows, x[visible], rcond=None)
-    residual = np.linalg.norm(rows @ z - x[visible])
-    if residual > RANGE_RESIDUAL_TOL * np.linalg.norm(x[visible]) and residual > 0:
-        return RecoveryOutcome(RecoveryStatus.UNRECOVERABLE)
-    return RecoveryOutcome(RecoveryStatus.RECOVERED, a.entries @ z, int(np.count_nonzero(~visible)))
 
 
 @dataclass
@@ -109,6 +84,63 @@ class CompletionReport:
             fh.write("\n")
 
 
+def impute_from_structure(x: np.ndarray, a: StructureMatrix) -> RecoveryOutcome:
+    """Fill the hidden entries of one sample ``x`` (marked NaN); see :func:`recover_table`."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != a.n:
+        raise ValueError(f"sample length {x.size} does not match n={a.n}")
+    hidden = np.isnan(x)
+    try:
+        report = recover_table(Dataset(x[None, :], hidden[None, :]), a)
+    except AllSamplesDiscardedError:
+        return RecoveryOutcome(RecoveryStatus.UNRECOVERABLE)
+    sample = report.completed.values[0]
+    if report.recovered_indices:
+        return RecoveryOutcome(RecoveryStatus.RECOVERED, sample, int(np.count_nonzero(hidden)))
+    return RecoveryOutcome(RecoveryStatus.UNCHANGED, sample, 0)
+
+
+def recover_table(ds: Dataset, a: StructureMatrix) -> CompletionReport:
+    """Fill the hidden entries of every sample using the known structure.
+
+    A sample is recovered exactly when the rows of ``a`` at its visible
+    coordinates still span rank(A); then the latent vector is determined and
+    the sample is rebuilt as A @ z. A least-squares residual above 1e-6
+    relative means the visible entries themselves are inconsistent with the
+    structure (replaced rather than hidden). Samples failing either test are
+    discarded rather than trusted; samples with nothing hidden pass through.
+
+    All samples with a hidden entry are solved at once from one stacked SVD of
+    A with each sample's hidden rows zeroed. Zeroed rows leave the singular
+    values unchanged, so the rank rule is the one for the visible rows alone;
+    the pseudo-inverse drops singular values at or below lstsq's default
+    cutoff, eps * max(visible count, r) times the largest.
+    """
+    if ds.dim != a.n:
+        raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
+    rows = np.flatnonzero(ds.mask.any(axis=1))
+    visible = ~ds.mask[rows]
+    x = np.where(visible, ds.values[rows], 0.0)
+    u, s, vt = np.linalg.svd(a.entries * visible[:, :, None], full_matrices=False)
+    top = s[:, :1]
+    spans = np.count_nonzero(s > a.rank_tol * top, axis=1) >= structure_rank(a)
+    cutoff = np.finfo(float).eps * np.maximum(visible.sum(axis=1), a.r)[:, None] * top
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    z = np.einsum("kji,kj->ki", vt, np.einsum("kji,kj->ki", u, x) * inv_s)
+    samples = z @ a.entries.T
+    residual = np.linalg.norm((samples - x) * visible, axis=1)
+    ok = spans & (residual <= RANGE_RESIDUAL_TOL * np.linalg.norm(x, axis=1))
+    values = ds.values.copy()
+    values[rows[ok]] = samples[ok]
+    keep = np.ones(ds.n_samples, dtype=bool)
+    keep[rows[~ok]] = False
+    if not keep.any():
+        raise AllSamplesDiscardedError("recovery discarded every sample")
+    return CompletionReport(
+        Dataset(values[keep]), rows[ok].tolist(), rows[~ok].tolist(), 0, True
+    )
+
+
 def iterative_svd_complete(
     ds: Dataset,
     rank: int,
@@ -123,6 +155,15 @@ def iterative_svd_complete(
     projects the table to the nearest rank-``rank`` matrix and copies the
     projected values back into the originally hidden cells only. Stops when
     the largest change on hidden cells falls to ``tol``.
+
+    The projection X V V' onto the top ``rank`` right singular vectors V is
+    taken from the eigenvectors of the small Gram matrix X'X and evaluated
+    on the samples with a hidden cell alone, so a sweep costs one n-by-n
+    eigenproblem instead of an SVD of the whole table; the Gram part of the
+    samples with nothing hidden is formed once. Squaring X squares its condition:
+    the error of the computed subspace grows with (s_1 / s_rank)^2 instead of
+    s_1 / s_rank. That matters only for tables whose top singular values
+    spread widely, where hard-impute already fails to converge.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
@@ -137,7 +178,8 @@ def iterative_svd_complete(
         )
     values = ds.values[retained]
     hidden = ds.mask[retained]
-    recovered = [int(retained[i]) for i in np.flatnonzero(hidden.any(axis=1))]
+    rows = np.flatnonzero(hidden.any(axis=1))
+    recovered = retained[rows].tolist()
     if not hidden.any():
         return CompletionReport(Dataset(values.copy()), [], discarded, 0, True)
     if np.any((~hidden).sum(axis=0) == 0):
@@ -147,16 +189,22 @@ def iterative_svd_complete(
         col_hidden = hidden[:, j]
         if col_hidden.any():
             filled[col_hidden, j] = np.median(values[~col_hidden, j])
+    fixed = np.delete(filled, rows, axis=0)
+    fixed_gram = fixed.T @ fixed
+    changing = filled[rows]
+    cells = np.flatnonzero(hidden[rows])
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        u, s, vt = np.linalg.svd(filled, full_matrices=False)
-        projected = (u[:, :rank] * s[:rank]) @ vt[:rank]
-        delta = float(np.max(np.abs(projected[hidden] - filled[hidden])))
-        filled[hidden] = projected[hidden]
+        _, eigvecs = np.linalg.eigh(fixed_gram + changing.T @ changing)
+        basis = eigvecs[:, -rank:]
+        projected = ((changing @ basis) @ basis.T).take(cells)
+        delta = float(np.max(np.abs(projected - changing.take(cells))))
+        changing.put(cells, projected)
         if delta <= tol:
             converged = True
             break
+    filled[rows] = changing
     return CompletionReport(Dataset(filled), recovered, discarded, iterations, converged)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -67,6 +68,11 @@ class StructureMatrix:
     def r(self) -> int:
         return self.entries.shape[1]
 
+    @cached_property
+    def rank(self) -> int:
+        """Numerical rank under ``rank_tol``, computed once per matrix."""
+        return numerical_rank(self.entries, self.rank_tol)
+
 
 def numerical_rank(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of ``matrix`` with singular values cut off relative to the largest."""
@@ -80,7 +86,7 @@ def numerical_rank(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def structure_rank(a: StructureMatrix) -> int:
-    return numerical_rank(a.entries, a.rank_tol)
+    return a.rank
 
 
 def min_rows_to_drop_rank(a: StructureMatrix, max_n: int = 20) -> int:

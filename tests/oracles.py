@@ -146,3 +146,68 @@ def plan_budgets_direct(edits, n_samples, dim):
         "per_coordinate_fraction": max(per_coord.values(), default=0) / n_samples,
         "cell_fraction": len(edits) / (n_samples * dim),
     }
+
+
+def impute_rows_direct(entries, values, rank_tol):
+    """Per-row least-squares imputation; NaN marks a hidden entry.
+
+    Returns one ``(status, sample)`` pair per row: ``("unchanged", row)``
+    when nothing is hidden, ``("unrecoverable", None)`` when the visible rows
+    of ``entries`` lose rank or ``lstsq`` leaves a residual above 1e-6 of the
+    visible entries, else ``("recovered", entries @ z)``.
+    """
+    entries = np.asarray(entries, dtype=float)
+
+    def rank(matrix):
+        if matrix.size == 0:
+            return 0
+        s = np.linalg.svd(matrix, compute_uv=False)
+        return sum(1 for v in s if v > rank_tol * s[0])
+
+    full_rank = rank(entries)
+    out = []
+    for x in np.asarray(values, dtype=float):
+        visible = [j for j in range(x.size) if not np.isnan(x[j])]
+        if len(visible) == x.size:
+            out.append(("unchanged", x.copy()))
+            continue
+        rows = entries[visible]
+        if rank(rows) < full_rank:
+            out.append(("unrecoverable", None))
+            continue
+        z, *_ = np.linalg.lstsq(rows, x[visible], rcond=None)
+        residual = np.linalg.norm(rows @ z - x[visible])
+        if residual > 1e-6 * np.linalg.norm(x[visible]):
+            out.append(("unrecoverable", None))
+        else:
+            out.append(("recovered", entries @ z))
+    return out
+
+
+def hard_impute_direct(values, mask, rank, max_iter, tol):
+    """Hard-impute completion with a full SVD of the table in every sweep.
+
+    Rows with fewer than ``rank`` visible entries are dropped; hidden cells
+    start at their column's visible median. Each sweep replaces the hidden
+    cells by those of the best rank-``rank`` approximation, stopping once the
+    largest change is at most ``tol``. Returns ``(table, iterations,
+    converged)`` for the retained rows.
+    """
+    values = np.asarray(values, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    keep = [i for i in range(values.shape[0]) if (~mask[i]).sum() >= rank]
+    table = values[keep].copy()
+    hidden = mask[keep]
+    if not hidden.any():
+        return table, 0, True
+    for j in range(table.shape[1]):
+        if hidden[:, j].any():
+            table[hidden[:, j], j] = np.median(table[~hidden[:, j], j])
+    for iteration in range(1, max_iter + 1):
+        u, s, vt = np.linalg.svd(table, full_matrices=False)
+        best = u[:, :rank] @ np.diag(s[:rank]) @ vt[:rank]
+        delta = np.max(np.abs(best[hidden] - table[hidden]))
+        table[hidden] = best[hidden]
+        if delta <= tol:
+            return table, iteration, True
+    return table, max_iter, False

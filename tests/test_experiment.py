@@ -1,9 +1,12 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entrymean import experiment
+from entrymean.errors import CapExceededError
 from entrymean.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -66,6 +69,18 @@ def test_threaded_run_matches_serial(tmp_path):
     threaded = write_results(run_experiment(cfg, threads=3), str(tmp_path / "t"))
     assert open(serial[0], "rb").read() == open(threaded[0], "rb").read()
     assert open(serial[1], "rb").read() == open(threaded[1], "rb").read()
+
+
+def test_threaded_run_matches_serial_with_svd_completion(tmp_path):
+    cfg_obj = base_config()
+    cfg_obj["methods"].append(
+        {"kind": "two_step", "recovery": {"method": "iterative_svd", "rank": 3}}
+    )
+    cfg = parse_config(cfg_obj)
+    serial = write_results(run_experiment(cfg, threads=1), str(tmp_path / "s"))
+    threaded = write_results(run_experiment(cfg, threads=3), str(tmp_path / "t"))
+    for ps, pt in zip(serial, threaded):
+        assert Path(ps).read_bytes() == Path(pt).read_bytes()
 
 
 def test_estimator_failure_becomes_na(tmp_path):
@@ -266,6 +281,30 @@ def test_unrecoverable_hiding_needs_structure(tmp_path):
     )
     with pytest.raises(ConfigError, match="structure"):
         run_experiment(cfg)
+
+
+def test_removal_margin_is_computed_once_per_trial(monkeypatch):
+    calls = []
+    real = experiment.min_rows_to_drop_rank
+
+    def counted(structure):
+        calls.append(structure)
+        return real(structure)
+
+    monkeypatch.setattr(experiment, "min_rows_to_drop_rank", counted)
+    cfg_obj = base_config()
+    cfg_obj["adversary"] = "unrecoverable_hiding"
+    result = run_experiment(parse_config(cfg_obj))
+    assert len(result.rows) == 3 * 2 * 3
+    assert len(calls) == 3  # one per trial, not one per (trial, budget)
+
+
+def test_removal_margin_cap_surfaces():
+    cfg_obj = base_config()
+    cfg_obj["adversary"] = "unrecoverable_hiding"
+    cfg_obj["data"]["structure"] = {"kind": "dense", "n": 21, "r": 3}
+    with pytest.raises(CapExceededError):
+        run_experiment(parse_config(cfg_obj))
 
 
 def test_threads_must_be_positive():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from entrymean.corruption import apply_plan, plan_tail_hiding
 from entrymean.data import Dataset
-from entrymean.errors import CapExceededError, CompletionInfeasibleError
+from entrymean.datagen import LatentSpec, StructureSpec, draw_latents, make_structure, synthesize
+from entrymean.errors import AllSamplesDiscardedError, CapExceededError, CompletionInfeasibleError
 from entrymean.recovery import (
     RecoveryStatus,
     build_parity_check,
@@ -13,10 +15,12 @@ from entrymean.recovery import (
     recover_by_sparse_decoding,
     recover_replacement_exhaustive,
     recover_replacement_randomized,
+    recover_table,
     replacement_candidates,
 )
 from entrymean.structure import StructureMatrix, is_general_position
 
+from oracles import hard_impute_direct, impute_rows_direct
 from test_structure import random_general_position
 
 
@@ -80,6 +84,59 @@ def test_impute_respects_block_structure():
     assert dead.status is RecoveryStatus.UNRECOVERABLE
 
 
+def masked_samples(a, n_samples, seed):
+    """Samples of range(A), each with 0 to n - r + 2 random hidden entries.
+
+    About one in five also has a visible entry replaced; returns the values
+    (NaN where hidden) and which samples were replaced.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_samples, a.r)) @ a.entries.T
+    replaced = rng.random(n_samples) < 0.2
+    for row, bad in zip(values, replaced):
+        row[rng.choice(a.n, rng.integers(0, a.n - a.r + 3), replace=False)] = np.nan
+        if bad:
+            row[rng.choice(np.flatnonzero(~np.isnan(row)))] += 3.0
+    return values, replaced
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+def test_recover_table_matches_per_row_lstsq(seed, deficient):
+    entries = random_general_position(8, 4, seed=110 + seed).entries.copy()
+    if deficient:
+        entries[:, 3] = entries[:, 0] - 2.0 * entries[:, 1]
+    a = StructureMatrix(entries)
+    values, replaced = masked_samples(a, 300, seed)
+    expected = impute_rows_direct(a.entries, values, a.rank_tol)
+    statuses = [status for status, _ in expected]
+    assert {"unchanged", "recovered", "unrecoverable"} <= set(statuses)
+    n_visible = (~np.isnan(values)).sum(axis=1)
+    # Replaced samples with more visible entries than r are caught by the
+    # residual check alone, since their visible rows keep full rank.
+    caught = [i for i, s in enumerate(statuses) if s == "unrecoverable" and replaced[i]]
+    assert any(n_visible[i] > a.r for i in caught)
+
+    report = recover_table(Dataset(values, np.isnan(values)), a)
+    assert report.recovered_indices == [i for i, s in enumerate(statuses) if s == "recovered"]
+    assert report.discarded_indices == [i for i, s in enumerate(statuses) if s == "unrecoverable"]
+    assert (report.iterations, report.converged) == (0, True)
+    kept = np.vstack([sample for status, sample in expected if status != "unrecoverable"])
+    np.testing.assert_allclose(
+        report.completed.values, kept, rtol=0, atol=1e-12 * np.abs(kept).max()
+    )
+
+
+def test_recover_table_refuses_when_everything_is_discarded():
+    a = random_general_position(6, 3, seed=120)
+    values = np.ones((3, 6)) @ np.diag(np.arange(1.0, 7.0))
+    values[:, :4] = np.nan  # two visible rows cannot span rank 3
+    with pytest.raises(AllSamplesDiscardedError):
+        recover_table(Dataset(values, np.isnan(values)), a)
+    with pytest.raises(ValueError, match="does not match"):
+        recover_table(Dataset(np.ones((2, 5))), a)
+
+
 # ------------------------------------------------------------- svd completion
 
 
@@ -139,6 +196,44 @@ def test_iterative_svd_reports_non_convergence():
     report = iterative_svd_complete(ds, rank=2, max_iter=1)
     assert report.iterations == 1
     assert not report.converged
+
+
+def criterion_7_table(budget):
+    """The acceptance sweep's first trial after tail hiding at ``budget``."""
+    spec = StructureSpec("block_diagonal", 16, 8, blocks=((8, 4), (8, 4)), seed=20240501)
+    a = make_structure(spec)
+    rng = np.random.default_rng(20240501)
+    ds = synthesize(a, draw_latents(LatentSpec("gaussian", 8), 1000, rng))
+    return apply_plan(ds, plan_tail_hiding(ds, budget))
+
+
+def scale_spread_table():
+    """Rank-2 table whose coordinate scales run from 1 to 1e6."""
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((300, 2)) @ rng.standard_normal((8, 2)).T
+    values *= np.logspace(0, 6, 8)
+    mask = rng.random(values.shape) < 0.05
+    return Dataset(np.where(mask, np.nan, values), mask)
+
+
+@pytest.mark.parametrize(
+    "make_table, rank, max_iter",
+    [
+        (lambda: criterion_7_table(0.2), 8, 500),
+        (lambda: criterion_7_table(0.2), 8, 1),
+        (scale_spread_table, 2, 500),
+        (lambda: low_rank_dataset(60, 8, 2, seed=1, mask_fraction=0.08)[0], 2, 500),
+    ],
+    ids=["criterion_7_budget_0.2", "one_sweep", "scale_spread_1e6", "converging"],
+)
+def test_iterative_svd_matches_full_svd_reference(make_table, rank, max_iter):
+    ds = make_table()
+    table, iterations, converged = hard_impute_direct(ds.values, ds.mask, rank, max_iter, 1e-9)
+    report = iterative_svd_complete(ds, rank, max_iter)
+    assert (report.iterations, report.converged) == (iterations, converged)
+    np.testing.assert_allclose(
+        report.completed.values, table, rtol=0, atol=1e-10 * np.abs(table).max()
+    )
 
 
 # ---------------------------------------------------------------- certificate
