@@ -3,10 +3,10 @@
 from .corruption import (
     AdversaryKind,
     Budget,
-    CellEdit,
     CorruptionPlan,
     apply_plan,
     can_simulate,
+    make_plan,
     plan_budget,
     plan_concentrated_hiding,
     plan_sample_shift,

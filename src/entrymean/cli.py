@@ -18,9 +18,8 @@ import numpy as np
 from . import corruption, estimators, metrics, recovery
 from .data import load_dataset_csv, save_dataset_csv
 from .datagen import draw_latents, make_structure, synthesize
-from .errors import AllSamplesDiscardedError, EstimatorFailure
+from .errors import AllSamplesDiscardedError, ConfigError, EstimatorFailure
 from .experiment import (
-    ConfigError,
     ingest_csv,
     load_config,
     parse_config,
@@ -30,7 +29,7 @@ from .experiment import (
     run_experiment,
     write_results,
 )
-from .structure import load_structure_csv, min_rows_to_drop_rank, save_structure_csv
+from .structure import load_structure_csv, save_structure_csv
 
 
 def _load_json(path) -> dict:
@@ -84,18 +83,10 @@ def cmd_corrupt(args) -> int:
     ds = load_dataset_csv(_need(cfg, "data_csv"))
     adversary = _need(cfg, "adversary")
     budget = float(_need(cfg, "budget"))
+    a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
     rng = np.random.default_rng(seed)
-    if adversary == "sample_shift":
-        plan = corruption.plan_sample_shift(ds, budget, float(cfg.get("shift", 10.0)))
-    elif adversary == "tail_hiding":
-        plan = corruption.plan_tail_hiding(ds, budget)
-    elif adversary == "concentrated_hiding":
-        plan = corruption.plan_concentrated_hiding(ds, budget)
-    elif adversary == "unrecoverable_hiding":
-        a = load_structure_csv(_need(cfg, "structure_csv"))
-        plan = corruption.plan_unrecoverable_hiding(ds, budget, min_rows_to_drop_rank(a), rng)
-    else:
-        raise ConfigError(f"unknown adversary {adversary!r}")
+    shift = float(cfg.get("shift", 10.0))
+    plan = corruption.make_plan(adversary, ds, budget, rng, shift=shift, structure=a)
     prefix = _out_prefix(cfg, args)
     corruption.save_plan_csv(plan, f"{prefix}.plan.csv")
     save_dataset_csv(corruption.apply_plan(ds, plan), f"{prefix}.corrupted.csv")
@@ -222,10 +213,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

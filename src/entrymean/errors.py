@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class ConfigError(ValueError):
+    """The run configuration is malformed."""
+
+
 class CapExceededError(ValueError):
     """An exhaustive routine was asked to exceed its size or work cap."""
 

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corruption import (
-    CorruptionPlan,
-    apply_plan,
-    plan_concentrated_hiding,
-    plan_sample_shift,
-    plan_tail_hiding,
-    plan_unrecoverable_hiding,
-)
+from .corruption import ADVERSARIES, apply_plan, make_plan
 from .data import Dataset, load_dataset_csv
 from .datagen import (
     LatentSpec,
@@ -33,23 +26,13 @@ from .datagen import (
     population_mean,
     synthesize,
 )
-from .errors import EstimatorFailure, MetricFailure
+from .errors import ConfigError, EstimatorFailure, MetricFailure
 from .estimators import EstimatorSpec, RecoverySpec, empirical_mean, estimate
 from .metrics import l2_error, mahalanobis_error
-from .structure import StructureMatrix, load_structure_csv, min_rows_to_drop_rank
+from .structure import StructureMatrix, load_structure_csv
 
-ADVERSARIES = (
-    "sample_shift",
-    "tail_hiding",
-    "concentrated_hiding",
-    "unrecoverable_hiding",
-)
 METRIC_KINDS = ("l2", "mahalanobis")
 NA = "NA"
-
-
-class ConfigError(ValueError):
-    """The run configuration is malformed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,22 +261,6 @@ class _TrialContext:
     structure: StructureMatrix | None
     reference: np.ndarray
     covariance: np.ndarray | None
-    margin: int | None = None  # removal margin, for unrecoverable_hiding only
-
-
-def _plan_for(
-    cfg: ExperimentConfig,
-    ctx: _TrialContext,
-    budget: float,
-    rng: np.random.Generator,
-) -> CorruptionPlan:
-    if cfg.adversary == "sample_shift":
-        return plan_sample_shift(ctx.ds, budget, cfg.shift)
-    if cfg.adversary == "tail_hiding":
-        return plan_tail_hiding(ctx.ds, budget)
-    if cfg.adversary == "concentrated_hiding":
-        return plan_concentrated_hiding(ctx.ds, budget)
-    return plan_unrecoverable_hiding(ctx.ds, budget, ctx.margin, rng)
 
 
 def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialContext:
@@ -312,12 +279,7 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialContext:
         reference = empirical_mean(ds)
         clean = ds.values[~ds.mask.any(axis=1)]
         covariance = np.cov(clean, rowvar=False) if clean.shape[0] > 1 else None
-    margin = None
-    if cfg.adversary == "unrecoverable_hiding":
-        if structure is None:
-            raise ConfigError("unrecoverable_hiding needs a structure matrix")
-        margin = min_rows_to_drop_rank(structure)
-    return _TrialContext(ds, structure, reference, covariance, margin)
+    return _TrialContext(ds, structure, reference, covariance)
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list[ResultRow]:
@@ -326,7 +288,9 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[ResultRow]:
     for budget_idx, budget in enumerate(cfg.budgets):
         # Seed sequences keyed by position make reruns reproducible cell by cell.
         plan_rng = np.random.default_rng((cfg.seed, trial, budget_idx))
-        plan = _plan_for(cfg, ctx, budget, plan_rng)
+        plan = make_plan(
+            cfg.adversary, ctx.ds, budget, plan_rng, shift=cfg.shift, structure=ctx.structure
+        )
         corrupted = apply_plan(ctx.ds, plan)
         for method_idx, spec in enumerate(cfg.methods):
             est_rng = np.random.default_rng((cfg.seed, trial, budget_idx, method_idx))

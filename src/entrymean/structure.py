@@ -73,6 +73,11 @@ class StructureMatrix:
         """Numerical rank under ``rank_tol``, computed once per matrix."""
         return numerical_rank(self.entries, self.rank_tol)
 
+    @cached_property
+    def removal_margin(self) -> int:
+        """:func:`min_rows_to_drop_rank` of this matrix, computed once per matrix."""
+        return min_rows_to_drop_rank(self)
+
 
 def numerical_rank(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of ``matrix`` with singular values cut off relative to the largest."""

@@ -148,6 +148,20 @@ def plan_budgets_direct(edits, n_samples, dim):
     }
 
 
+def tail_hiding_direct(values, mask, per_coord):
+    """Cells hidden by tail hiding, as (sample, coord) pairs in edit order.
+
+    Coordinate by coordinate, the visible entries sorted by (value, sample
+    index) and the first ``per_coord`` of them taken.
+    """
+    cells = []
+    n_samples, dim = len(values), len(values[0])
+    for j in range(dim):
+        visible = [(values[i][j], i) for i in range(n_samples) if not mask[i][j]]
+        cells += [(i, j) for _, i in sorted(visible)[:per_coord]]
+    return cells
+
+
 def impute_rows_direct(entries, values, rank_tol):
     """Per-row least-squares imputation; NaN marks a hidden entry.
 

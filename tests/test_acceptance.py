@@ -285,8 +285,7 @@ def test_criterion_09_plan_accounting_fuzz():
         assert plan_budget(plan, pledged.kind, n_samples, dim) <= pledged.value + 1e-12
         # untouched cells are bit-identical
         touched = np.zeros((n_samples, dim), dtype=bool)
-        for edit in plan.edits:
-            touched[edit.sample, edit.coord] = True
+        touched[plan.sample, plan.coord] = True
         after = apply_plan(ds, plan)
         assert np.array_equal(after.values[~touched], ds.values[~touched])
         # any budget that can simulate the pledged one covers this plan

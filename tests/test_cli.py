@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from entrymean import cli
 from entrymean.cli import main
-from entrymean.corruption import load_plan_csv
+from entrymean.corruption import ADVERSARIES, apply_plan, load_plan_csv
 from entrymean.data import load_dataset_csv
 from entrymean.experiment import read_result_rows
 from entrymean.structure import load_structure_csv
@@ -66,6 +67,35 @@ def test_corrupt_tail_hiding(tmp_path):
     clean = load_dataset_csv(data_path)
     hidden = corrupted.mask
     assert np.array_equal(np.where(hidden, np.nan, corrupted.values)[~hidden], clean.values[~hidden])
+
+
+@pytest.mark.parametrize("adversary", ADVERSARIES)
+def test_corrupt_plan_file_reproduces_corrupted_csv(tmp_path, adversary):
+    data_path, structure_path = run_gen(tmp_path)
+    cfg = write_json(
+        tmp_path / "corrupt.json",
+        {
+            "data_csv": str(data_path),
+            "structure_csv": str(structure_path),
+            "adversary": adversary,
+            "budget": 0.1,
+            "shift": 2.5,
+            "out": str(tmp_path / "hit"),
+        },
+    )
+    assert main(["corrupt", "--config", cfg]) == 0
+    clean = load_dataset_csv(data_path)
+    plan = load_plan_csv(tmp_path / "hit.plan.csv")
+    corrupted = load_dataset_csv(tmp_path / "hit.corrupted.csv")
+    replayed = apply_plan(clean, plan)
+    assert len(plan) > 0
+    np.testing.assert_array_equal(replayed.mask, corrupted.mask)
+    np.testing.assert_array_equal(replayed.values, corrupted.values)
+    if adversary == "sample_shift":
+        assert not plan.hide.any()
+        np.testing.assert_array_equal(
+            plan.value, clean.values[plan.sample, plan.coord] + 2.5
+        )
 
 
 def test_corrupt_unrecoverable_needs_structure(tmp_path):
@@ -245,6 +275,16 @@ def test_exit_code_1_for_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     missing_key = write_json(tmp_path / "partial.json", {"n_samples": 5})
     assert main(["gen", "--config", missing_key]) == 1
+
+
+def test_program_bugs_are_not_config_errors(tmp_path, monkeypatch):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_gen", broken)
+    cfg = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, out=str(tmp_path / "toy")))
+    with pytest.raises(KeyError, match="internal"):
+        main(["gen", "--config", cfg])
 
 
 def test_exit_code_2_for_missing_files(tmp_path, capsys):

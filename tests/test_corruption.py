@@ -4,7 +4,6 @@ import pytest
 from entrymean.corruption import (
     AdversaryKind,
     Budget,
-    CellEdit,
     CorruptionPlan,
     apply_plan,
     can_simulate,
@@ -17,7 +16,7 @@ from entrymean.corruption import (
     save_plan_csv,
 )
 from entrymean.data import Dataset
-from oracles import plan_budgets_direct
+from oracles import plan_budgets_direct, tail_hiding_direct
 
 SAMPLE = AdversaryKind.SAMPLE_FRACTION
 COORD = AdversaryKind.PER_COORDINATE_FRACTION
@@ -37,23 +36,40 @@ def small_dataset():
     return Dataset(values)
 
 
-def test_cell_edit_validation():
-    with pytest.raises(ValueError):
-        CellEdit(0, 0, "hide", 1.0)
-    with pytest.raises(ValueError):
-        CellEdit(0, 0, "replace")
-    with pytest.raises(ValueError):
-        CellEdit(0, 0, "scramble")
+def every_planner(ds, budget, rng):
+    """One plan from each of the four planners."""
+    return [
+        plan_sample_shift(ds, budget, shift=[1.5, -2.0, 1e-17, 3.0][: ds.dim]),
+        plan_tail_hiding(ds, budget),
+        plan_concentrated_hiding(ds, budget),
+        plan_unrecoverable_hiding(ds, budget, 2, rng),
+    ]
+
+
+def test_cell_edit_validation(tmp_path):
+    with pytest.raises(ValueError, match="no value"):
+        CorruptionPlan([0], [0], [True], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        CorruptionPlan([0], [0], [False], [np.nan])
+    with pytest.raises(ValueError, match="finite"):
+        CorruptionPlan([0], [0], [False], [np.inf])
+    with pytest.raises(ValueError, match="equal length"):
+        CorruptionPlan([0, 1], [0], [True], [np.nan])
+    path = tmp_path / "plan.csv"
+    path.write_text("sample,coord,action,value\n0,0,scramble,\n")
+    with pytest.raises(ValueError, match="scramble"):
+        load_plan_csv(path)
 
 
 def test_plan_rejects_duplicate_cells():
     with pytest.raises(ValueError):
-        CorruptionPlan((CellEdit(0, 0, "hide"), CellEdit(0, 0, "hide")))
+        CorruptionPlan.hiding([0, 0], [0, 0])
+    assert len(CorruptionPlan.hiding([0, 1], [1, 0])) == 2  # same numbers, distinct cells
 
 
 def test_apply_plan_hide_and_replace():
     ds = small_dataset()
-    plan = CorruptionPlan((CellEdit(0, 1, "hide"), CellEdit(2, 0, "replace", -5.0)))
+    plan = CorruptionPlan([0, 2], [1, 0], [True, False], [np.nan, -5.0])
     out = apply_plan(ds, plan)
     assert np.isnan(out.values[0, 1]) and out.mask[0, 1]
     assert out.values[2, 0] == -5.0 and not out.mask[2, 0]
@@ -62,15 +78,16 @@ def test_apply_plan_hide_and_replace():
 
 
 def test_apply_plan_bounds_check():
-    ds = small_dataset()
-    with pytest.raises(ValueError):
-        apply_plan(ds, CorruptionPlan((CellEdit(9, 0, "hide"),)))
+    ds = small_dataset()  # 5 x 3
+    for sample, coord in [(9, 0), (5, 0), (-1, 0), (0, -1), (0, 3)]:
+        with pytest.raises(ValueError):
+            apply_plan(ds, CorruptionPlan.hiding([0, sample], [1, coord]))
 
 
 def test_sample_shift_targets_largest_first_coordinate():
     ds = small_dataset()
     plan = plan_sample_shift(ds, epsilon=0.4, shift=10.0)
-    touched = sorted({e.sample for e in plan.edits})
+    touched = sorted(set(plan.sample.tolist()))
     assert touched == [3, 4]  # the two largest first coordinates
     assert len(plan) == 2 * ds.dim
     out = apply_plan(ds, plan)
@@ -89,7 +106,7 @@ def test_sample_shift_vector_shift_and_ties():
     ds = Dataset(values)
     plan = plan_sample_shift(ds, 0.5, shift=[1.0, -2.0])
     # All first coordinates tie at zero; lower indices win.
-    assert sorted({e.sample for e in plan.edits}) == [0, 1]
+    assert sorted(set(plan.sample.tolist())) == [0, 1]
     out = apply_plan(ds, plan)
     np.testing.assert_allclose(out.values[0], [1.0, -1.0])
 
@@ -104,6 +121,16 @@ def test_tail_hiding_hides_smallest_per_coordinate():
     assert out.mask[:, 2].tolist() == [False, False, False, True, True]
     for j in range(ds.dim):
         assert out.mask[:, j].sum() == 2
+    # Edit order against a per-coordinate loop, with ties and pre-hidden cells.
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n, dim = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        values = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        mask = rng.random((n, dim)) < 0.3
+        rho = float(rng.random())
+        plan = plan_tail_hiding(Dataset(values, mask), rho)
+        expected = tail_hiding_direct(values.tolist(), mask.tolist(), int(np.floor(rho * n)))
+        assert list(zip(plan.sample.tolist(), plan.coord.tolist())) == expected
 
 
 def test_tail_hiding_zero_budget_is_empty():
@@ -117,10 +144,9 @@ def test_concentrated_hiding_picks_highest_variance_coordinate():
     )
     ds = Dataset(values)
     plan = plan_concentrated_hiding(ds, alpha=0.1)
-    coords = {e.coord for e in plan.edits}
-    assert coords == {1}
+    assert set(plan.coord.tolist()) == {1}
     assert len(plan) == int(0.1 * 50 * 3)  # all budget in one coordinate
-    hidden = sorted(e.sample for e in plan.edits)
+    hidden = sorted(plan.sample.tolist())
     smallest = np.argsort(values[:, 1], kind="stable")[: len(plan)]
     assert hidden == sorted(int(i) for i in smallest)
 
@@ -137,10 +163,10 @@ def test_unrecoverable_hiding_budget_and_shape():
     margin = 3
     alpha = 0.2
     plan = plan_unrecoverable_hiding(ds, alpha, margin, rng)
+    assert plan.hide.all()
     per_sample = {}
-    for e in plan.edits:
-        assert e.action == "hide"
-        per_sample.setdefault(e.sample, set()).add(e.coord)
+    for sample, coord in zip(plan.sample.tolist(), plan.coord.tolist()):
+        per_sample.setdefault(sample, set()).add(coord)
     assert all(len(coords) == margin for coords in per_sample.values())
     assert len(per_sample) == int(np.floor(alpha * 6 * 40 / margin))
     assert len(plan) <= alpha * 6 * 40
@@ -167,15 +193,19 @@ def test_planners_respect_their_budget(planner, budget_kind, budget):
 def test_plan_budget_matches_direct_recount():
     rng = np.random.default_rng(9)
     ds = Dataset(rng.normal(size=(17, 4)))
-    plan = plan_tail_hiding(ds, 0.3)
-    expected = plan_budgets_direct(
-        [(e.sample, e.coord) for e in plan.edits], ds.n_samples, ds.dim
-    )
-    assert plan_budget(plan, SAMPLE, 17, 4) == pytest.approx(expected["sample_fraction"])
-    assert plan_budget(plan, COORD, 17, 4) == pytest.approx(
-        expected["per_coordinate_fraction"]
-    )
-    assert plan_budget(plan, CELL, 17, 4) == pytest.approx(expected["cell_fraction"])
+    for budget in (0.0, 0.3):
+        for plan in every_planner(ds, budget, rng):
+            expected = plan_budgets_direct(
+                list(zip(plan.sample.tolist(), plan.coord.tolist())), ds.n_samples, ds.dim
+            )
+            assert plan_budget(plan, SAMPLE, 17, 4) == pytest.approx(expected["sample_fraction"])
+            assert plan_budget(plan, COORD, 17, 4) == pytest.approx(
+                expected["per_coordinate_fraction"]
+            )
+            assert plan_budget(plan, CELL, 17, 4) == pytest.approx(expected["cell_fraction"])
+    for sample, coord in [(17, 0), (0, 4)]:
+        with pytest.raises(ValueError, match="does not fit"):
+            plan_budget(CorruptionPlan.hiding([sample], [coord]), COORD, 17, 4)
 
 
 def test_can_simulate_same_kind_is_monotone():
@@ -204,18 +234,16 @@ def test_can_simulate_cross_kind_thresholds():
 
 
 def test_plan_csv_round_trip(tmp_path):
-    ds = small_dataset()
-    plan = CorruptionPlan(
-        (
-            CellEdit(0, 1, "hide"),
-            CellEdit(2, 0, "replace", -5.25),
-            CellEdit(4, 2, "replace", 1e-17),
-        )
-    )
-    path = tmp_path / "plan.csv"
-    save_plan_csv(plan, path)
-    back = load_plan_csv(path)
-    assert back.edits == plan.edits
+    mixed = CorruptionPlan([0, 2, 4], [1, 0, 2], [True, False, False], [np.nan, -5.25, 1e-17])
+    plans = [mixed] + every_planner(small_dataset(), 0.4, np.random.default_rng(8))
+    for plan in plans:
+        path, again = tmp_path / "plan.csv", tmp_path / "again.csv"
+        save_plan_csv(plan, path)
+        back = load_plan_csv(path)
+        for column in ("sample", "coord", "hide", "value"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(plan, column))
+        save_plan_csv(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_plan_csv_rejects_bad_header(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entrymean.corruption import CellEdit, CorruptionPlan, apply_plan, plan_tail_hiding
+from entrymean.corruption import CorruptionPlan, apply_plan, plan_tail_hiding
 from entrymean.data import Dataset
 from entrymean.errors import (
     AllSamplesDiscardedError,
@@ -171,8 +171,7 @@ def test_two_step_on_clean_data_equals_inner():
 def test_two_step_discards_unrecoverable_samples():
     a, ds = structured_dataset(seed=5, n_samples=6)
     # Hide all entries of sample 2: rank collapses, the sample is dropped.
-    edits = tuple(CellEdit(2, j, "hide") for j in range(ds.dim))
-    corrupted = apply_plan(ds, CorruptionPlan(edits))
+    corrupted = apply_plan(ds, CorruptionPlan.hiding([2] * ds.dim, range(ds.dim)))
     spec = EstimatorSpec("two_step", RecoverySpec("known_structure"))
     got = estimate(corrupted, spec, structure=a)
     expected = ds.values[[0, 1, 3, 4, 5]].mean(axis=0)
@@ -181,8 +180,8 @@ def test_two_step_discards_unrecoverable_samples():
 
 def test_two_step_all_discarded_raises():
     a, ds = structured_dataset(seed=6, n_samples=2)
-    edits = tuple(CellEdit(i, j, "hide") for i in range(2) for j in range(ds.dim))
-    corrupted = apply_plan(ds, CorruptionPlan(edits))
+    cells = [(i, j) for i in range(2) for j in range(ds.dim)]
+    corrupted = apply_plan(ds, CorruptionPlan.hiding(*zip(*cells)))
     spec = EstimatorSpec("two_step", RecoverySpec("known_structure"))
     with pytest.raises(AllSamplesDiscardedError):
         estimate(corrupted, spec, structure=a)
@@ -198,8 +197,8 @@ def test_two_step_iterative_svd_route():
     ds = synthesize(a, z)
     rng = np.random.default_rng(33)
     victims = rng.choice(80, size=12, replace=False)
-    edits = tuple(CellEdit(int(s), int(rng.integers(8)), "hide") for s in victims)
-    corrupted = apply_plan(ds, CorruptionPlan(edits))
+    coords = [int(rng.integers(8)) for _ in victims]
+    corrupted = apply_plan(ds, CorruptionPlan.hiding(victims, coords))
     spec = EstimatorSpec("two_step", RecoverySpec("iterative_svd", rank=4))
     got = estimate(corrupted, spec)
     known = estimate(

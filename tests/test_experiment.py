@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrymean import experiment
+from entrymean import structure as structure_module
 from entrymean.errors import CapExceededError
 from entrymean.experiment import (
     ConfigError,
@@ -285,13 +285,13 @@ def test_unrecoverable_hiding_needs_structure(tmp_path):
 
 def test_removal_margin_is_computed_once_per_trial(monkeypatch):
     calls = []
-    real = experiment.min_rows_to_drop_rank
+    real = structure_module.min_rows_to_drop_rank
 
     def counted(structure):
         calls.append(structure)
         return real(structure)
 
-    monkeypatch.setattr(experiment, "min_rows_to_drop_rank", counted)
+    monkeypatch.setattr(structure_module, "min_rows_to_drop_rank", counted)
     cfg_obj = base_config()
     cfg_obj["adversary"] = "unrecoverable_hiding"
     result = run_experiment(parse_config(cfg_obj))
