@@ -91,14 +91,29 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(np.array(rows), np.array(mask_rows))
 
 
+def _row_template(hidden: np.ndarray) -> str:
+    # "%.0s" prints a hidden cell's NaN as nothing. csv.writer quotes a row
+    # that is one empty field, so a one-column hidden row reads '""'.
+    if hidden.size == 1 and hidden[0]:
+        return '""%.0s\r\n'
+    return ",".join("%.0s" if h else "%.17g" for h in hidden) + "\r\n"
+
+
 def save_dataset_csv(ds: Dataset, path) -> None:
-    """Write a dataset as CSV, leaving hidden cells empty."""
+    """Write a dataset as CSV, leaving hidden cells empty.
+
+    The bytes are those of ``csv.writer`` with its defaults: visible cells as
+    ``format(v, ".17g")``, hidden cells empty, rows ended by CRLF, and a row
+    that is one hidden cell written as ``""``. Each row is formatted by a
+    ``%`` template cached per hiding pattern, and the file is written at once.
+    """
+    templates: dict[bytes, str] = {}
+    lines = []
+    for row, hidden in zip(ds.values.tolist(), ds.mask):
+        key = hidden.tobytes()
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _row_template(hidden)
+        lines.append(template % tuple(row))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(ds.n_samples):
-            writer.writerow(
-                ""
-                if ds.mask[i, j]
-                else format(ds.values[i, j], ".17g")
-                for j in range(ds.dim)
-            )
+        fh.write("".join(lines))

@@ -256,46 +256,45 @@ def ingest_csv(path, standardize: bool = False) -> Dataset:
 
 
 @dataclass
-class _TrialContext:
-    ds: Dataset
+class _RunInputs:
+    """What every trial of a run shares; ``ds`` is None for synthetic data."""
+
+    ds: Dataset | None
     structure: StructureMatrix | None
     reference: np.ndarray
     covariance: np.ndarray | None
 
 
-def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialContext:
+def _prepare_run(cfg: ExperimentConfig) -> _RunInputs:
     if cfg.data.kind == "synthetic":
         structure = make_structure(cfg.data.structure)
-        rng = np.random.default_rng(cfg.seed + trial)
-        latents = draw_latents(cfg.data.latent, cfg.data.n_samples, rng)
-        ds = synthesize(structure, latents)
         reference = population_mean(structure, cfg.data.latent)
         covariance = population_covariance(structure, cfg.data.latent)
-    else:
-        ds = ingest_csv(cfg.data.path, cfg.data.standardize)
-        structure = (
-            load_structure_csv(cfg.data.structure_path) if cfg.data.structure_path else None
-        )
-        reference = empirical_mean(ds)
-        clean = ds.values[~ds.mask.any(axis=1)]
-        covariance = np.cov(clean, rowvar=False) if clean.shape[0] > 1 else None
-    return _TrialContext(ds, structure, reference, covariance)
+        return _RunInputs(None, structure, reference, covariance)
+    ds = ingest_csv(cfg.data.path, cfg.data.standardize)
+    structure = load_structure_csv(cfg.data.structure_path) if cfg.data.structure_path else None
+    clean = ds.values[~ds.mask.any(axis=1)]
+    covariance = np.cov(clean, rowvar=False) if clean.shape[0] > 1 else None
+    return _RunInputs(ds, structure, empirical_mean(ds), covariance)
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int) -> list[ResultRow]:
-    ctx = _prepare_trial(cfg, trial)
+def _run_trial(cfg: ExperimentConfig, inputs: _RunInputs, trial: int) -> list[ResultRow]:
+    ds = inputs.ds
+    if ds is None:
+        rng = np.random.default_rng(cfg.seed + trial)
+        ds = synthesize(inputs.structure, draw_latents(cfg.data.latent, cfg.data.n_samples, rng))
     rows = []
     for budget_idx, budget in enumerate(cfg.budgets):
         # Seed sequences keyed by position make reruns reproducible cell by cell.
         plan_rng = np.random.default_rng((cfg.seed, trial, budget_idx))
         plan = make_plan(
-            cfg.adversary, ctx.ds, budget, plan_rng, shift=cfg.shift, structure=ctx.structure
+            cfg.adversary, ds, budget, plan_rng, shift=cfg.shift, structure=inputs.structure
         )
-        corrupted = apply_plan(ctx.ds, plan)
+        corrupted = apply_plan(ds, plan)
         for method_idx, spec in enumerate(cfg.methods):
             est_rng = np.random.default_rng((cfg.seed, trial, budget_idx, method_idx))
             try:
-                value_vec = estimate(corrupted, spec, ctx.structure, est_rng)
+                value_vec = estimate(corrupted, spec, inputs.structure, est_rng)
             except EstimatorFailure:
                 value_vec = None
             for metric in cfg.metrics:
@@ -304,11 +303,11 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[ResultRow]:
                     continue
                 try:
                     if metric == "l2":
-                        value = l2_error(value_vec, ctx.reference)
+                        value = l2_error(value_vec, inputs.reference)
                     else:
-                        if ctx.covariance is None:
+                        if inputs.covariance is None:
                             raise MetricFailure("no covariance available")
-                        value = mahalanobis_error(value_vec, ctx.reference, ctx.covariance)
+                        value = mahalanobis_error(value_vec, inputs.reference, inputs.covariance)
                 except MetricFailure:
                     value = float("nan")
                 rows.append(ResultRow(spec.label, budget, trial, metric, value))
@@ -316,14 +315,22 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[ResultRow]:
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Execute all trials; row order is canonical regardless of thread count."""
+    """Execute all trials; row order is canonical regardless of thread count.
+
+    The structure, reference, covariance and (for CSV data) the ingested table
+    are built once and shared by the trials, so the structure's cached rank
+    and removal margin are computed at most once per run.
+    """
     if threads < 1:
         raise ConfigError("threads must be at least 1")
+    inputs = _prepare_run(cfg)
     if threads == 1:
-        per_trial = [_run_trial(cfg, t) for t in range(cfg.trials)]
+        per_trial = [_run_trial(cfg, inputs, t) for t in range(cfg.trials)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(lambda t: _run_trial(cfg, t), range(cfg.trials)))
+            per_trial = list(
+                pool.map(lambda t: _run_trial(cfg, inputs, t), range(cfg.trials))
+            )
     method_order = {m.label: i for i, m in enumerate(cfg.methods)}
     metric_order = {m: i for i, m in enumerate(cfg.metrics)}
     rows = [row for chunk in per_trial for row in chunk]

@@ -10,6 +10,11 @@ variation distance, which charges a full unit whenever vectors differ at all.
 
 Atoms are compared coordinate by coordinate with exact float equality; the
 intended use is distributions whose supports are constructed, not measured.
+
+Both distances are linear programs. Between two uniform distributions with
+the same number of atoms (two empirical tables of equal length), the "avg"
+program is an assignment problem: by Birkhoff-von Neumann a permutation is
+an optimal vertex, so it is solved by ``linear_sum_assignment`` instead.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapExceededError, MetricFailure
 
@@ -139,7 +144,10 @@ def optimal_entrywise_coupling(
     Returns the optimal value together with a witnessing coupling. The "avg"
     case is a transportation problem with normalized Hamming costs; the "max"
     case adds a bound variable shared by all coordinates. Both are solved
-    exactly as linear programs.
+    exactly as linear programs, except that "avg" between two distributions
+    with equal atom counts and one common mass on every atom is solved as an
+    assignment problem, whose optimal permutation is a vertex of the same
+    program; its value is that mass times the summed cost of the permutation.
     """
     _check_same_dim(p, q)
     m, k = p.n_atoms, q.n_atoms
@@ -147,6 +155,12 @@ def optimal_entrywise_coupling(
         raise CapExceededError(f"{m}x{k} coupling exceeds the {COUPLING_CELL_CAP}-cell cap")
     if norm == "avg":
         cost = _disagreement_tensor(p, q).mean(axis=2)
+        mass = p.probs[0]
+        if m == k and np.all(p.probs == mass) and np.all(q.probs == mass):
+            rows, cols = linear_sum_assignment(cost)
+            weights = np.zeros((m, k))
+            weights[rows, cols] = mass
+            return float(mass * cost[rows, cols].sum()), Coupling(p, q, weights)
         a_eq, b_eq = _marginal_constraints(p, q, extra_cols=0)
         res = _solve_lp(cost.ravel(), a_eq, b_eq)
         weights = res.x.reshape(m, k)

@@ -110,22 +110,29 @@ def recover_table(ds: Dataset, a: StructureMatrix) -> CompletionReport:
     structure (replaced rather than hidden). Samples failing either test are
     discarded rather than trusted; samples with nothing hidden pass through.
 
-    All samples with a hidden entry are solved at once from one stacked SVD of
-    A with each sample's hidden rows zeroed. Zeroed rows leave the singular
-    values unchanged, so the rank rule is the one for the visible rows alone;
-    the pseudo-inverse drops singular values at or below lstsq's default
-    cutoff, eps * max(visible count, r) times the largest.
+    The SVD of A with a sample's hidden rows zeroed depends only on which
+    coordinates are hidden, so one stacked SVD is taken per distinct hiding
+    pattern and shared by every sample with that pattern; the solve and the
+    residual test stay per sample. Zeroed rows leave the singular values
+    unchanged, so the rank rule is the one for the visible rows alone; the
+    pseudo-inverse drops singular values at or below lstsq's default cutoff,
+    eps * max(visible count, r) times the largest.
     """
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
     rows = np.flatnonzero(ds.mask.any(axis=1))
     visible = ~ds.mask[rows]
     x = np.where(visible, ds.values[rows], 0.0)
-    u, s, vt = np.linalg.svd(a.entries * visible[:, :, None], full_matrices=False)
+    keys = np.packbits(visible, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    patterns = visible[first]
+    u, s, vt = np.linalg.svd(a.entries * patterns[:, :, None], full_matrices=False)
     top = s[:, :1]
     spans = np.count_nonzero(s > a.rank_tol * top, axis=1) >= structure_rank(a)
-    cutoff = np.finfo(float).eps * np.maximum(visible.sum(axis=1), a.r)[:, None] * top
+    cutoff = np.finfo(float).eps * np.maximum(patterns.sum(axis=1), a.r)[:, None] * top
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    u, inv_s, vt, spans = u[inverse], inv_s[inverse], vt[inverse], spans[inverse]
     z = np.einsum("kji,kj->ki", vt, np.einsum("kji,kj->ki", u, x) * inv_s)
     samples = z @ a.entries.T
     residual = np.linalg.norm((samples - x) * visible, axis=1)

@@ -5,6 +5,7 @@ plain loops, no shared code with the package internals.
 """
 from __future__ import annotations
 
+import csv
 from itertools import combinations, product
 
 import numpy as np
@@ -225,3 +226,14 @@ def hard_impute_direct(values, mask, rank, max_iter, tol):
         if delta <= tol:
             return table, iteration, True
     return table, max_iter, False
+
+
+def save_dataset_csv_direct(values, mask, path):
+    """Write a table through ``csv.writer``, one cell at a time.
+
+    Visible cells are ``format(v, ".17g")``; hidden cells are empty strings.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row, hidden in zip(values, mask):
+            writer.writerow(["" if h else format(float(v), ".17g") for v, h in zip(row, hidden)])

@@ -3,6 +3,8 @@ import pytest
 
 from entrymean.data import Dataset, load_dataset_csv, save_dataset_csv
 
+import oracles
+
 
 def test_dataset_normalizes_hidden_cells_to_nan():
     ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[False, True], [False, False]]))
@@ -66,3 +68,41 @@ def test_csv_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="no data rows"):
         load_dataset_csv(path)
+
+
+def _awkward_table(rng, n_samples, dim):
+    """Random table with hidden cells, all-hidden rows, -0.0, subnormals and +-1e300."""
+    magnitudes = 10.0 ** rng.uniform(-310, 300, size=(n_samples, dim))
+    values = rng.choice([-1.0, 1.0], size=(n_samples, dim)) * magnitudes
+    specials = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308, 1.0])
+    pick = rng.random((n_samples, dim)) < 0.2
+    values[pick] = rng.choice(specials, size=int(pick.sum()))
+    mask = rng.random((n_samples, dim)) < 0.3
+    mask[rng.random(n_samples) < 0.1] = True
+    mask[0] = True
+    mask[1] = False
+    return Dataset(values, mask)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 70])
+def test_csv_writer_bytes_match_csv_module(tmp_path, dim):
+    rng = np.random.default_rng(dim)
+    ds = _awkward_table(rng, 60, dim)
+    fast, direct = tmp_path / "fast.csv", tmp_path / "direct.csv"
+    save_dataset_csv(ds, fast)
+    oracles.save_dataset_csv_direct(ds.values, ds.mask, direct)
+    assert fast.read_bytes() == direct.read_bytes()
+    back = load_dataset_csv(fast)
+    visible = ~ds.mask
+    np.testing.assert_array_equal(back.mask, ds.mask)
+    np.testing.assert_array_equal(back.values[visible], ds.values[visible])
+    assert np.array_equal(np.signbit(back.values[visible]), np.signbit(ds.values[visible]))
+
+
+def test_csv_writer_quotes_one_column_hidden_row(tmp_path):
+    path = tmp_path / "one.csv"
+    mask = np.array([[False], [True], [False]])
+    save_dataset_csv(Dataset(np.array([[1.5], [0.0], [-0.0]]), mask), path)
+    assert path.read_bytes() == b'1.5\r\n""\r\n-0\r\n'
+    back = load_dataset_csv(path)
+    np.testing.assert_array_equal(back.mask, mask)

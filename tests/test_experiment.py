@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entrymean import experiment as experiment_module
 from entrymean import structure as structure_module
+from entrymean.data import save_dataset_csv
+from entrymean.datagen import make_structure, synthesize
 from entrymean.errors import CapExceededError
 from entrymean.experiment import (
     ConfigError,
@@ -13,10 +16,12 @@ from entrymean.experiment import (
     ingest_csv,
     load_config,
     parse_config,
+    parse_structure_spec,
     read_result_rows,
     run_experiment,
     write_results,
 )
+from entrymean.structure import save_structure_csv
 
 BASE_CONFIG = {
     "seed": 7,
@@ -283,7 +288,7 @@ def test_unrecoverable_hiding_needs_structure(tmp_path):
         run_experiment(cfg)
 
 
-def test_removal_margin_is_computed_once_per_trial(monkeypatch):
+def test_removal_margin_is_computed_once_per_run(monkeypatch, tmp_path):
     calls = []
     real = structure_module.min_rows_to_drop_rank
 
@@ -296,7 +301,30 @@ def test_removal_margin_is_computed_once_per_trial(monkeypatch):
     cfg_obj["adversary"] = "unrecoverable_hiding"
     result = run_experiment(parse_config(cfg_obj))
     assert len(result.rows) == 3 * 2 * 3
-    assert len(calls) == 3  # one per trial, not one per (trial, budget)
+    assert len(calls) == 1  # the structure is shared by the 3 trials
+
+    # CSV data: the table is ingested once and the structure loaded once.
+    data_path, structure_path = tmp_path / "data.csv", tmp_path / "structure.csv"
+    a = make_structure(parse_structure_spec({"kind": "dense", "n": 5, "r": 3}, 7))
+    save_dataset_csv(synthesize(a, np.random.default_rng(0).standard_normal((40, 3))), data_path)
+    save_structure_csv(a, structure_path)
+    ingested = []
+    real_ingest = experiment_module.ingest_csv
+
+    def counted_ingest(*args):
+        ingested.append(args)
+        return real_ingest(*args)
+
+    monkeypatch.setattr(experiment_module, "ingest_csv", counted_ingest)
+    cfg_obj["data"] = {
+        "kind": "csv",
+        "path": str(data_path),
+        "structure_path": str(structure_path),
+    }
+    calls.clear()
+    run_experiment(parse_config(cfg_obj))
+    assert len(ingested) == 1
+    assert len(calls) == 1
 
 
 def test_removal_margin_cap_surfaces():

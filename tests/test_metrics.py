@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from entrymean import metrics as metrics_module
 from entrymean.errors import CapExceededError, MetricFailure
 from entrymean.metrics import (
     Coupling,
@@ -128,6 +130,70 @@ def test_distance_ordering_and_witnesses(seed):
     # The witnesses must actually achieve the reported objectives.
     assert avg_coupling.coordinate_disagreement().mean() == pytest.approx(avg_value, abs=1e-8)
     assert max_coupling.coordinate_disagreement().max() == pytest.approx(max_value, abs=1e-8)
+
+
+def tied_uniform(rng, dim, n_atoms):
+    # Atoms of {0, 1}^dim: many pairs share a Hamming cost.
+    flat = rng.choice(2**dim, size=n_atoms, replace=False)
+    support = np.array([[(cell >> k) & 1 for k in range(dim)] for cell in flat], dtype=float)
+    return DiscreteDistribution(support, np.full(n_atoms, 1.0 / n_atoms))
+
+
+def transport_lp(p, q, cost):
+    m, k = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(k)), np.kron(np.ones(m), np.eye(k))])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p.probs, q.probs]), method="highs")
+    assert res.success
+    return res.fun
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_entrywise_avg_assignment_matches_lp_and_oracle(seed, monkeypatch):
+    solved = []
+    real = metrics_module.linear_sum_assignment
+
+    def counted(cost):
+        solved.append(cost.shape)
+        return real(cost)
+
+    monkeypatch.setattr(metrics_module, "linear_sum_assignment", counted)
+    rng = np.random.default_rng(300 + seed)
+    dim = int(rng.integers(1, 5))
+    n_atoms = int(rng.integers(1, min(4, 2**dim) + 1))
+    p, q = tied_uniform(rng, dim, n_atoms), tied_uniform(rng, dim, n_atoms)
+    cost = hamming_cost_matrix(p.support, q.support)
+    value, coupling = optimal_entrywise_coupling(p, q, "avg")
+    assert solved == [(n_atoms, n_atoms)]
+    assert value == pytest.approx(transport_minimum(p.probs, q.probs, cost), abs=1e-12)
+    assert value == pytest.approx(transport_lp(p, q, cost), abs=1e-12)
+    np.testing.assert_allclose(coupling.weights.sum(axis=1), p.probs, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(coupling.weights.sum(axis=0), q.probs, rtol=0, atol=1e-15)
+    assert coupling.coordinate_disagreement().mean() == pytest.approx(value, abs=1e-12)
+
+
+def test_entrywise_assignment_only_for_uniform_equal_sizes(monkeypatch):
+    def refuse(cost):
+        raise AssertionError("assignment path taken")
+
+    monkeypatch.setattr(metrics_module, "linear_sum_assignment", refuse)
+    rng = np.random.default_rng(7)
+    three, four = tied_uniform(rng, 3, 3), tied_uniform(rng, 3, 4)
+    skewed = DiscreteDistribution(three.support, np.array([0.5, 0.25, 0.25]))
+    for p, q in ((three, four), (three, skewed), (skewed, three)):
+        value, coupling = optimal_entrywise_coupling(p, q, "avg")
+        cost = hamming_cost_matrix(p.support, q.support)
+        assert value == pytest.approx(transport_minimum(p.probs, q.probs, cost), abs=1e-9)
+        assert coupling.coordinate_disagreement().mean() == pytest.approx(value, abs=1e-8)
+    value, _ = optimal_entrywise_coupling(four, four, "max")
+    assert value == pytest.approx(0.0, abs=1e-9)
+
+
+def test_entrywise_assignment_keeps_the_cell_cap():
+    atoms = DiscreteDistribution(np.arange(101.0)[:, None], np.full(101, 1 / 101))
+    with pytest.raises(CapExceededError):
+        entrywise_distance_avg(atoms, atoms)
+    atoms = DiscreteDistribution(np.arange(100.0)[:, None], np.full(100, 1 / 100))
+    assert entrywise_distance_avg(atoms, atoms) == 0.0
 
 
 def test_coupling_marginal_validation():

@@ -127,6 +127,40 @@ def test_recover_table_matches_per_row_lstsq(seed, deficient):
     )
 
 
+def test_recover_table_shares_svd_per_pattern_but_tests_rows_alone():
+    rng = np.random.default_rng(125)
+    entries = rng.standard_normal((6, 3))
+    entries[4] = 2.0 * entries[3]  # rows 3-5 of A span rank 1
+    entries[5] = -entries[3]
+    a = StructureMatrix(entries)
+    values = rng.standard_normal((8, 3)) @ entries.T
+    values[np.ix_([0, 1, 5], [0, 4])] = np.nan  # one pattern: rows 1, 2, 3, 5 visible, rank 3
+    values[1, 5] += 3.0  # replaced visible entry: this row alone fails the residual
+    values[[2, 3, 6], :3] = np.nan  # one pattern: rows 3-5 visible, rank 1
+    values[7, 0] = np.nan
+    expected = impute_rows_direct(a.entries, values, a.rank_tol)
+    statuses = [status for status, _ in expected]
+    assert statuses == ["recovered", "unrecoverable", "unrecoverable", "unrecoverable",
+                        "unchanged", "recovered", "unrecoverable", "recovered"]
+
+    report = recover_table(Dataset(values, np.isnan(values)), a)
+    assert report.recovered_indices == [0, 5, 7]
+    assert report.discarded_indices == [1, 2, 3, 6]
+    kept = np.vstack([sample for status, sample in expected if status != "unrecoverable"])
+    np.testing.assert_allclose(
+        report.completed.values, kept, rtol=0, atol=1e-12 * np.abs(kept).max()
+    )
+
+
+def test_recover_table_without_hidden_cells_passes_through():
+    a = random_general_position(6, 3, seed=126)
+    values = np.random.default_rng(126).standard_normal((5, 3)) @ a.entries.T
+    values[2, 1] += 1.0  # not in range(A), but nothing is hidden, so nothing is tested
+    report = recover_table(Dataset(values), a)
+    assert (report.recovered_indices, report.discarded_indices) == ([], [])
+    np.testing.assert_array_equal(report.completed.values, values)
+
+
 def test_recover_table_refuses_when_everything_is_discarded():
     a = random_general_position(6, 3, seed=120)
     values = np.ones((3, 6)) @ np.diag(np.arange(1.0, 7.0))
