@@ -5,7 +5,8 @@ directory in the repository for a worked example of each schema). ``--seed``
 and ``--out`` override the corresponding config fields, so shell pipelines
 can reuse one config with different outputs.
 
-Exit codes: 0 on success, 1 for configuration problems, 2 for I/O problems.
+Exit codes: 0 on success, 1 for configuration problems and for inputs an
+estimator, recovery routine or metric cannot handle, 2 for I/O problems.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import corruption, estimators, metrics, recovery
 from .data import load_dataset_csv, save_dataset_csv
 from .datagen import draw_latents, make_structure, synthesize
-from .errors import AllSamplesDiscardedError, ConfigError, EstimatorFailure
+from .errors import ConfigError, EstimatorFailure, MetricFailure
 from .experiment import (
     ingest_csv,
     load_config,
@@ -101,10 +102,7 @@ def cmd_recover(args) -> int:
     prefix = _out_prefix(cfg, args)
     if method == "known_structure":
         a = load_structure_csv(_need(cfg, "structure_csv"))
-        try:
-            report = recovery.recover_table(ds, a)
-        except AllSamplesDiscardedError:
-            raise ConfigError("every sample was unrecoverable") from None
+        report = recovery.recover_table(ds, a)
     elif method == "iterative_svd":
         report = recovery.iterative_svd_complete(
             ds,
@@ -129,10 +127,7 @@ def cmd_estimate(args) -> int:
     ds = ingest_csv(_need(cfg, "data_csv"), bool(cfg.get("standardize", False)))
     spec = parse_estimator_spec(_need(cfg, "estimator"))
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
-    try:
-        vec = estimators.estimate(ds, spec, a, np.random.default_rng(seed))
-    except EstimatorFailure as exc:
-        raise ConfigError(f"estimator failed: {exc}") from None
+    vec = estimators.estimate(ds, spec, a, np.random.default_rng(seed))
     payload = {"estimator": spec.label, "estimate": [float(v) for v in vec]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is not None or cfg.get("out"):
@@ -215,6 +210,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (EstimatorFailure, MetricFailure) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -8,13 +8,18 @@ mean of m over couplings gives :func:`entrywise_distance_avg`; minimizing the
 max gives :func:`entrywise_distance_max`. Both are bounded above by the total
 variation distance, which charges a full unit whenever vectors differ at all.
 
-Atoms are compared coordinate by coordinate with exact float equality; the
-intended use is distributions whose supports are constructed, not measured.
+Atoms are compared coordinate by coordinate with exact float equality (-0.0
+equals 0.0); the intended use is distributions whose supports are
+constructed, not measured.
 
-Both distances are linear programs. Between two uniform distributions with
+Both distances are linear programs, solved only on the mass that moves:
+an atom held by both distributions keeps the smaller of its two masses in
+place, which some optimal coupling always does, and the program is built
+over the atoms left with residual mass. Between two uniform residuals with
 the same number of atoms (two empirical tables of equal length), the "avg"
 program is an assignment problem: by Birkhoff-von Neumann a permutation is
 an optimal vertex, so it is solved by ``linear_sum_assignment`` instead.
+Total variation uses the same atom matching.
 """
 from __future__ import annotations
 
@@ -92,7 +97,7 @@ class Coupling:
 
     def coordinate_disagreement(self) -> np.ndarray:
         """Mass placed on pairs that differ, coordinate by coordinate."""
-        diff = _disagreement_tensor(self.left, self.right)
+        diff = _disagreement_tensor(self.left.support, self.right.support)
         return np.einsum("ij,ijk->k", self.weights, diff)
 
 
@@ -101,31 +106,39 @@ def _check_same_dim(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
 
 
-def _disagreement_tensor(p: DiscreteDistribution, q: DiscreteDistribution) -> np.ndarray:
-    # (i, j, k) -> 1.0 where atom i of p and atom j of q differ in coordinate k.
-    return (p.support[:, None, :] != q.support[None, :, :]).astype(float)
+def _disagreement_tensor(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # (i, j, k) -> 1.0 where atom i of left and atom j of right differ in coordinate k.
+    return (left[:, None, :] != right[None, :, :]).astype(float)
+
+
+def _atom_groups(p: DiscreteDistribution, q: DiscreteDistribution) -> np.ndarray:
+    """One group index per atom of p, then per atom of q; equal atoms share one.
+
+    ``+ 0.0`` turns -0.0 into 0.0, so atoms equal under ``==`` also have equal bits.
+    """
+    stacked = np.concatenate([p.support, q.support]) + 0.0
+    # reshape: the shape of the inverse for axis=0 varies across numpy 2.x releases.
+    return np.unique(stacked, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Total variation distance, matching atoms by exact equality."""
     _check_same_dim(p, q)
-    masses: dict[tuple, float] = {}
-    for atom, prob in zip(p.support, p.probs):
-        masses[tuple(atom)] = masses.get(tuple(atom), 0.0) + prob
-    for atom, prob in zip(q.support, q.probs):
-        masses[tuple(atom)] = masses.get(tuple(atom), 0.0) - prob
-    return 0.5 * float(sum(abs(v) for v in masses.values()))
+    group = _atom_groups(p, q)
+    m, n_groups = p.n_atoms, group.max() + 1
+    diff = np.bincount(group[:m], p.probs, n_groups) - np.bincount(group[m:], q.probs, n_groups)
+    return 0.5 * float(np.abs(diff).sum())
 
 
-def _marginal_constraints(p: DiscreteDistribution, q: DiscreteDistribution, extra_cols: int):
-    m, k = p.n_atoms, q.n_atoms
+def _marginal_constraints(p_mass: np.ndarray, q_mass: np.ndarray, extra_cols: int):
+    m, k = p_mass.size, q_mass.size
     n_vars = m * k + extra_cols
     a_eq = np.zeros((m + k, n_vars))
     for i in range(m):
         a_eq[i, i * k : (i + 1) * k] = 1.0
     for j in range(k):
         a_eq[m + j, j : m * k : k] = 1.0
-    b_eq = np.concatenate([p.probs, q.probs])
+    b_eq = np.concatenate([p_mass, q_mass])
     return a_eq, b_eq
 
 
@@ -134,6 +147,28 @@ def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
     if not res.success:
         raise MetricFailure(f"coupling LP failed: {res.message}")
     return res
+
+
+def _solve_coupling(diff: np.ndarray, p_mass, q_mass, norm: str) -> tuple[float, np.ndarray]:
+    # The "avg" or "max" program for masses p_mass, q_mass and disagreements diff.
+    m, k, dim = diff.shape
+    if norm == "avg":
+        cost = diff.mean(axis=2)
+        mass = p_mass[0]
+        if m == k and np.all(p_mass == mass) and np.all(q_mass == mass):
+            rows, cols = linear_sum_assignment(cost)
+            weights = np.zeros((m, k))
+            weights[rows, cols] = mass
+            return float(mass * cost[rows, cols].sum()), weights
+        a_eq, b_eq = _marginal_constraints(p_mass, q_mass, extra_cols=0)
+        res = _solve_lp(cost.ravel(), a_eq, b_eq)
+        return float(res.fun), res.x.reshape(m, k)
+    a_eq, b_eq = _marginal_constraints(p_mass, q_mass, extra_cols=1)
+    a_ub = np.hstack([diff.reshape(m * k, dim).T, -np.ones((dim, 1))])
+    objective = np.zeros(m * k + 1)
+    objective[-1] = 1.0
+    res = _solve_lp(objective, a_eq, b_eq, a_ub=a_ub, b_ub=np.zeros(dim))
+    return float(res.x[-1]), res.x[:-1].reshape(m, k)
 
 
 def optimal_entrywise_coupling(
@@ -148,39 +183,50 @@ def optimal_entrywise_coupling(
     with equal atom counts and one common mass on every atom is solved as an
     assignment problem, whose optimal permutation is a vertex of the same
     program; its value is that mass times the summed cost of the permutation.
+
+    Shared mass is matched before any program is built: an atom a held by
+    both distributions stays in place with mass min(p_a, q_a), and the
+    program runs only on the atoms left with residual mass; if none is left,
+    the value is 0. This is exact for both norms. Take an optimal coupling
+    that moves mass a -> b and c -> a (b, c != a), and reroute some eps of it
+    as a -> a and c -> b. Coordinate k's disagreement mass changes by
+    eps * ([c_k != b_k] - [a_k != b_k] - [c_k != a_k]) <= 0, by the triangle
+    inequality of the 0/1 metric on coordinate k, so neither the mean nor the
+    max over k rises. Repeating until a sends nothing away or receives
+    nothing from elsewhere leaves min(p_a, q_a) on (a, a). A uniform,
+    equal-size pair leaves a uniform, equal-size residual, so it still takes
+    the assignment.
+
+    The cell and support caps apply to the input sizes, before the reduction.
     """
     _check_same_dim(p, q)
     m, k = p.n_atoms, q.n_atoms
     if m * k > COUPLING_CELL_CAP:
         raise CapExceededError(f"{m}x{k} coupling exceeds the {COUPLING_CELL_CAP}-cell cap")
-    if norm == "avg":
-        cost = _disagreement_tensor(p, q).mean(axis=2)
-        mass = p.probs[0]
-        if m == k and np.all(p.probs == mass) and np.all(q.probs == mass):
-            rows, cols = linear_sum_assignment(cost)
-            weights = np.zeros((m, k))
-            weights[rows, cols] = mass
-            return float(mass * cost[rows, cols].sum()), Coupling(p, q, weights)
-        a_eq, b_eq = _marginal_constraints(p, q, extra_cols=0)
-        res = _solve_lp(cost.ravel(), a_eq, b_eq)
-        weights = res.x.reshape(m, k)
-        return float(res.fun), Coupling(p, q, weights)
-    if norm == "max":
-        if m > SUPPORT_CAP or k > SUPPORT_CAP:
-            raise CapExceededError(f"supports exceed the {SUPPORT_CAP}-atom cap")
-        diff = _disagreement_tensor(p, q)
-        a_eq, b_eq = _marginal_constraints(p, q, extra_cols=1)
-        dim = p.dim
-        a_ub = np.zeros((dim, m * k + 1))
-        for c in range(dim):
-            a_ub[c, : m * k] = diff[:, :, c].ravel()
-            a_ub[c, -1] = -1.0
-        objective = np.zeros(m * k + 1)
-        objective[-1] = 1.0
-        res = _solve_lp(objective, a_eq, b_eq, a_ub=a_ub, b_ub=np.zeros(dim))
-        weights = res.x[:-1].reshape(m, k)
-        return float(res.x[-1]), Coupling(p, q, weights)
-    raise ValueError(f"norm must be 'avg' or 'max', got {norm!r}")
+    if norm == "max" and (m > SUPPORT_CAP or k > SUPPORT_CAP):
+        raise CapExceededError(f"supports exceed the {SUPPORT_CAP}-atom cap")
+    if norm not in ("avg", "max"):
+        raise ValueError(f"norm must be 'avg' or 'max', got {norm!r}")
+    group = _atom_groups(p, q)
+    left_of_group = np.full(m + k, -1)
+    left_of_group[group[:m]] = np.arange(m)
+    left_of_right = left_of_group[group[m:]]
+    shared_q = np.flatnonzero(left_of_right >= 0)
+    shared_p = left_of_right[shared_q]
+    kept = np.minimum(p.probs[shared_p], q.probs[shared_q])
+    weights = np.zeros((m, k))
+    weights[shared_p, shared_q] = kept
+    p_rest, q_rest = p.probs.copy(), q.probs.copy()
+    p_rest[shared_p] -= kept
+    q_rest[shared_q] -= kept
+    rows, cols = np.flatnonzero(p_rest > 0), np.flatnonzero(q_rest > 0)
+    if rows.size == 0 or cols.size == 0:
+        # Whatever is left on one side is rounding, within the 1e-9 mass check.
+        return 0.0, Coupling(p, q, weights)
+    diff = _disagreement_tensor(p.support[rows], q.support[cols])
+    value, block = _solve_coupling(diff, p_rest[rows], q_rest[cols], norm)
+    weights[np.ix_(rows, cols)] += block
+    return value, Coupling(p, q, weights)
 
 
 def entrywise_distance_avg(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

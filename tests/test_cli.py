@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,6 +291,64 @@ def test_program_bugs_are_not_config_errors(tmp_path, monkeypatch):
         main(["gen", "--config", cfg])
 
 
+def run_entrymean(*argv):
+    # A separate interpreter, so an escaping exception shows as a traceback.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "entrymean.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_completion_failure_exits_1_without_traceback(tmp_path):
+    data_path, _ = run_gen(tmp_path, n_samples=200)
+    corrupt_cfg = write_json(
+        tmp_path / "corrupt.json",
+        {
+            "data_csv": str(data_path),
+            "adversary": "concentrated_hiding",
+            "budget": 0.2,
+            "out": str(tmp_path / "hit"),
+        },
+    )
+    assert main(["corrupt", "--config", corrupt_cfg]) == 0
+    recover_cfg = write_json(
+        tmp_path / "recover.json",
+        {
+            "data_csv": str(tmp_path / "hit.corrupted.csv"),
+            "method": "iterative_svd",
+            "rank": 3,
+            "out": str(tmp_path / "svd"),
+        },
+    )
+    proc = run_entrymean("recover", "--config", recover_cfg)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "recover failed: a coordinate is hidden in every retained sample"
+    ]
+
+
+def test_metric_failure_exits_1_without_traceback(tmp_path):
+    cov = tmp_path / "cov.csv"
+    cov.write_text("1.0,0.0\n0.0,0.0\n")  # singular: the second coordinate never varies
+    cfg = write_json(
+        tmp_path / "maha.json",
+        {
+            "kind": "mahalanobis",
+            "estimate": [0.0, 1.0],
+            "reference": [0.0, 0.0],
+            "covariance_csv": str(cov),
+        },
+    )
+    proc = run_entrymean("metric", "--config", cfg)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "metric failed: error vector lies outside the range of the covariance"
+    ]
+
+
 def test_exit_code_2_for_missing_files(tmp_path, capsys):
     assert main(["gen", "--config", str(tmp_path / "nowhere.json")]) == 2
     assert "i/o error" in capsys.readouterr().err
@@ -330,8 +392,6 @@ def test_pipeline_gen_corrupt_recover_estimate(tmp_path, capsys):
 
 
 def test_shipped_configs_compose(tmp_path, monkeypatch, capsys):
-    import pathlib
-
     configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
     monkeypatch.chdir(tmp_path)
     (tmp_path / "out").mkdir()

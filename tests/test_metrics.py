@@ -163,7 +163,9 @@ def test_entrywise_avg_assignment_matches_lp_and_oracle(seed, monkeypatch):
     p, q = tied_uniform(rng, dim, n_atoms), tied_uniform(rng, dim, n_atoms)
     cost = hamming_cost_matrix(p.support, q.support)
     value, coupling = optimal_entrywise_coupling(p, q, "avg")
-    assert solved == [(n_atoms, n_atoms)]
+    # Shared atoms stay in place; the assignment sees only the others.
+    moved = n_atoms - len({tuple(a) for a in p.support} & {tuple(a) for a in q.support})
+    assert solved == ([(moved, moved)] if moved else [])
     assert value == pytest.approx(transport_minimum(p.probs, q.probs, cost), abs=1e-12)
     assert value == pytest.approx(transport_lp(p, q, cost), abs=1e-12)
     np.testing.assert_allclose(coupling.weights.sum(axis=1), p.probs, rtol=0, atol=1e-15)
@@ -189,11 +191,118 @@ def test_entrywise_assignment_only_for_uniform_equal_sizes(monkeypatch):
 
 
 def test_entrywise_assignment_keeps_the_cell_cap():
+    # All 101 atoms are shared, but the caps apply to the input sizes.
     atoms = DiscreteDistribution(np.arange(101.0)[:, None], np.full(101, 1 / 101))
-    with pytest.raises(CapExceededError):
-        entrywise_distance_avg(atoms, atoms)
+    for norm in ("avg", "max"):
+        with pytest.raises(CapExceededError):
+            optimal_entrywise_coupling(atoms, atoms, norm)
     atoms = DiscreteDistribution(np.arange(100.0)[:, None], np.full(100, 1 / 100))
     assert entrywise_distance_avg(atoms, atoms) == 0.0
+
+
+def sharing_pair(rng, dim, n_p, n_q, n_shared):
+    # Non-uniform p and q on the {0..5}^dim grid with n_shared atoms in common,
+    # listed in a different order on each side.
+    flat = rng.choice(6**dim, size=n_p + n_q - n_shared, replace=False)
+    atoms = np.array([[(cell // 6**k) % 6 for k in range(dim)] for cell in flat], dtype=float)
+    left, right = atoms[:n_p], rng.permutation(atoms[n_p - n_shared :])
+    probs = [rng.random(n) + 0.05 for n in (n_p, n_q)]
+    return (
+        DiscreteDistribution(left, probs[0] / probs[0].sum()),
+        DiscreteDistribution(right, probs[1] / probs[1].sum()),
+    )
+
+
+def entrywise_max_lp(p, q):
+    # The full m*k "max" program, built directly: minimize a bound t on every
+    # coordinate's disagreement mass.
+    m, k, dim = p.n_atoms, q.n_atoms, p.dim
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(k)), np.kron(np.ones(m), np.eye(k))])
+    diff = [[[float(x[c] != y[c]) for y in q.support] for x in p.support] for c in range(dim)]
+    a_ub = np.hstack([np.array(diff).reshape(dim, m * k), -np.ones((dim, 1))])
+    c = np.zeros(m * k + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(dim), A_eq=np.hstack([a_eq, np.zeros((m + k, 1))]),
+                  b_eq=np.concatenate([p.probs, q.probs]), method="highs")
+    assert res.success
+    return res.fun
+
+
+@pytest.mark.parametrize("share", ["some", "all", "none"])
+@pytest.mark.parametrize("seed", range(8))
+def test_shared_mass_reduction_matches_unreduced_programs(seed, share):
+    rng = np.random.default_rng(500 + seed)
+    dim = int(rng.integers(2, 4))  # 36 or more grid cells for up to 8 atoms
+    n_p, n_q = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    if share == "all":
+        n_q = n_shared = n_p
+    else:  # "some" leaves each side at least one atom of its own
+        n_shared = int(rng.integers(1, min(n_p, n_q))) if share == "some" else 0
+    p, q = sharing_pair(rng, dim, n_p, n_q, n_shared)
+    cost = hamming_cost_matrix(p.support, q.support)
+    for norm in ("avg", "max"):
+        value, coupling = optimal_entrywise_coupling(p, q, norm)
+        if norm == "avg":
+            assert value == pytest.approx(transport_minimum(p.probs, q.probs, cost), abs=1e-12)
+            assert value == pytest.approx(transport_lp(p, q, cost), abs=1e-12)
+        else:
+            assert value == pytest.approx(entrywise_max_lp(p, q), abs=1e-12)
+        np.testing.assert_allclose(coupling.weights.sum(axis=1), p.probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coupling.weights.sum(axis=0), q.probs, rtol=0, atol=1e-12)
+        realized = coupling.coordinate_disagreement()
+        assert (realized.mean() if norm == "avg" else realized.max()) == pytest.approx(
+            value, abs=1e-12
+        )
+
+
+def test_equal_distributions_keep_all_mass_in_place(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solver called with nothing left to move")
+
+    monkeypatch.setattr(metrics_module, "linprog", refuse)
+    monkeypatch.setattr(metrics_module, "linear_sum_assignment", refuse)
+    p, _ = sharing_pair(np.random.default_rng(9), 3, 6, 6, 6)
+    for norm in ("avg", "max"):
+        value, coupling = optimal_entrywise_coupling(p, p, norm)
+        assert value == 0.0
+        np.testing.assert_array_equal(coupling.weights, np.diag(p.probs))
+
+
+def test_negative_zero_atom_is_shared():
+    p = DiscreteDistribution(np.array([[-0.0, 1.0], [2.0, 3.0]]), np.array([0.5, 0.5]))
+    q = DiscreteDistribution(np.array([[2.0, 3.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+    assert tv_distance(p, q) == 0.0
+    for norm in ("avg", "max"):
+        value, coupling = optimal_entrywise_coupling(p, q, norm)
+        assert value == 0.0
+        np.testing.assert_array_equal(coupling.weights, [[0.0, 0.5], [0.5, 0.0]])
+
+
+def test_only_residual_atoms_reach_the_solver(monkeypatch):
+    # 100 uniform atoms against the same atoms with 10 moved off the grid in
+    # every coordinate: both distances are the moved mass, 0.1.
+    seen = []
+    real_lsa, real_lp = metrics_module.linear_sum_assignment, metrics_module.linprog
+
+    def lsa(cost):
+        seen.append(("assignment", cost.shape))
+        return real_lsa(cost)
+
+    def lp(c, **kwargs):
+        seen.append(("lp", c.size))
+        return real_lp(c, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "linear_sum_assignment", lsa)
+    monkeypatch.setattr(metrics_module, "linprog", lp)
+    rng = np.random.default_rng(11)
+    clean = rng.standard_normal((100, 16))
+    shifted = clean.copy()
+    shifted[rng.choice(100, size=10, replace=False)] += 10.0
+    p = DiscreteDistribution(clean, np.full(100, 0.01))
+    q = DiscreteDistribution(shifted, np.full(100, 0.01))
+    assert entrywise_distance_avg(p, q) == pytest.approx(0.1, abs=1e-12)
+    assert entrywise_distance_max(p, q) == pytest.approx(0.1, abs=1e-12)
+    assert seen == [("assignment", (10, 10)), ("lp", 10 * 10 + 1)]
 
 
 def test_coupling_marginal_validation():
