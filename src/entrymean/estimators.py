@@ -1,6 +1,7 @@
 """Location estimators and the recover-then-estimate pipeline."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -46,6 +47,10 @@ class RecoverySpec:
             raise ValueError(f"method must be one of {RECOVERY_METHODS}, got {self.method!r}")
         if self.method == "iterative_svd" and (self.rank is None or self.rank < 1):
             raise ValueError("iterative_svd recovery needs a positive rank")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -108,25 +108,27 @@ def _require(condition: bool, message: str) -> None:
 def parse_estimator_spec(obj: dict) -> EstimatorSpec:
     _require(isinstance(obj, dict), "each method must be an object")
     _require("kind" in obj, "method needs a 'kind'")
-    recovery = None
-    if "recovery" in obj and obj["recovery"] is not None:
-        rec = obj["recovery"]
-        _require(isinstance(rec, dict) and "method" in rec, "recovery needs a 'method'")
-        recovery = RecoverySpec(
-            method=rec["method"],
-            rank=rec.get("rank"),
-            max_iter=int(rec.get("max_iter", 500)),
-            tol=float(rec.get("tol", 1e-9)),
-            exponent=float(rec.get("exponent", 2.0)),
-        )
+    rec = obj.get("recovery")
+    _require(
+        rec is None or (isinstance(rec, dict) and "method" in rec), "recovery needs a 'method'"
+    )
     try:
+        recovery = None
+        if rec is not None:
+            recovery = RecoverySpec(
+                method=rec["method"],
+                rank=rec.get("rank"),
+                max_iter=int(rec.get("max_iter", 500)),
+                tol=float(rec.get("tol", 1e-9)),
+                exponent=float(rec.get("exponent", 2.0)),
+            )
         return EstimatorSpec(
             kind=obj["kind"],
             recovery=recovery,
             inner=obj.get("inner", "empirical_mean"),
             name=obj.get("name"),
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
 

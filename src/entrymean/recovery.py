@@ -6,6 +6,12 @@ Three routes are implemented:
   whole table at once (:func:`recover_table`) or one sample at a time
   (:func:`impute_from_structure`); structure unknown, rank known: complete
   the whole table by iterated rank truncation (:func:`iterative_svd_complete`).
+  When the fully visible samples reach the target rank, their top right
+  singular vectors stand in for the structure: every other sample is fitted
+  against that basis by the same per-pattern solve as :func:`recover_table`
+  and discarded under the same rank rule, so on an exactly low-rank table
+  the sweeps only confirm the fit. Otherwise hidden cells start at their
+  coordinate's median and the sweeps do the work.
 * replaced entries, structure known: find the point of range(A) closest to
   the corrupted vector in Hamming distance, either exhaustively or by
   sampling independent row subsets.
@@ -31,6 +37,7 @@ import numpy as np
 from .data import Dataset
 from .errors import AllSamplesDiscardedError, CapExceededError, CompletionInfeasibleError
 from .structure import (
+    DEFAULT_RANK_TOL,
     StructureMatrix,
     null_space_basis,
     numerical_rank,
@@ -100,6 +107,38 @@ def impute_from_structure(x: np.ndarray, a: StructureMatrix) -> RecoveryOutcome:
     return RecoveryOutcome(RecoveryStatus.UNCHANGED, sample, 0)
 
 
+def _fit_by_pattern(
+    basis: np.ndarray, x: np.ndarray, visible: np.ndarray, rank_tol: float, rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of each row of ``x`` on its visible coordinates.
+
+    ``x`` holds zeros at hidden cells. Returns ``(samples, spans)``: the rows
+    rebuilt as ``basis @ z`` from the pseudo-inverse solve on the visible rows
+    of ``basis``, and whether those visible rows keep numerical rank
+    ``rank`` (singular values above ``rank_tol`` times the largest).
+
+    The SVD of ``basis`` with a row's hidden coordinates zeroed depends only on
+    which coordinates are hidden, so one stacked SVD is taken per distinct
+    hiding pattern and shared by every row with that pattern. Zeroed rows
+    leave the singular values unchanged, so the rank test is the one for the
+    visible rows alone; the pseudo-inverse drops singular values at or below
+    lstsq's default cutoff, eps * max(visible count, columns) times the
+    largest.
+    """
+    keys = np.packbits(visible, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    patterns = visible[first]
+    u, s, vt = np.linalg.svd(basis * patterns[:, :, None], full_matrices=False)
+    top = s[:, :1]
+    spans = np.count_nonzero(s > rank_tol * top, axis=1) >= rank
+    cutoff = np.finfo(float).eps * np.maximum(patterns.sum(axis=1), basis.shape[1])[:, None] * top
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    u, inv_s, vt, spans = u[inverse], inv_s[inverse], vt[inverse], spans[inverse]
+    z = np.einsum("kji,kj->ki", vt, np.einsum("kji,kj->ki", u, x) * inv_s)
+    return z @ basis.T, spans
+
+
 def recover_table(ds: Dataset, a: StructureMatrix) -> CompletionReport:
     """Fill the hidden entries of every sample using the known structure.
 
@@ -109,32 +148,15 @@ def recover_table(ds: Dataset, a: StructureMatrix) -> CompletionReport:
     relative means the visible entries themselves are inconsistent with the
     structure (replaced rather than hidden). Samples failing either test are
     discarded rather than trusted; samples with nothing hidden pass through.
-
-    The SVD of A with a sample's hidden rows zeroed depends only on which
-    coordinates are hidden, so one stacked SVD is taken per distinct hiding
-    pattern and shared by every sample with that pattern; the solve and the
-    residual test stay per sample. Zeroed rows leave the singular values
-    unchanged, so the rank rule is the one for the visible rows alone; the
-    pseudo-inverse drops singular values at or below lstsq's default cutoff,
-    eps * max(visible count, r) times the largest.
+    The solve takes one SVD per distinct hiding pattern
+    (:func:`_fit_by_pattern`); the residual test stays per sample.
     """
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
     rows = np.flatnonzero(ds.mask.any(axis=1))
     visible = ~ds.mask[rows]
     x = np.where(visible, ds.values[rows], 0.0)
-    keys = np.packbits(visible, axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    patterns = visible[first]
-    u, s, vt = np.linalg.svd(a.entries * patterns[:, :, None], full_matrices=False)
-    top = s[:, :1]
-    spans = np.count_nonzero(s > a.rank_tol * top, axis=1) >= structure_rank(a)
-    cutoff = np.finfo(float).eps * np.maximum(patterns.sum(axis=1), a.r)[:, None] * top
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    u, inv_s, vt, spans = u[inverse], inv_s[inverse], vt[inverse], spans[inverse]
-    z = np.einsum("kji,kj->ki", vt, np.einsum("kji,kj->ki", u, x) * inv_s)
-    samples = z @ a.entries.T
+    samples, spans = _fit_by_pattern(a.entries, x, visible, a.rank_tol, structure_rank(a))
     residual = np.linalg.norm((samples - x) * visible, axis=1)
     ok = spans & (residual <= RANGE_RESIDUAL_TOL * np.linalg.norm(x, axis=1))
     values = ds.values.copy()
@@ -157,11 +179,23 @@ def iterative_svd_complete(
     """Complete hidden entries by alternating rank truncation and re-imposition.
 
     Samples with fewer than ``rank`` visible entries cannot pin down their
-    row of a rank-``rank`` table and are discarded up front. The remaining
-    hidden cells start at their coordinate's visible median; each sweep
-    projects the table to the nearest rank-``rank`` matrix and copies the
-    projected values back into the originally hidden cells only. Stops when
-    the largest change on hidden cells falls to ``tol``.
+    row of a rank-``rank`` table and are discarded up front.
+
+    Start: when the retained samples with nothing hidden have numerical rank
+    at least ``rank`` (under ``DEFAULT_RANK_TOL``), their top ``rank`` right
+    singular vectors are the starting basis, and each sample with a hidden
+    cell is fitted against that basis by least squares on its visible
+    coordinates, one SVD per hiding pattern as in :func:`recover_table`.
+    A sample whose visible coordinates of the basis span rank below
+    ``rank`` is discarded, the rank rule of :func:`recover_table` applied to
+    the learned basis: its row is not determined. On an exactly low-rank
+    table this start is already the completion and the first sweep confirms
+    it. Otherwise (too few or too degenerate complete samples) every hidden
+    cell starts at its coordinate's visible median.
+
+    Sweeps: each one projects the table to the nearest rank-``rank`` matrix
+    and copies the projected values back into the originally hidden cells
+    only. Stops when the largest change on hidden cells falls to ``tol``.
 
     The projection X V V' onto the top ``rank`` right singular vectors V is
     taken from the eigenvectors of the small Gram matrix X'X and evaluated
@@ -176,6 +210,8 @@ def iterative_svd_complete(
         raise ValueError("rank must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative")
     visible_counts = (~ds.mask).sum(axis=1)
     discarded = [int(i) for i in np.flatnonzero(visible_counts < rank)]
     retained = np.flatnonzero(visible_counts >= rank)
@@ -185,17 +221,32 @@ def iterative_svd_complete(
         )
     values = ds.values[retained]
     hidden = ds.mask[retained]
-    rows = np.flatnonzero(hidden.any(axis=1))
-    recovered = retained[rows].tolist()
     if not hidden.any():
         return CompletionReport(Dataset(values.copy()), [], discarded, 0, True)
     if np.any((~hidden).sum(axis=0) == 0):
         raise CompletionInfeasibleError("a coordinate is hidden in every retained sample")
+    rows = np.flatnonzero(hidden.any(axis=1))
     filled = values.copy()
-    for j in range(filled.shape[1]):
-        col_hidden = hidden[:, j]
-        if col_hidden.any():
-            filled[col_hidden, j] = np.median(values[~col_hidden, j])
+    complete = np.delete(values, rows, axis=0)
+    _, s, vt = np.linalg.svd(complete, full_matrices=False)
+    if np.count_nonzero(s > DEFAULT_RANK_TOL * s[:1]) >= rank:
+        visible = ~hidden[rows]
+        samples, spans = _fit_by_pattern(
+            vt[:rank].T, np.where(visible, values[rows], 0.0), visible, DEFAULT_RANK_TOL, rank
+        )
+        filled[rows] = np.where(visible, values[rows], samples)
+        drop = rows[~spans]
+        discarded = sorted(discarded + retained[drop].tolist())
+        retained, filled, hidden = (np.delete(a, drop, axis=0) for a in (retained, filled, hidden))
+        rows = np.flatnonzero(hidden.any(axis=1))
+        if rows.size == 0:
+            return CompletionReport(Dataset(filled), [], discarded, 0, True)
+    else:
+        for j in range(filled.shape[1]):
+            col_hidden = hidden[:, j]
+            if col_hidden.any():
+                filled[col_hidden, j] = np.median(values[~col_hidden, j])
+    recovered = retained[rows].tolist()
     fixed = np.delete(filled, rows, axis=0)
     fixed_gram = fixed.T @ fixed
     changing = filled[rows]
@@ -213,63 +264,6 @@ def iterative_svd_complete(
             break
     filled[rows] = changing
     return CompletionReport(Dataset(filled), recovered, discarded, iterations, converged)
-
-
-def certify_unique_completion(mask: np.ndarray, rank: int) -> bool:
-    """Certify that the hiding pattern pins down a unique rank-``rank`` completion.
-
-    Looks for a witness family of rank + 1 disjoint groups of n - rank
-    samples in which every subset of k samples leaves at least rank + k
-    coordinates not hidden everywhere. Groups are built greedily: seed with a
-    sample showing at least rank + 1 coordinates, then grow by samples that
-    each expose one coordinate not yet counted. Samples sharing a hiding
-    pattern are interchangeable, so each pattern contributes at most
-    floor(multiplicity / (rank + 1)) members per group, keeping the groups
-    disjoint.
-
-    The certificate is sound: True means samples with at least ``rank``
-    visible entries are uniquely completable. False only means the greedy
-    search found no witness.
-    """
-    mask = np.atleast_2d(np.asarray(mask, dtype=bool))
-    n_samples, dim = mask.shape
-    if not 1 <= rank < dim:
-        raise ValueError(f"rank must lie in [1, {dim - 1}]")
-    group_size = dim - rank
-    groups_needed = rank + 1
-    if n_samples < groups_needed * group_size:
-        return False
-    counts: dict[bytes, int] = {}
-    for row in mask:
-        counts[row.tobytes()] = counts.get(row.tobytes(), 0) + 1
-    patterns = []
-    for key, count in counts.items():
-        visible = frozenset(np.flatnonzero(~np.frombuffer(key, dtype=bool)))
-        budget = count // groups_needed
-        if len(visible) >= rank + 1 and budget >= 1:
-            patterns.append((visible, budget))
-    if not patterns:
-        return False
-    # Deterministic order: richest patterns first, then by content.
-    patterns.sort(key=lambda item: (-len(item[0]), sorted(item[0])))
-    seed_visible, seed_budget = patterns[0]
-    exposed = set(sorted(seed_visible)[: rank + 1])
-    budgets = [b for _, b in patterns]
-    budgets[0] -= 1
-    picked = 1
-    progress = True
-    while picked < group_size and progress:
-        progress = False
-        for idx, (visible, _) in enumerate(patterns):
-            while budgets[idx] > 0 and picked < group_size:
-                fresh = visible - exposed
-                if not fresh:
-                    break
-                exposed.add(min(fresh))
-                budgets[idx] -= 1
-                picked += 1
-                progress = True
-    return picked >= group_size
 
 
 def _hamming(candidate: np.ndarray, x: np.ndarray, tol: float) -> int:

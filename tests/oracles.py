@@ -199,6 +199,18 @@ def impute_rows_direct(entries, values, rank_tol):
     return out
 
 
+def _hard_impute_sweeps(table, hidden, rank, max_iter, tol):
+    """Replace hidden cells by the best rank-``rank`` fit, full SVD per sweep."""
+    for iteration in range(1, max_iter + 1):
+        u, s, vt = np.linalg.svd(table, full_matrices=False)
+        best = u[:, :rank] @ np.diag(s[:rank]) @ vt[:rank]
+        delta = np.max(np.abs(best[hidden] - table[hidden]))
+        table[hidden] = best[hidden]
+        if delta <= tol:
+            return table, iteration, True
+    return table, max_iter, False
+
+
 def hard_impute_direct(values, mask, rank, max_iter, tol):
     """Hard-impute completion with a full SVD of the table in every sweep.
 
@@ -218,14 +230,51 @@ def hard_impute_direct(values, mask, rank, max_iter, tol):
     for j in range(table.shape[1]):
         if hidden[:, j].any():
             table[hidden[:, j], j] = np.median(table[~hidden[:, j], j])
-    for iteration in range(1, max_iter + 1):
-        u, s, vt = np.linalg.svd(table, full_matrices=False)
-        best = u[:, :rank] @ np.diag(s[:rank]) @ vt[:rank]
-        delta = np.max(np.abs(best[hidden] - table[hidden]))
-        table[hidden] = best[hidden]
-        if delta <= tol:
-            return table, iteration, True
-    return table, max_iter, False
+    return _hard_impute_sweeps(table, hidden, rank, max_iter, tol)
+
+
+def warm_complete_direct(values, mask, rank, max_iter, tol, rank_tol=1e-10):
+    """Hard-impute started from the subspace of the fully visible rows.
+
+    The top ``rank`` right singular vectors of the rows with nothing hidden
+    form a basis B. Each row with a hidden entry is fitted by ``lstsq`` of
+    its visible entries against the same rows of B, and dropped when those
+    rows of B have rank below ``rank`` (singular values above ``rank_tol``
+    times the largest); rows with fewer than ``rank`` visible entries are
+    dropped first. Then full-SVD sweeps as in :func:`hard_impute_direct`.
+    Returns ``(table, dropped, iterations, converged)``, ``dropped`` being
+    the sorted indices of the dropped rows.
+    """
+    values = np.asarray(values, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+
+    def rank_of(matrix):
+        s = np.linalg.svd(matrix, compute_uv=False)
+        return sum(1 for v in s if v > rank_tol * s[0])
+
+    complete = values[~mask.any(axis=1)]
+    if complete.shape[0] < rank or rank_of(complete) < rank:
+        raise ValueError("the fully visible rows do not reach the target rank")
+    basis = np.linalg.svd(complete, full_matrices=False)[2][:rank].T
+    kept, dropped = [], []
+    table = values.copy()
+    for i in range(values.shape[0]):
+        visible = [j for j in range(values.shape[1]) if not mask[i, j]]
+        if len(visible) == values.shape[1]:
+            kept.append(i)
+            continue
+        if len(visible) < rank or rank_of(basis[visible]) < rank:
+            dropped.append(i)
+            continue
+        z, *_ = np.linalg.lstsq(basis[visible], values[i, visible], rcond=None)
+        table[i, mask[i]] = (basis @ z)[mask[i]]
+        kept.append(i)
+    table = table[kept]
+    hidden = mask[kept]
+    if not hidden.any():
+        return table, dropped, 0, True
+    table, iterations, converged = _hard_impute_sweeps(table, hidden, rank, max_iter, tol)
+    return table, dropped, iterations, converged
 
 
 def save_dataset_csv_direct(values, mask, path):

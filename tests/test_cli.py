@@ -173,6 +173,22 @@ def test_recover_iterative_svd(tmp_path):
     np.testing.assert_allclose(repaired.values, clean.values, atol=1e-5)
 
 
+def test_recover_iterative_svd_refuses_bad_tolerance(tmp_path, capsys):
+    data_path, _ = run_gen(tmp_path)
+    cfg = write_json(
+        tmp_path / "recover.json",
+        {
+            "data_csv": str(data_path),
+            "method": "iterative_svd",
+            "rank": 3,
+            "tol": -1,
+            "out": str(tmp_path / "svd"),
+        },
+    )
+    assert main(["recover", "--config", cfg]) == 1
+    assert "config error: tol" in capsys.readouterr().err
+
+
 def test_estimate_prints_json(tmp_path, capsys):
     data_path, _ = run_gen(tmp_path)
     cfg = write_json(

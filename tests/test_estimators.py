@@ -230,6 +230,9 @@ def test_estimator_spec_validation_and_labels():
         EstimatorSpec("empirical_mean", recovery=RecoverySpec("known_structure"))
     with pytest.raises(ValueError):
         EstimatorSpec("two_step", RecoverySpec("iterative_svd"))  # rank missing
+    for options in ({"max_iter": 0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")}):
+        with pytest.raises(ValueError, match="max_iter|tol"):
+            RecoverySpec("iterative_svd", rank=2, **options)
     spec = EstimatorSpec("two_step", RecoverySpec("known_structure"), inner="coordinate_median")
     assert spec.label == "two_step+known_structure+coordinate_median"
     named = EstimatorSpec("empirical_mean", name="baseline")

@@ -223,6 +223,10 @@ def test_ingest_csv_standardizes_visible_entries(tmp_path):
     assert abs(plain.values[~plain.mask[:, 0], 0].mean() - 5.0) < 2.0
 
 
+def svd_method(**options):
+    return {"kind": "two_step", "recovery": {"method": "iterative_svd", "rank": 3, **options}}
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -244,6 +248,10 @@ def test_ingest_csv_standardizes_visible_entries(tmp_path):
         (lambda c: c.update(metrics=["l3"]), "metrics"),
         (lambda c: c.update(metrics=[]), "metrics"),
         (lambda c: c["data"].update(kind="parquet"), "kind"),
+        (lambda c: c.update(methods=[svd_method(max_iter=0)]), "max_iter"),
+        (lambda c: c.update(methods=[svd_method(tol=-1)]), "tol"),
+        (lambda c: c.update(methods=[svd_method(tol=float("nan"))]), "tol"),
+        (lambda c: c.update(methods=[svd_method(tol="loose")]), "float"),
     ],
 )
 def test_parse_config_rejects_bad_fields(mutate, message):

@@ -8,7 +8,6 @@ from entrymean.errors import AllSamplesDiscardedError, CapExceededError, Complet
 from entrymean.recovery import (
     RecoveryStatus,
     build_parity_check,
-    certify_unique_completion,
     impute_from_structure,
     iterative_svd_complete,
     orthogonal_matching_pursuit,
@@ -20,7 +19,7 @@ from entrymean.recovery import (
 )
 from entrymean.structure import StructureMatrix, is_general_position
 
-from oracles import hard_impute_direct, impute_rows_direct
+from oracles import hard_impute_direct, impute_rows_direct, warm_complete_direct
 from test_structure import random_general_position
 
 
@@ -212,6 +211,20 @@ def test_iterative_svd_discards_underdetermined_samples():
     assert report.completed.n_samples == 9
 
 
+def test_iterative_svd_discards_rows_the_basis_cannot_pin():
+    # Coordinates 0-1 follow latent 0 and 2-3 latent 1: a row showing only
+    # coordinates 0 and 1 says nothing about its latent 1.
+    a = StructureMatrix(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+    values = np.random.default_rng(6).standard_normal((12, 2)) @ a.entries.T
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[3, 2:] = True
+    ds = Dataset(np.where(mask, np.nan, values), mask)
+    report = iterative_svd_complete(ds, rank=2)
+    assert report.discarded_indices == recover_table(ds, a).discarded_indices == [3]
+    assert (report.recovered_indices, report.iterations, report.converged) == ([], 0, True)
+    np.testing.assert_array_equal(report.completed.values, np.delete(values, 3, axis=0))
+
+
 def test_iterative_svd_infeasible_cases():
     ds, _ = low_rank_dataset(6, 4, 2, seed=3)
     mask = np.ones_like(ds.mask)
@@ -225,42 +238,106 @@ def test_iterative_svd_infeasible_cases():
         iterative_svd_complete(blind_column, rank=2)
 
 
+def every_row_hidden_table(n_samples, dim, rank, seed, mask_fraction=0.0):
+    """A low-rank table in which every row hides at least one cell."""
+    ds, values = low_rank_dataset(n_samples, dim, rank, seed, mask_fraction)
+    mask = ds.mask.copy()
+    mask[np.arange(n_samples), np.random.default_rng(seed).integers(0, dim, n_samples)] = True
+    return Dataset(np.where(mask, np.nan, values), mask)
+
+
+def degenerate_complete_rows_table():
+    """Rank-2 table whose fully visible rows all lie on one line."""
+    ds, values = low_rank_dataset(60, 8, 2, seed=5, mask_fraction=0.08)
+    complete = np.flatnonzero(~ds.mask.any(axis=1))
+    values[complete] = np.outer(np.arange(1.0, complete.size + 1), values[complete[0]])
+    return Dataset(np.where(ds.mask, np.nan, values), ds.mask)
+
+
 def test_iterative_svd_reports_non_convergence():
-    ds, _ = low_rank_dataset(30, 6, 2, seed=4, mask_fraction=0.1)
+    ds = every_row_hidden_table(30, 6, 2, seed=4, mask_fraction=0.1)
     report = iterative_svd_complete(ds, rank=2, max_iter=1)
     assert report.iterations == 1
     assert not report.converged
 
 
-def criterion_7_table(budget):
-    """The acceptance sweep's first trial after tail hiding at ``budget``."""
+def test_iterative_svd_refuses_bad_tolerance():
+    ds, _ = low_rank_dataset(20, 6, 2, seed=0, mask_fraction=0.1)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            iterative_svd_complete(ds, rank=2, tol=tol)
+
+
+def criterion_7_tables(budget):
+    """Structure, clean table and the table after tail hiding at ``budget``.
+
+    The acceptance sweep's first trial.
+    """
     spec = StructureSpec("block_diagonal", 16, 8, blocks=((8, 4), (8, 4)), seed=20240501)
     a = make_structure(spec)
     rng = np.random.default_rng(20240501)
     ds = synthesize(a, draw_latents(LatentSpec("gaussian", 8), 1000, rng))
-    return apply_plan(ds, plan_tail_hiding(ds, budget))
+    return a, ds, apply_plan(ds, plan_tail_hiding(ds, budget))
 
 
-def scale_spread_table():
+def criterion_7_table(budget):
+    return criterion_7_tables(budget)[2]
+
+
+def scale_spread_table(every_row_hidden=False):
     """Rank-2 table whose coordinate scales run from 1 to 1e6."""
     rng = np.random.default_rng(3)
     values = rng.standard_normal((300, 2)) @ rng.standard_normal((8, 2)).T
     values *= np.logspace(0, 6, 8)
     mask = rng.random(values.shape) < 0.05
+    if every_row_hidden:
+        mask[np.arange(300), rng.integers(0, 8, 300)] = True
     return Dataset(np.where(mask, np.nan, values), mask)
+
+
+@pytest.mark.parametrize(
+    "make_table, rank, max_iter, scaled_tol",
+    [
+        (lambda: criterion_7_table(0.2), 8, 500, False),
+        (lambda: criterion_7_table(0.2), 8, 1, False),
+        (scale_spread_table, 2, 500, True),
+        (lambda: low_rank_dataset(60, 8, 2, seed=1, mask_fraction=0.08)[0], 2, 500, False),
+    ],
+    ids=["criterion_7_budget_0.2", "one_sweep", "scale_spread_1e6", "converging"],
+)
+def test_iterative_svd_matches_full_svd_reference(make_table, rank, max_iter, scaled_tol):
+    ds = make_table()
+    # The scale-spread table starts at its exact completion, whose largest
+    # cells (~5e6) are ~1e-9 apart in floating point: at an absolute tol of
+    # 1e-9 the stopping sweep would be decided by rounding alone.
+    tol = 1e-9 * (np.nanmax(np.abs(ds.values)) if scaled_tol else 1.0)
+    table, dropped, iterations, converged = warm_complete_direct(
+        ds.values, ds.mask, rank, max_iter, tol
+    )
+    report = iterative_svd_complete(ds, rank, max_iter, tol)
+    assert report.discarded_indices == dropped
+    assert (report.iterations, report.converged) == (iterations, converged)
+    np.testing.assert_allclose(
+        report.completed.values, table, rtol=0, atol=1e-10 * np.abs(table).max()
+    )
 
 
 @pytest.mark.parametrize(
     "make_table, rank, max_iter",
     [
-        (lambda: criterion_7_table(0.2), 8, 500),
-        (lambda: criterion_7_table(0.2), 8, 1),
-        (scale_spread_table, 2, 500),
-        (lambda: low_rank_dataset(60, 8, 2, seed=1, mask_fraction=0.08)[0], 2, 500),
+        (lambda: every_row_hidden_table(60, 8, 2, seed=1, mask_fraction=0.08), 2, 500),
+        (lambda: every_row_hidden_table(60, 8, 2, seed=1, mask_fraction=0.08), 2, 1),
+        (lambda: scale_spread_table(every_row_hidden=True), 2, 500),
+        (degenerate_complete_rows_table, 2, 500),
     ],
-    ids=["criterion_7_budget_0.2", "one_sweep", "scale_spread_1e6", "converging"],
+    ids=[
+        "every_row_hidden",
+        "every_row_hidden_one_sweep",
+        "every_row_hidden_scale_spread_1e6",
+        "degenerate_complete_rows",
+    ],
 )
-def test_iterative_svd_matches_full_svd_reference(make_table, rank, max_iter):
+def test_iterative_svd_median_start_matches_full_svd_reference(make_table, rank, max_iter):
     ds = make_table()
     table, iterations, converged = hard_impute_direct(ds.values, ds.mask, rank, max_iter, 1e-9)
     report = iterative_svd_complete(ds, rank, max_iter)
@@ -270,36 +347,19 @@ def test_iterative_svd_matches_full_svd_reference(make_table, rank, max_iter):
     )
 
 
-# ---------------------------------------------------------------- certificate
-
-
-def test_certificate_trivial_cases():
-    rank = 3
-    dim = 8
-    full = np.zeros(((rank + 1) * (dim - rank), dim), dtype=bool)
-    assert certify_unique_completion(full, rank)
-    assert not certify_unique_completion(full[:-1], rank)  # one sample short
-
-
-def test_certificate_fails_on_fully_hidden_coordinate():
-    mask = np.zeros((100, 6), dtype=bool)
-    mask[:, 0] = True
-    assert not certify_unique_completion(mask, 2)
-
-
-def test_certificate_single_random_hidden_coordinate():
-    rng = np.random.default_rng(5)
-    n_samples, dim, rank = 400, 8, 4
-    mask = np.zeros((n_samples, dim), dtype=bool)
-    mask[np.arange(n_samples), rng.integers(0, dim, n_samples)] = True
-    assert certify_unique_completion(mask, rank)
-
-
-def test_certificate_rejects_thin_patterns():
-    # Every sample shows only rank coordinates: rank + 1 visible needed.
-    mask = np.ones((200, 8), dtype=bool)
-    mask[:, :4] = False
-    assert not certify_unique_completion(mask, 4)
+@pytest.mark.parametrize("budget", [0.05, 0.10, 0.15, 0.20])
+def test_iterative_svd_exact_on_criterion_7_tables(budget):
+    a, clean, ds = criterion_7_tables(budget)
+    report = iterative_svd_complete(ds, rank=8)
+    assert report.converged
+    assert report.discarded_indices == recover_table(ds, a).discarded_indices
+    kept = np.setdiff1d(np.arange(ds.n_samples), report.discarded_indices)
+    np.testing.assert_allclose(
+        report.completed.values,
+        clean.values[kept],
+        rtol=0,
+        atol=1e-9 * np.abs(clean.values).max(),
+    )
 
 
 # ------------------------------------------------------------- replacement
