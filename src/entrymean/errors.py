@@ -33,5 +33,9 @@ class CompletionInfeasibleError(EstimatorFailure):
     """The hiding pattern leaves matrix completion without enough information."""
 
 
+class CompletionNotConvergedError(EstimatorFailure):
+    """Iterative completion stopped at its sweep cap before reaching its tolerance."""
+
+
 class MetricFailure(RuntimeError):
     """A metric could not be evaluated on the given inputs."""

@@ -11,6 +11,7 @@ from .data import Dataset
 from .errors import (
     AllSamplesDiscardedError,
     CapExceededError,
+    CompletionNotConvergedError,
     FullyHiddenCoordinateError,
     NoCleanSamplesError,
 )
@@ -191,13 +192,21 @@ def two_step_estimate(
     """Repair the table first, then run the inner estimator on the survivors.
 
     Unrecoverable samples are dropped. On a clean table the repair stage is a
-    no-op and the result equals the inner estimator's output exactly.
+    no-op and the result equals the inner estimator's output exactly. A
+    rank-only completion that stops at ``max_iter`` without reaching ``tol``
+    raises :class:`CompletionNotConvergedError` instead of averaging a table
+    it did not finish.
     """
     recovery = spec.recovery
     if recovery is None:
         raise ValueError("two_step_estimate needs a recovery spec")
     if recovery.method == "iterative_svd":
         report = iterative_svd_complete(ds, recovery.rank, recovery.max_iter, recovery.tol)
+        if not report.converged:
+            raise CompletionNotConvergedError(
+                f"rank-{recovery.rank} completion did not converge in "
+                f"{report.iterations} sweeps (tol {recovery.tol:g})"
+            )
         repaired = report.completed
     elif structure is None:
         raise ValueError(f"{recovery.method} recovery needs the structure matrix")

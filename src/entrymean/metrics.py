@@ -20,6 +20,10 @@ the same number of atoms (two empirical tables of equal length), the "avg"
 program is an assignment problem: by Birkhoff-von Neumann a permutation is
 an optimal vertex, so it is solved by ``linear_sum_assignment`` instead.
 Total variation uses the same atom matching.
+
+``scipy.optimize`` is imported on the first solve, not with this module: it
+costs about half a second and 50 MB per process, and only the coupling
+programs use it.
 """
 from __future__ import annotations
 
@@ -27,12 +31,32 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapExceededError, MetricFailure
 
 COUPLING_CELL_CAP = 10_000
 SUPPORT_CAP = 100
+
+
+class _LazySolver:
+    """The ``scipy.optimize`` function ``name``, imported on the first call.
+
+    An instance, not a function, so that span tracers which wrap the package's
+    own functions (``perfbench/tracing.py``) still see scipy's solver time as
+    part of the caller, as they did when the names were imported directly.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        from scipy import optimize
+
+        return getattr(optimize, self.name)(*args, **kwargs)
+
+
+linprog = _LazySolver("linprog")
+linear_sum_assignment = _LazySolver("linear_sum_assignment")
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,16 +333,28 @@ def mahalanobis_error(estimate, reference, covariance, rank_tol: float = 1e-10) 
 
 
 def load_distribution_csv(path) -> DiscreteDistribution:
-    """Read atoms from CSV: each row is the atom's coordinates then its mass."""
+    """Read atoms from CSV: each row is the atom's coordinates then its mass.
+
+    Raises ValueError naming the row of a short or ragged record, and the row
+    and column of a cell that does not parse as a number.
+    """
     rows = []
+    width = None
     with open(path, newline="") as fh:
         for i, record in enumerate(csv.reader(fh)):
             if len(record) < 2:
                 raise ValueError(f"row {i} needs at least one coordinate and a probability")
-            try:
-                rows.append([float(cell) for cell in record])
-            except ValueError:
-                raise ValueError(f"row {i}: non-numeric cell") from None
+            if width is None:
+                width = len(record)
+            elif len(record) != width:
+                raise ValueError(f"row {i} has {len(record)} fields, expected {width}")
+            row = []
+            for j, cell in enumerate(record):
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"row {i}, column {j}: {cell!r} is not a number") from None
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty distribution file")
     table = np.array(rows)

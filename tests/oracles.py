@@ -286,3 +286,40 @@ def save_dataset_csv_direct(values, mask, path):
         writer = csv.writer(fh)
         for row, hidden in zip(values, mask):
             writer.writerow(["" if h else format(float(v), ".17g") for v, h in zip(row, hidden)])
+
+
+def load_dataset_csv_direct(path):
+    """Read a table through ``csv.reader``, one cell at a time.
+
+    Returns ``(values, mask)``: a cell that is empty after ``str.strip`` is
+    hidden (NaN), every other cell goes through ``float``. Raises ValueError
+    naming the row, and the column, of a ragged row or a cell that does not
+    parse, and for a file with no rows.
+    """
+    rows = []
+    mask_rows = []
+    width = None
+    with open(path, newline="") as fh:
+        for i, record in enumerate(csv.reader(fh)):
+            if width is None:
+                width = len(record)
+            elif len(record) != width:
+                raise ValueError(f"row {i} has {len(record)} fields, expected {width}")
+            vals = []
+            hidden = []
+            for j, cell in enumerate(record):
+                cell = cell.strip()
+                if cell == "":
+                    vals.append(np.nan)
+                    hidden.append(True)
+                    continue
+                try:
+                    vals.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"row {i}, column {j}: {cell!r} is not a number") from None
+                hidden.append(False)
+            rows.append(vals)
+            mask_rows.append(hidden)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(rows), np.array(mask_rows)

@@ -10,9 +10,11 @@ import pytest
 from entrymean import cli
 from entrymean.cli import main
 from entrymean.corruption import ADVERSARIES, apply_plan, load_plan_csv
-from entrymean.data import load_dataset_csv
+from entrymean.data import load_dataset_csv, save_dataset_csv
 from entrymean.experiment import read_result_rows
 from entrymean.structure import load_structure_csv
+
+from test_recovery import scale_spread_table
 
 
 def write_json(path, obj):
@@ -307,12 +309,17 @@ def test_program_bugs_are_not_config_errors(tmp_path, monkeypatch):
         main(["gen", "--config", cfg])
 
 
+def package_env():
+    """The environment for a separate interpreter that imports this checkout's package."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
 def run_entrymean(*argv):
     # A separate interpreter, so an escaping exception shows as a traceback.
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-m", "entrymean.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "entrymean.cli", *argv],
+        capture_output=True, text=True, env=package_env(),
     )
 
 
@@ -343,6 +350,66 @@ def test_completion_failure_exits_1_without_traceback(tmp_path):
     assert proc.stderr.strip().splitlines() == [
         "recover failed: a coordinate is hidden in every retained sample"
     ]
+
+
+def test_unconverged_completion_fails_estimate(tmp_path):
+    data_path = tmp_path / "spread.csv"
+    save_dataset_csv(scale_spread_table(every_row_hidden=True), data_path)
+    cfg = write_json(
+        tmp_path / "estimate.json",
+        {
+            "data_csv": str(data_path),
+            "estimator": {"kind": "two_step", "recovery": {"method": "iterative_svd", "rank": 2}},
+        },
+    )
+    proc = run_entrymean("estimate", "--config", cfg)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [
+        "estimate failed: rank-2 completion did not converge in 500 sweeps (tol 1e-09)"
+    ]
+
+
+# Runs each argv list of argv[1] (JSON) through cli.main, then prints whether
+# scipy.optimize has been imported.
+LOADS_OPTIMIZE = (
+    "import json, sys\n"
+    "from entrymean.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    assert main(argv) == 0, argv\n"
+    "print('scipy.optimize' in sys.modules)\n"
+)
+
+
+def loads_optimize(cwd, *commands):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_OPTIMIZE, json.dumps(commands)],
+        capture_output=True, text=True, env=package_env(), cwd=cwd, check=True,
+    )
+    return proc.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_only_coupling_metrics_import_scipy_optimize(tmp_path):
+    configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    (tmp_path / "out").mkdir()
+    chain = [
+        [name, "--config", str(configs / f"{name}.json")]
+        for name in ("gen", "corrupt", "recover", "estimate", "metric", "experiment")
+    ]
+    assert not loads_optimize(tmp_path, *chain)
+    (tmp_path / "p.csv").write_text("0,0,0.5\n1,0,0.5\n")
+    (tmp_path / "q.csv").write_text("0,0,0.5\n0,1,0.5\n")
+    avg = write_json(
+        tmp_path / "avg.json", {"kind": "entrywise_avg", "left_csv": "p.csv", "right_csv": "q.csv"}
+    )
+    assert loads_optimize(tmp_path, ["metric", "--config", avg])
+
+
+def test_import_entrymean_leaves_scipy_optimize_unloaded():
+    probe = "import sys, entrymean; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=package_env(), check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_metric_failure_exits_1_without_traceback(tmp_path):

@@ -6,6 +6,7 @@ from entrymean.data import Dataset
 from entrymean.errors import (
     AllSamplesDiscardedError,
     CapExceededError,
+    CompletionNotConvergedError,
     FullyHiddenCoordinateError,
     NoCleanSamplesError,
 )
@@ -23,6 +24,7 @@ from entrymean.estimators import _halfplane_depth
 from entrymean.datagen import LatentSpec, StructureSpec, draw_latents, make_structure, synthesize
 
 from oracles import halfplane_depth_direct
+from test_recovery import scale_spread_table
 from test_structure import random_general_position
 
 
@@ -208,6 +210,15 @@ def test_two_step_iterative_svd_route():
     )
     np.testing.assert_allclose(got, known, atol=1e-8)
     np.testing.assert_allclose(got, ds.values.mean(axis=0), atol=1e-8)
+
+
+def test_two_step_refuses_unconverged_completion():
+    # Every row hides a cell, so the completion takes the median start, and
+    # its 500 sweeps stop at max_iter on this table.
+    ds = scale_spread_table(every_row_hidden=True)
+    spec = EstimatorSpec("two_step", RecoverySpec("iterative_svd", rank=2))
+    with pytest.raises(CompletionNotConvergedError, match="did not converge in 500 sweeps"):
+        estimate(ds, spec)
 
 
 def test_two_step_replacement_route():

@@ -397,3 +397,20 @@ def test_distribution_csv_round_trip(tmp_path):
     back = load_distribution_csv(path)
     np.testing.assert_array_equal(back.support, p.support)
     np.testing.assert_array_equal(back.probs, p.probs)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2,0.5\n3,0.5\n", "row 1 has 2 fields, expected 3"),
+        ("1,2,0.5\n3,x,0.5\n", "row 1, column 1: 'x' is not a number"),
+        ("0.5\n", "row 0 needs at least one coordinate and a probability"),
+    ],
+    ids=["ragged", "bad_cell", "short"],
+)
+def test_distribution_csv_errors_name_the_cell(tmp_path, text, message):
+    path = tmp_path / "dist.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_distribution_csv(path)
+    assert str(info.value) == message
