@@ -104,7 +104,7 @@ def cmd_recover(args) -> int:
         a = load_structure_csv(_need(cfg, "structure_csv"))
         report = recovery.recover_table(ds, a)
     elif method == "iterative_svd":
-        report = recovery.iterative_svd_complete(
+        report = estimators.converged_svd_complete(
             ds,
             int(_need(cfg, "rank")),
             int(cfg.get("max_iter", 500)),

@@ -183,6 +183,16 @@ def tukey_median(ds: Dataset, max_dim: int = 2) -> np.ndarray:
     return best.copy()
 
 
+def converged_svd_complete(ds: Dataset, rank: int, max_iter: int = 500, tol: float = 1e-9):
+    """The report of :func:`iterative_svd_complete`, raising if it stopped at ``max_iter``."""
+    report = iterative_svd_complete(ds, rank, max_iter, tol)
+    if not report.converged:
+        raise CompletionNotConvergedError(
+            f"rank-{rank} completion did not converge in {report.iterations} sweeps (tol {tol:g})"
+        )
+    return report
+
+
 def two_step_estimate(
     ds: Dataset,
     spec: EstimatorSpec,
@@ -201,12 +211,7 @@ def two_step_estimate(
     if recovery is None:
         raise ValueError("two_step_estimate needs a recovery spec")
     if recovery.method == "iterative_svd":
-        report = iterative_svd_complete(ds, recovery.rank, recovery.max_iter, recovery.tol)
-        if not report.converged:
-            raise CompletionNotConvergedError(
-                f"rank-{recovery.rank} completion did not converge in "
-                f"{report.iterations} sweeps (tol {recovery.tol:g})"
-            )
+        report = converged_svd_complete(ds, recovery.rank, recovery.max_iter, recovery.tol)
         repaired = report.completed
     elif structure is None:
         raise ValueError(f"{recovery.method} recovery needs the structure matrix")

@@ -8,10 +8,10 @@ Three routes are implemented:
   the whole table by iterated rank truncation (:func:`iterative_svd_complete`).
   When the fully visible samples reach the target rank, their top right
   singular vectors stand in for the structure: every other sample is fitted
-  against that basis by the same per-pattern solve as :func:`recover_table`
-  and discarded under the same rank rule, so on an exactly low-rank table
-  the sweeps only confirm the fit. Otherwise hidden cells start at their
-  coordinate's median and the sweeps do the work.
+  against that basis by the per-pattern solve of :func:`recover_table` (a
+  certified Gram solve, else an SVD) and discarded under the same rank rule,
+  so on an exactly low-rank table the sweeps only confirm the fit. Otherwise
+  hidden cells start at their coordinate's median and the sweeps do the work.
 * replaced entries, structure known: find the point of range(A) closest to
   the corrupted vector in Hamming distance, either exhaustively or by
   sampling independent row subsets.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
@@ -107,6 +107,30 @@ def impute_from_structure(x: np.ndarray, a: StructureMatrix) -> RecoveryOutcome:
     return RecoveryOutcome(RecoveryStatus.UNCHANGED, sample, 0)
 
 
+def _certified_inverse(gram: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of the Gram matrices ``gram[:, :, p]``, stacked first, and a certificate.
+
+    Root-free Cholesky G = L D L' by elimination on [G | I], one loop over the
+    columns for the whole stack. Certified: every pivot above tr(G) / bound and
+    tr(G) tr(G^-1) <= bound = min(1e8, (1e-3 / rank_tol)^2). As tr(G) bounds the
+    top eigenvalue and tr(G^-1) the inverse of the least (no pivot is below it),
+    G = B'B then has cond(B) <= 1e4 and s_min / s_max >= 1e3 * rank_tol.
+    """
+    r, _, count = gram.shape
+    bound = min(1e8, (1e-3 / max(rank_tol, 1e-7)) ** 2)  # no overflow for a tiny rank_tol
+    trace = np.einsum("iip->p", gram)
+    work = np.concatenate([gram, np.broadcast_to(np.eye(r)[:, :, None], gram.shape)], axis=1)
+    pivots = np.empty((r, count))
+    certified = np.ones(count, dtype=bool)
+    for j in range(r):
+        certified &= work[j, j] > trace / bound
+        pivots[j] = np.where(certified, work[j, j], 1.0)
+        work[j + 1 :] -= (work[j + 1 :, j] / pivots[j])[:, None] * work[j]
+    root = work[:, r:] / np.sqrt(pivots)[:, None]
+    certified &= trace * np.einsum("kap,kap->p", root, root) <= bound
+    return root.transpose(2, 1, 0) @ root.transpose(2, 0, 1), certified
+
+
 def _fit_by_pattern(
     basis: np.ndarray, x: np.ndarray, visible: np.ndarray, rank_tol: float, rank: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,29 +138,40 @@ def _fit_by_pattern(
 
     ``x`` holds zeros at hidden cells. Returns ``(samples, spans)``: the rows
     rebuilt as ``basis @ z`` from the pseudo-inverse solve on the visible rows
-    of ``basis``, and whether those visible rows keep numerical rank
-    ``rank`` (singular values above ``rank_tol`` times the largest).
-
-    The SVD of ``basis`` with a row's hidden coordinates zeroed depends only on
-    which coordinates are hidden, so one stacked SVD is taken per distinct
-    hiding pattern and shared by every row with that pattern. Zeroed rows
-    leave the singular values unchanged, so the rank test is the one for the
-    visible rows alone; the pseudo-inverse drops singular values at or below
-    lstsq's default cutoff, eps * max(visible count, columns) times the
-    largest.
+    of ``basis``, and whether those keep numerical rank ``rank`` (singular
+    values above ``rank_tol`` times the largest). Work is shared per distinct
+    hiding pattern. A pattern certified by :func:`_certified_inverse` keeps
+    every singular value far above both cutoffs below, so it spans for any
+    ``rank``; its rows are solved by the semi-normal equations plus one
+    refinement step. Other patterns take a stacked SVD of ``basis`` with the
+    hidden coordinates zeroed: the rank test counts singular values, and the
+    pseudo-inverse drops those at or below eps * max(visible count, columns)
+    times the largest.
     """
     keys = np.packbits(visible, axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     patterns = visible[first]
-    u, s, vt = np.linalg.svd(basis * patterns[:, :, None], full_matrices=False)
+    n, r = basis.shape
+    outer = (basis[:, :, None] * basis[:, None, :]).reshape(n, r * r)
+    gram_inv, certified = _certified_inverse((outer.T @ patterns.T).reshape(r, r, -1), rank_tol)
+    z = np.empty((x.shape[0], r))
+    on_gram = certified[inverse]
+    g, xs = gram_inv[inverse[on_gram]], x[on_gram]
+    z0 = np.einsum("kij,kj->ki", g, xs @ basis)
+    residual = (xs - z0 @ basis.T) * visible[on_gram]
+    z[on_gram] = z0 + np.einsum("kij,kj->ki", g, residual @ basis)
+    rest = ~certified
+    u, s, vt = np.linalg.svd(basis * patterns[rest, :, None], full_matrices=False)
     top = s[:, :1]
-    spans = np.count_nonzero(s > rank_tol * top, axis=1) >= rank
-    cutoff = np.finfo(float).eps * np.maximum(patterns.sum(axis=1), basis.shape[1])[:, None] * top
+    spans = certified.copy()
+    spans[rest] = np.count_nonzero(s > rank_tol * top, axis=1) >= rank
+    cutoff = np.finfo(float).eps * np.maximum(patterns[rest].sum(axis=1), r)[:, None] * top
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    u, inv_s, vt, spans = u[inverse], inv_s[inverse], vt[inverse], spans[inverse]
-    z = np.einsum("kji,kj->ki", vt, np.einsum("kji,kj->ki", u, x) * inv_s)
-    return z @ basis.T, spans
+    slot = (np.cumsum(rest) - 1)[inverse[~on_gram]]
+    u, inv_s, vt = u[slot], inv_s[slot], vt[slot]
+    z[~on_gram] = np.einsum("kji,kj->ki", vt, np.einsum("kji,kj->ki", u, x[~on_gram]) * inv_s)
+    return z @ basis.T, spans[inverse]
 
 
 def recover_table(ds: Dataset, a: StructureMatrix) -> CompletionReport:
@@ -148,8 +183,8 @@ def recover_table(ds: Dataset, a: StructureMatrix) -> CompletionReport:
     relative means the visible entries themselves are inconsistent with the
     structure (replaced rather than hidden). Samples failing either test are
     discarded rather than trusted; samples with nothing hidden pass through.
-    The solve takes one SVD per distinct hiding pattern
-    (:func:`_fit_by_pattern`); the residual test stays per sample.
+    The solve is shared per distinct hiding pattern: a Gram-matrix solve where
+    a conditioning certificate holds, else an SVD (:func:`_fit_by_pattern`).
     """
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
@@ -183,15 +218,13 @@ def iterative_svd_complete(
 
     Start: when the retained samples with nothing hidden have numerical rank
     at least ``rank`` (under ``DEFAULT_RANK_TOL``), their top ``rank`` right
-    singular vectors are the starting basis, and each sample with a hidden
-    cell is fitted against that basis by least squares on its visible
-    coordinates, one SVD per hiding pattern as in :func:`recover_table`.
-    A sample whose visible coordinates of the basis span rank below
-    ``rank`` is discarded, the rank rule of :func:`recover_table` applied to
-    the learned basis: its row is not determined. On an exactly low-rank
-    table this start is already the completion and the first sweep confirms
-    it. Otherwise (too few or too degenerate complete samples) every hidden
-    cell starts at its coordinate's visible median.
+    singular vectors are the starting basis. Each sample with a hidden cell is
+    fitted against it on its visible coordinates and discarded when those
+    span rank below ``rank``, by the per-pattern solve of :func:`recover_table`
+    (certified Gram solve, else SVD). On an exactly low-rank table this start
+    is the completion and the first sweep confirms it. Otherwise (too few or
+    too degenerate complete samples) hidden cells start at their coordinate's
+    visible median.
 
     Sweeps: each one projects the table to the nearest rank-``rank`` matrix
     and copies the projected values back into the originally hidden cells

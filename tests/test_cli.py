@@ -369,6 +369,28 @@ def test_unconverged_completion_fails_estimate(tmp_path):
     ]
 
 
+def test_unconverged_completion_fails_recover(tmp_path):
+    data_path = tmp_path / "spread.csv"
+    save_dataset_csv(scale_spread_table(every_row_hidden=True), data_path)
+    cfg = write_json(
+        tmp_path / "recover.json",
+        {
+            "data_csv": str(data_path),
+            "method": "iterative_svd",
+            "rank": 2,
+            "out": str(tmp_path / "svd"),
+        },
+    )
+    proc = run_entrymean("recover", "--config", cfg)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "recover failed: rank-2 completion did not converge in 500 sweeps (tol 1e-09)"
+    ]
+    assert not (tmp_path / "svd.recovered.csv").exists()
+    assert not (tmp_path / "svd.report.json").exists()
+
+
 # Runs each argv list of argv[1] (JSON) through cli.main, then prints whether
 # scipy.optimize has been imported.
 LOADS_OPTIMIZE = (

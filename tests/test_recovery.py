@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from entrymean.corruption import apply_plan, plan_tail_hiding
+from entrymean import recovery
+from entrymean.corruption import apply_plan, plan_tail_hiding, plan_unrecoverable_hiding
 from entrymean.data import Dataset
 from entrymean.datagen import LatentSpec, StructureSpec, draw_latents, make_structure, synthesize
 from entrymean.errors import AllSamplesDiscardedError, CapExceededError, CompletionInfeasibleError
@@ -17,7 +18,12 @@ from entrymean.recovery import (
     recover_table,
     replacement_candidates,
 )
-from entrymean.structure import StructureMatrix, is_general_position
+from entrymean.structure import (
+    StructureMatrix,
+    is_general_position,
+    numerical_rank,
+    structure_rank,
+)
 
 from oracles import hard_impute_direct, impute_rows_direct, warm_complete_direct
 from test_structure import random_general_position
@@ -359,6 +365,177 @@ def test_iterative_svd_exact_on_criterion_7_tables(budget):
         clean.values[kept],
         rtol=0,
         atol=1e-9 * np.abs(clean.values).max(),
+    )
+
+
+# ------------------------------------- conditioning certificate and SVD route
+
+
+def weak_latent_table(scale, seed, n_rows=300, complete_rows=0, rank_tol=1e-10):
+    """Samples of an 8 x 4 structure whose last latent reaches coordinates 0-5 at ``scale``.
+
+    Rows from ``complete_rows`` on hide 1 to 4 random cells. A row hiding
+    coordinates 6 and 7 keeps visible rows whose smallest over largest
+    singular value is of the order of ``scale``.
+    """
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((8, 4))
+    entries[:6, 3] *= scale
+    values = rng.standard_normal((n_rows, 4)) @ entries.T
+    mask = np.zeros(values.shape, dtype=bool)
+    for row in mask[complete_rows:]:
+        row[rng.choice(8, rng.integers(1, 5), replace=False)] = True
+    return StructureMatrix(entries, rank_tol), Dataset(np.where(mask, np.nan, values), mask)
+
+
+def singular_value_ratio(matrix):
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return s[-1] / s[0]
+
+
+def visible_ratios(a, mask):
+    """Smallest over largest singular value of the visible rows of ``a``, per row."""
+    return np.array([singular_value_ratio(a.entries[~hidden]) for hidden in mask])
+
+
+def boundary_case(name):
+    """Structure, table and the rows the case is about, with their expected status."""
+    if name == "spanning_uncertified":
+        a, ds = weak_latent_table(1e-7, seed=130)
+        ratios = visible_ratios(a, ds.mask)
+        weak = (ratios > 1e-9) & (ratios < 1e-5)
+        return a, ds.values, weak, "recovered"
+    if name == "exact_rank_loss":
+        a = criterion_7_tables(0.05)[0]
+        rng = np.random.default_rng(131)
+        clean = synthesize(a, draw_latents(LatentSpec("gaussian", 8), 1000, rng))
+        ds = apply_plan(clean, plan_unrecoverable_hiding(clean, 0.2, a.removal_margin, rng))
+        lost = np.array([numerical_rank(a.entries[~hidden]) < 8 for hidden in ds.mask])
+        return a, ds.values, lost, "unrecoverable"
+    if name == "rank_deficient":
+        entries = random_general_position(8, 4, seed=132).entries.copy()
+        entries[:, 3] = entries[:, 0] - 2.0 * entries[:, 1]
+        a = StructureMatrix(entries)
+        assert structure_rank(a) == 3
+        values = masked_samples(a, 300, seed=132)[0]
+        lost = np.array([numerical_rank(a.entries[~np.isnan(x)]) < 3 for x in values])
+        return a, values, lost, "unrecoverable"
+    # Rows that span under the default rank_tol but not under 1e-2.
+    a, ds = weak_latent_table(1e-3, seed=133, rank_tol=1e-2)
+    ratios = visible_ratios(a, ds.mask)
+    return a, ds.values, (ratios > 1e-10) & (ratios < 1e-2), "unrecoverable"
+
+
+@pytest.mark.parametrize(
+    "case", ["spanning_uncertified", "exact_rank_loss", "rank_deficient", "large_rank_tol"]
+)
+def test_recover_table_certificate_boundary_matches_oracle(case):
+    a, values, special, expect = boundary_case(case)
+    expected = impute_rows_direct(a.entries, values, a.rank_tol)
+    statuses = np.array([status for status, _ in expected])
+    assert {"recovered", "unrecoverable"} <= set(statuses)
+    assert np.count_nonzero(special) >= 5
+    assert (statuses[special] == expect).all()
+
+    report = recover_table(Dataset(values, np.isnan(values)), a)
+    assert report.recovered_indices == np.flatnonzero(statuses == "recovered").tolist()
+    assert report.discarded_indices == np.flatnonzero(statuses == "unrecoverable").tolist()
+    kept = np.vstack([sample for status, sample in expected if status != "unrecoverable"])
+    # The weakly spanning rows are solved to about cond * eps by either side.
+    tol = 1e-7 if case == "spanning_uncertified" else 1e-12
+    np.testing.assert_allclose(
+        report.completed.values, kept, rtol=0, atol=tol * np.abs(kept).max()
+    )
+
+
+def test_recover_table_accepts_a_tiny_rank_tol():
+    a = StructureMatrix(random_general_position(8, 4, seed=136).entries, rank_tol=1e-300)
+    rng = np.random.default_rng(136)
+    clean = rng.standard_normal((100, 4)) @ a.entries.T
+    values = clean.copy()
+    for row in values:
+        row[rng.choice(8, rng.integers(1, 5), replace=False)] = np.nan
+    report = recover_table(Dataset(values, np.isnan(values)), a)
+    assert report.discarded_indices == []
+    np.testing.assert_allclose(
+        report.completed.values, clean, rtol=0, atol=1e-12 * np.abs(clean).max()
+    )
+
+
+def certified_counts(monkeypatch, refuse=False):
+    """Spy on the certificate, and with ``refuse`` make it certify nothing.
+
+    Returns the number of certified patterns of each later call.
+    """
+    certify, counts = recovery._certified_inverse, []
+
+    def spy(gram, rank_tol):
+        inverse, certified = certify(gram, rank_tol)
+        if refuse:
+            certified = np.zeros_like(certified)
+        counts.append(int(certified.sum()))
+        return inverse, certified
+
+    monkeypatch.setattr(recovery, "_certified_inverse", spy)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "make_table",
+    [
+        lambda: criterion_7_tables(0.2)[0::2],  # structure and corrupted table
+        lambda: weak_latent_table(0.1, seed=134),
+        lambda: weak_latent_table(1e-3, seed=134),
+    ],
+    ids=["criterion_7_budget_0.2", "weak_latent_0.1", "weak_latent_1e-3"],
+)
+def test_recover_table_routes_agree(make_table, monkeypatch):
+    a, ds = make_table()
+    counts = certified_counts(monkeypatch)
+    certified = recover_table(ds, a)
+    assert sum(counts) > 0
+    certified_counts(monkeypatch, refuse=True)
+    reference = recover_table(ds, a)
+    assert certified.recovered_indices == reference.recovered_indices
+    assert certified.discarded_indices == reference.discarded_indices
+    np.testing.assert_allclose(
+        certified.completed.values,
+        reference.completed.values,
+        rtol=0,
+        atol=1e-12 * np.nanmax(np.abs(ds.values)),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_table, rank",
+    [
+        (lambda: criterion_7_table(0.2), 8),
+        (lambda: weak_latent_table(0.1, seed=135, complete_rows=100)[1], 4),
+        (lambda: weak_latent_table(1e-3, seed=135, complete_rows=100)[1], 4),
+    ],
+    ids=["criterion_7_budget_0.2", "weak_latent_0.1", "weak_latent_1e-3"],
+)
+def test_iterative_svd_warm_start_routes_agree(make_table, rank, monkeypatch):
+    ds = make_table()
+    table, dropped, iterations, converged = warm_complete_direct(
+        ds.values, ds.mask, rank, 500, 1e-9
+    )
+    counts = certified_counts(monkeypatch)
+    reports = [iterative_svd_complete(ds, rank)]
+    assert sum(counts) > 0
+    certified_counts(monkeypatch, refuse=True)
+    reports.append(iterative_svd_complete(ds, rank))
+    for report in reports:
+        assert report.discarded_indices == dropped
+        assert (report.iterations, report.converged) == (iterations, converged)
+        np.testing.assert_allclose(
+            report.completed.values, table, rtol=0, atol=1e-10 * np.abs(table).max()
+        )
+    np.testing.assert_allclose(
+        reports[0].completed.values,
+        reports[1].completed.values,
+        rtol=0,
+        atol=1e-12 * np.abs(table).max(),
     )
 
 
