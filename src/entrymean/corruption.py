@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv_rows
 from .errors import ConfigError
 from .structure import StructureMatrix
 
@@ -292,16 +292,25 @@ def make_plan(
 
 
 def save_plan_csv(plan: CorruptionPlan, path) -> None:
-    """Write a plan as CSV with columns sample, coord, action, value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "coord", "action", "value"])
-        columns = (plan.sample, plan.coord, plan.hide, plan.value)
-        for sample, coord, hide, value in zip(*(c.tolist() for c in columns)):
-            if hide:
-                writer.writerow([sample, coord, HIDE, ""])
-            else:
-                writer.writerow([sample, coord, REPLACE, format(value, ".17g")])
+    """Write a plan as CSV with columns sample, coord, action, value.
+
+    The bytes are those of ``csv.writer``: the indices as integers, the
+    action word, and a replacement value as ``format(v, ".17g")`` or an empty
+    cell for a hidden one. Indices below 2**53 are exact doubles, whose
+    ``'%.17g'`` is the integer; larger ones are written from their digits.
+    """
+    index = np.column_stack([plan.sample, plan.coord])
+    table = np.column_stack([index, np.zeros(len(plan)), plan.value])
+    hidden = np.zeros(table.shape, dtype=bool)
+    hidden[:, :2] = index >= 2**53
+    hidden[:, 2] = True
+    hidden[:, 3] = plan.hide
+    fill = np.zeros(table.shape, dtype="S20")
+    fill[:, :2][hidden[:, :2]] = [str(i).encode() for i in index[hidden[:, :2]].tolist()]
+    fill[:, 2] = np.where(plan.hide, HIDE.encode(), REPLACE.encode())
+    with open(path, "wb") as fh:
+        fh.write(b"sample,coord,action,value\r\n")
+        write_csv_rows(fh, table, hidden, fill)
 
 
 def load_plan_csv(path) -> CorruptionPlan:

@@ -8,10 +8,22 @@ parses the block as one line of numbers. Anything else (quotes, spaces, blank
 lines, ragged rows, a cell that does not parse) makes the whole file go
 through a per-cell ``csv.reader`` loop, which also raises the errors. Both
 routes give the same table, bit for bit.
+
+The CSV writer gives the bytes of ``csv.writer`` with every visible cell as
+``'%.17g' % v``, without a Python call for most cells. With k the decimal
+exponent of v, a cell in the fixed-notation range -4 <= k <= 16 is printed
+from its 17-digit significand rint(P), P = |v| * 10**(16 - k), computed in
+bulk in ``np.longdouble``. P carries one rounding of at most 2**-8, so the
+certificate 1e16 < rint(P) < 1e17 and |P - rint(P)| < 1/2 - delta, with
+delta = 2**-6, proves rint(P) the correctly rounded significand and k its
+exponent. Every cell it does not cover (zeros, exponent notation, near-ties,
+power-of-ten edges, and all cells where longdouble has fewer than 64
+significand bits) falls back to Python's ``'%.17g'``. See :func:`_format_g17`.
 """
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,29 +188,158 @@ def _load_by_cell(path) -> Dataset:
     return Dataset(np.array(rows), np.array(mask_rows))
 
 
-def _row_template(hidden: np.ndarray) -> str:
-    # "%.0s" prints a hidden cell's NaN as nothing. csv.writer quotes a row
-    # that is one empty field, so a one-column hidden row reads '""'.
-    if hidden.size == 1 and hidden[0]:
-        return '""%.0s\r\n'
-    return ",".join("%.0s" if h else "%.17g" for h in hidden) + "\r\n"
-
-
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Write a dataset as CSV, leaving hidden cells empty.
 
     The bytes are those of ``csv.writer`` with its defaults: visible cells as
     ``format(v, ".17g")``, hidden cells empty, rows ended by CRLF, and a row
-    that is one hidden cell written as ``""``. Each row is formatted by a
-    ``%`` template cached per hiding pattern, and the file is written at once.
+    that is one hidden cell written as ``""``. The cells are formatted by
+    :func:`write_csv_rows`.
     """
-    templates: dict[bytes, str] = {}
-    lines = []
-    for row, hidden in zip(ds.values.tolist(), ds.mask):
-        key = hidden.tobytes()
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = _row_template(hidden)
-        lines.append(template % tuple(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    with open(path, "wb") as fh:
+        write_csv_rows(fh, ds.values, ds.mask, b'""' if ds.dim == 1 else b"")
+
+
+def write_csv_rows(fh, values: np.ndarray, hidden: np.ndarray | None = None, fill=b"") -> None:
+    """Write a 2-d float table to the binary file ``fh`` as CSV lines.
+
+    A visible cell is written as ``'%.17g' % v``, a hidden one as its entry
+    of ``fill`` (bytes of at most ``_FIELD``, or an array of them broadcast
+    to the table's shape);
+    cells are separated by commas and rows ended by CRLF, as ``csv.writer``
+    does for fields that need no quotes. Blocks of about ``_BLOCK_CELLS``
+    cells are formatted by :func:`_format_g17`, each into one byte array
+    with a fixed-width slot per cell, and the unused bytes of the slots are
+    dropped with one boolean mask.
+    """
+    values = np.asarray(values, dtype=float)
+    if hidden is None:
+        hidden = np.zeros(values.shape, dtype=bool)
+    fill = np.broadcast_to(np.asarray(fill, dtype=f"S{_FIELD}"), values.shape)
+    n_cols = values.shape[1]
+    step = max(1, _BLOCK_CELLS // n_cols)
+    for start in range(0, values.shape[0], step):
+        rows = slice(start, start + step)
+        block_hidden = hidden[rows]
+        slots = np.zeros((block_hidden.size, _SLOT), dtype=np.uint8)
+        length = _format_g17(values[rows].ravel(), ~block_hidden.ravel(), slots)
+        texts = fill[rows][block_hidden].view(np.uint8).reshape(-1, _FIELD)
+        slots[block_hidden.ravel(), :_FIELD] = texts
+        length[block_hidden.ravel()] = np.count_nonzero(texts, axis=1)
+        # Each field is followed by "," or, at the end of a row, by CRLF.
+        flat = slots.ravel()
+        at = np.arange(0, flat.size, _SLOT) + length
+        flat[at] = _COMMA
+        last = at[n_cols - 1 :: n_cols]
+        flat[last] = _CR
+        flat[last + 1] = _LF
+        end = length + 1
+        end[n_cols - 1 :: n_cols] += 1
+        fh.write(slots[np.arange(_SLOT, dtype=np.uint8) < end.astype(np.uint8)[:, None]].tobytes())
+
+
+_FIELD = 24  # the widest %.17g field: -1.2345678901234567e-308
+_SLOT = _FIELD + 2  # a field and its separator, "," or CRLF
+# Blocks bound the transient buffers: one block per table added ~10 MB of peak RSS.
+_BLOCK_CELLS = 1 << 14
+# The certificate's margin; the longdouble product below errs by at most 2**-8.
+_DELTA = 2.0**-6
+# Needs a longdouble significand of 64 bits (x87 extended) or more (binary128);
+# where longdouble is a plain double every cell takes the fallback.
+_CERTIFIES = np.finfo(np.longdouble).nmant >= 63
+# 10**p = 5**p * 2**p with 5**p < 2**53, so each power is exact.
+_POW10 = np.array([10**p for p in range(21)], dtype=float).astype(np.longdouble)
+_MINUS, _POINT = b"-."
+
+
+def _format_g17(x: np.ndarray, visible: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Write ``'%.17g' % v`` of each visible cell of ``x`` into its row of ``slots``.
+
+    Returns the field lengths (0 for a cell that is not visible). A visible
+    cell with 1e-4 <= |v| < 1e17 is printed in fixed notation when it is
+    certified: with k = floor(log10 |v|), P = |v| * 10**(16 - k) is formed in
+    ``np.longdouble``. The power is exact and P < 2**57, so the one rounding
+    of the product is at most 2**-8. The certificate asks
+    1e16 < rint(P) < 1e17 and |P - rint(P)| < 1/2 - delta, delta = 2**-6;
+    then rint(P) is the correctly rounded 17-digit significand, k is its
+    decimal exponent, and no rounding carries into the next power of ten.
+    Its digits come from divmod by powers of ten and a table of 4-digit words. Each
+    (k, sign) class is one contiguous block after a stable sort and is laid
+    out by one fixed template; trailing zeros of the fraction are then cut,
+    and the point with them, as ``%g`` does. Every other visible cell (zero,
+    an exponent-notation magnitude, a near-tie, a cell at a power-of-ten
+    edge, any cell where ``_CERTIFIES`` is false) is formatted by Python's
+    ``'%.17g'``.
+    """
+    length = np.zeros(x.size, dtype=np.intp)
+    magnitude = np.abs(x)
+    done = np.zeros(x.size, dtype=bool)
+    if _CERTIFIES:
+        cand = np.flatnonzero(visible & (magnitude >= 1e-4) & (magnitude < 1e17))
+        k = np.clip(np.floor(np.log10(magnitude[cand])), -4, 16).astype(np.intp)
+        p = magnitude[cand].astype(np.longdouble) * _POW10[16 - k]
+        whole = np.rint(p)
+        off = (p - whole).astype(float)  # exact to far below delta
+        whole = whole.astype(np.int64)
+        ok = (np.abs(off) < 0.5 - _DELTA) & (whole > 10**16) & (whole < 10**17)
+        cells, k, whole = cand[ok], k[ok], whole[ok]
+        done[cells] = True
+        cls = ((k + 4) * 2 + (x[cells] < 0)).astype(np.uint8)
+        order = np.argsort(cls, kind="stable")
+        cells, k, cls = cells[order], k[order], cls[order]
+        digits = _digits17(whole[order])
+        block = np.zeros((cells.size, slots.shape[1]), dtype=np.uint8)
+        starts = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1]]) if cells.size else cells
+        for lo, hi in zip(starts, np.r_[starts[1:], cells.size]):
+            _lay_out(block[lo:hi], digits[lo:hi], int(k[lo]), bool(cls[lo] & 1))
+        slots.view(f"V{slots.shape[1]}")[cells, 0] = block.view(f"V{slots.shape[1]}")[:, 0]
+        fraction = 16 - k
+        cut = np.minimum(np.argmax(digits[:, ::-1] != _ZERO, axis=1), fraction)
+        full = (cls & 1) + np.where(k >= 0, 18 - (k == 16), 18 - k)
+        length[cells] = full - cut - ((cut == fraction) & (fraction > 0))
+    rest = np.flatnonzero(visible & ~done)
+    if rest.size:
+        texts = _python_g17(x[rest])
+        slots[rest, :_FIELD] = texts.view(np.uint8).reshape(-1, _FIELD)
+        length[rest] = np.char.str_len(texts)
+    return length
+
+
+def _python_g17(x: np.ndarray) -> np.ndarray:
+    """The fallback: ``'%.17g' % v`` of each value, by Python's correctly rounded dtoa."""
+    return np.array(["%.17g" % v for v in x.tolist()], dtype=f"S{_FIELD}")
+
+
+def _digits17(whole: np.ndarray) -> np.ndarray:
+    """ASCII digits of 17-digit integers, one row each."""
+    lead, rest = np.divmod(whole, 10**16)
+    high, low = np.divmod(rest, 10**8)
+    parts = np.stack([lead, *np.divmod(high, 10**4), *np.divmod(low, 10**4)], axis=1)
+    return _digits4()[parts].view(np.uint8)[:, 3:]  # the lead word reads "000d"
+
+
+@functools.cache
+def _digits4() -> np.ndarray:
+    """The four ASCII digits of each v < 10**4, zero-padded, as one 32-bit word.
+
+    Built on first use: its temporaries at import raised the peak RSS of
+    processes that never write a CSV.
+    """
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + _ZERO
+    return digits.astype(np.uint8).view(np.uint32).ravel()
+
+
+def _lay_out(block: np.ndarray, digits: np.ndarray, k: int, negative: bool) -> None:
+    """Fixed-notation fields of one exponent ``k`` and sign, before cutting zeros."""
+    at = int(negative)
+    if negative:
+        block[:, 0] = _MINUS
+    if k >= 0:
+        block[:, at : at + k + 1] = digits[:, : k + 1]
+        if k < 16:
+            block[:, at + k + 1] = _POINT
+            block[:, at + k + 2 : at + 18] = digits[:, k + 1 :]
+    else:
+        block[:, at : at + 1 - k] = _ZERO
+        block[:, at + 1] = _POINT
+        block[:, at + 1 - k : at + 18 - k] = digits

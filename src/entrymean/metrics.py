@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_csv_rows
 from .errors import CapExceededError, MetricFailure
 
 COUPLING_CELL_CAP = 10_000
@@ -362,7 +363,6 @@ def load_distribution_csv(path) -> DiscreteDistribution:
 
 
 def save_distribution_csv(dist: DiscreteDistribution, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for atom, prob in zip(dist.support, dist.probs):
-            writer.writerow([format(v, ".17g") for v in atom] + [format(prob, ".17g")])
+    """Write one row per atom, its coordinates then its mass, each as ``'%.17g'``."""
+    with open(path, "wb") as fh:
+        write_csv_rows(fh, np.column_stack([dist.support, dist.probs]))

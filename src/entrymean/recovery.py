@@ -144,9 +144,9 @@ def _fit_by_pattern(
     every singular value far above both cutoffs below, so it spans for any
     ``rank``; its rows are solved by the semi-normal equations plus one
     refinement step. Other patterns take a stacked SVD of ``basis`` with the
-    hidden coordinates zeroed: the rank test counts singular values, and the
-    pseudo-inverse drops those at or below eps * max(visible count, columns)
-    times the largest.
+    hidden coordinates zeroed: the rank test counts singular values and needs
+    at least ``rank`` visible cells, and the pseudo-inverse drops those at or
+    below eps * max(visible count, columns) times the largest.
     """
     keys = np.packbits(visible, axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
@@ -165,8 +165,11 @@ def _fit_by_pattern(
     u, s, vt = np.linalg.svd(basis * patterns[rest, :, None], full_matrices=False)
     top = s[:, :1]
     spans = certified.copy()
-    spans[rest] = np.count_nonzero(s > rank_tol * top, axis=1) >= rank
-    cutoff = np.finfo(float).eps * np.maximum(patterns[rest].sum(axis=1), r)[:, None] * top
+    # Below about 5e-17 a rank_tol counts the rounding-level singular values
+    # of the zeroed coordinates; fewer than ``rank`` visible cells never span.
+    counts = patterns[rest].sum(axis=1)
+    spans[rest] = (np.count_nonzero(s > rank_tol * top, axis=1) >= rank) & (counts >= rank)
+    cutoff = np.finfo(float).eps * np.maximum(counts, r)[:, None] * top
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     slot = (np.cumsum(rest) - 1)[inverse[~on_gram]]
     u, inv_s, vt = u[slot], inv_s[slot], vt[slot]

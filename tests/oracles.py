@@ -288,6 +288,30 @@ def save_dataset_csv_direct(values, mask, path):
             writer.writerow(["" if h else format(float(v), ".17g") for v, h in zip(row, hidden)])
 
 
+def save_plan_csv_direct(sample, coord, hide, value, path):
+    """Write a corruption plan through ``csv.writer``, one edit per row.
+
+    Header ``sample,coord,action,value``; indices as Python integers, the
+    action ``hide`` with an empty value or ``replace`` with ``format(v, ".17g")``.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample", "coord", "action", "value"])
+        for s, c, h, v in zip(sample, coord, hide, value):
+            if h:
+                writer.writerow([int(s), int(c), "hide", ""])
+            else:
+                writer.writerow([int(s), int(c), "replace", format(float(v), ".17g")])
+
+
+def save_distribution_csv_direct(support, probs, path):
+    """Write atoms through ``csv.writer``: coordinates then mass, as ``format(v, ".17g")``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for atom, p in zip(support, probs):
+            writer.writerow([format(float(v), ".17g") for v in atom] + [format(float(p), ".17g")])
+
+
 def load_dataset_csv_direct(path):
     """Read a table through ``csv.reader``, one cell at a time.
 

@@ -16,6 +16,7 @@ from entrymean.corruption import (
     save_plan_csv,
 )
 from entrymean.data import Dataset
+import oracles
 from oracles import plan_budgets_direct, tail_hiding_direct
 
 SAMPLE = AdversaryKind.SAMPLE_FRACTION
@@ -244,6 +245,28 @@ def test_plan_csv_round_trip(tmp_path):
             np.testing.assert_array_equal(getattr(back, column), getattr(plan, column))
         save_plan_csv(back, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+def test_plan_csv_bytes_match_csv_module(tmp_path):
+    rng = np.random.default_rng(9)
+    n = 3000
+    hide = rng.random(n) < 0.5
+    value = np.where(hide, np.nan, rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n))
+    value[~hide & (rng.random(n) < 0.05)] = -0.0
+    # Indices at and beyond 2**53 are no longer exact doubles.
+    sample = np.r_[rng.permutation(n - 4), 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1]
+    coord = rng.integers(0, 10**6, n)
+    coord[:4] = [0, 1, 10, 100]
+    plans = [
+        CorruptionPlan(sample, coord, hide, value),
+        CorruptionPlan([], [], [], []),
+        *every_planner(small_dataset(), 0.4, np.random.default_rng(8)),
+    ]
+    for plan in plans:
+        fast, direct = tmp_path / "fast.csv", tmp_path / "direct.csv"
+        save_plan_csv(plan, fast)
+        oracles.save_plan_csv_direct(plan.sample, plan.coord, plan.hide, plan.value, direct)
+        assert fast.read_bytes() == direct.read_bytes()
 
 
 def test_plan_csv_rejects_bad_header(tmp_path):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,98 @@ def test_csv_writer_quotes_one_column_hidden_row(tmp_path):
     assert path.read_bytes() == b'1.5\r\n""\r\n-0\r\n'
     back = load_dataset_csv(path)
     np.testing.assert_array_equal(back.mask, mask)
+
+
+def fallback_counter(monkeypatch):
+    """Count the cells the writer hands to Python's formatting."""
+    python_g17, counts = data_module._python_g17, []
+
+    def counted(x):
+        counts.append(x.size)
+        return python_g17(x)
+
+    monkeypatch.setattr(data_module, "_python_g17", counted)
+    return counts
+
+
+def assert_writes_like_direct(tmp_path, values, mask=None):
+    values = np.asarray(values, dtype=float)
+    ds = Dataset(values, np.zeros(values.shape, dtype=bool) if mask is None else mask)
+    fast, direct = tmp_path / "fast.csv", tmp_path / "direct.csv"
+    save_dataset_csv(ds, fast)
+    oracles.save_dataset_csv_direct(ds.values, ds.mask, direct)
+    assert fast.read_bytes() == direct.read_bytes()
+
+
+def test_csv_writer_every_fixed_notation_exponent(tmp_path, monkeypatch):
+    # %.17g prints exponents -4..16 in fixed notation: every (exponent, sign)
+    # class, with 17-digit, short and integer significands.
+    rng = np.random.default_rng(11)
+    k = np.arange(-4, 17)
+    significands = np.r_[rng.uniform(1, 10, 40), np.round(rng.uniform(1, 10, 10), 3), 2.0, 9.5]
+    values = (significands[:, None] * 10.0 ** k).ravel()
+    values = np.r_[values, -values]
+    counts = fallback_counter(monkeypatch)
+    assert_writes_like_direct(tmp_path, values.reshape(-1, 7))
+    if data_module._CERTIFIES:
+        assert sum(counts) < 0.1 * values.size
+
+
+def test_csv_writer_exact_ties(tmp_path):
+    # Doubles exactly halfway between two 17-digit decimals round to even.
+    ties = [1000000000000000.25, 1000000000000000.75, 100000000000000.125, 1000000000000.03125]
+    for x in ties:
+        scaled = Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))
+        assert scaled.denominator == 2
+    assert_writes_like_direct(tmp_path, np.r_[ties, np.negative(ties)][:, None])
+
+
+def test_csv_writer_power_of_ten_edges(tmp_path):
+    powers = 10.0 ** np.arange(-6, 19)
+    edges = np.r_[np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)]
+    specials = [1e16, 1e17, 9.999999999999999e16, 0.0, -0.0, 7.0, 123456789.0, 2.0**53, 2.0**60]
+    values = np.r_[edges, specials, np.arange(-500, 500)]
+    values = np.r_[values, -values]
+    assert_writes_like_direct(tmp_path, values.reshape(-1, 2))
+
+
+@pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+def test_csv_writer_needs_no_exact_log10(tmp_path, monkeypatch, shift):
+    # A log10 that errs near powers of ten gives an exponent off by one there;
+    # the certificate's range test must send those cells to the fallback.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    powers = 10.0 ** np.arange(-4, 18)
+    values = np.r_[powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]
+    values = np.r_[values, values * (1 + 1e-13), values * (1 - 1e-13)]
+    assert_writes_like_direct(tmp_path, np.r_[values, -values].reshape(-1, 3))
+
+
+@pytest.mark.parametrize("block_cells", [1, 50, data_module._BLOCK_CELLS])
+def test_csv_writer_blocks_split_anywhere(tmp_path, monkeypatch, block_cells):
+    # Blocks of whole rows; fewer cells per block than columns means one row each.
+    monkeypatch.setattr(data_module, "_BLOCK_CELLS", block_cells)
+    ds = _awkward_table(np.random.default_rng(12), 90, 70)
+    assert_writes_like_direct(tmp_path, ds.values, ds.mask)
+
+
+def test_csv_writer_without_certificate_falls_back_everywhere(tmp_path, monkeypatch):
+    # As on a platform whose longdouble is a plain double.
+    monkeypatch.setattr(data_module, "_CERTIFIES", False)
+    counts = fallback_counter(monkeypatch)
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((500, 16)) * 10.0 ** rng.integers(-6, 19, (500, 1))
+    mask = rng.random(values.shape) < 0.1
+    assert_writes_like_direct(tmp_path, values, mask)
+    assert sum(counts) == np.count_nonzero(~mask)
+
+
+@pytest.mark.skipif(not data_module._CERTIFIES, reason="np.longdouble is a plain double here")
+def test_csv_writer_certifies_most_gaussian_cells(tmp_path, monkeypatch):
+    counts = fallback_counter(monkeypatch)
+    values = np.random.default_rng(14).standard_normal((4000, 16))
+    assert_writes_like_direct(tmp_path, values)
+    assert sum(counts) <= 0.1 * values.size
 
 
 @pytest.mark.parametrize("block_bytes", [64, data_module._BLOCK_BYTES])

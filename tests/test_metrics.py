@@ -18,6 +18,7 @@ from entrymean.metrics import (
     save_distribution_csv,
     tv_distance,
 )
+import oracles
 from oracles import (
     hamming_cost_matrix,
     max_sign_quadratic_direct,
@@ -397,6 +398,24 @@ def test_distribution_csv_round_trip(tmp_path):
     back = load_distribution_csv(path)
     np.testing.assert_array_equal(back.support, p.support)
     np.testing.assert_array_equal(back.probs, p.probs)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 16])
+def test_distribution_csv_bytes_match_csv_module(tmp_path, dim):
+    rng = np.random.default_rng(dim)
+    atoms = 2000
+    support = rng.standard_normal((atoms, dim)) * 10.0 ** rng.integers(-8, 20, (atoms, 1))
+    zero = rng.random(support.shape) < 0.05
+    zero[:, 0] = False  # keeps the atoms distinct
+    support[zero] = 0.0
+    support[0] = -0.0 if dim > 1 else 1e-320
+    probs = rng.random(atoms)
+    probs[:3] = 0.0
+    p = DiscreteDistribution(support, probs / probs.sum())
+    fast, direct = tmp_path / "fast.csv", tmp_path / "direct.csv"
+    save_distribution_csv(p, fast)
+    oracles.save_distribution_csv_direct(p.support, p.probs, direct)
+    assert fast.read_bytes() == direct.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -460,6 +462,23 @@ def test_recover_table_accepts_a_tiny_rank_tol():
     np.testing.assert_allclose(
         report.completed.values, clean, rtol=0, atol=1e-12 * np.abs(clean).max()
     )
+
+
+def test_recover_table_tiny_rank_tol_discards_rows_with_too_few_cells():
+    # The zero-padded stack has rounding-level singular values that a tiny
+    # rank_tol counts as rank; 2 or 3 visible cells cannot pin down 4 latents.
+    entries = random_general_position(8, 4, seed=137).entries
+    a = StructureMatrix(entries, rank_tol=1e-300)
+    rng = np.random.default_rng(137)
+    patterns = [c for size in (2, 3, 4) for c in itertools.combinations(range(8), size)]
+    values = rng.standard_normal((len(patterns) + 1, 4)) @ entries.T
+    for row, seen in zip(values, patterns):
+        row[np.setdiff1d(np.arange(8), seen)] = np.nan
+    report = recover_table(Dataset(values, np.isnan(values)), a)
+    oracle = impute_rows_direct(entries, values, 1e-300)
+    discarded = [i for i, (status, _) in enumerate(oracle) if status == "unrecoverable"]
+    assert discarded == [i for i, seen in enumerate(patterns) if len(seen) < 4]
+    assert report.discarded_indices == discarded
 
 
 def certified_counts(monkeypatch, refuse=False):
