@@ -16,32 +16,26 @@ import sys
 
 import numpy as np
 
-from . import corruption, estimators, metrics, recovery
+from . import corruption, estimators, metrics
 from .data import load_dataset_csv, save_dataset_csv
 from .datagen import draw_latents, make_structure, synthesize
 from .errors import ConfigError, EstimatorFailure, MetricFailure
 from .experiment import (
     ingest_csv,
     load_config,
+    load_json,
     parse_config,
     parse_estimator_spec,
-    parse_latent_spec,
-    parse_structure_spec,
+    parse_recovery_spec,
+    parse_synthetic_data,
     run_experiment,
     write_results,
 )
 from .structure import load_structure_csv, save_structure_csv
 
-
-def _load_json(path) -> dict:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return obj
+# The replacement decoder cannot yet refuse rows past its decoding radius,
+# so ``recover`` does not offer it.
+RECOVER_METHODS = ("known_structure", "iterative_svd")
 
 
 def _need(cfg: dict, key: str):
@@ -62,15 +56,11 @@ def _seed(cfg: dict, args, default=0) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     seed = _seed(cfg, args)
-    spec = parse_structure_spec(_need(cfg, "structure"), default_seed=seed)
-    latent = parse_latent_spec(_need(cfg, "latent"))
-    n_samples = int(_need(cfg, "n_samples"))
-    if latent.dim != spec.r:
-        raise ConfigError("latent dimension must match the structure's r")
-    a = make_structure(spec)
-    ds = synthesize(a, draw_latents(latent, n_samples, np.random.default_rng(seed)))
+    data = parse_synthetic_data(cfg, seed)
+    a = make_structure(data.structure)
+    ds = synthesize(a, draw_latents(data.latent, data.n_samples, np.random.default_rng(seed)))
     prefix = _out_prefix(cfg, args)
     save_dataset_csv(ds, f"{prefix}.data.csv")
     save_structure_csv(a, f"{prefix}.structure.csv")
@@ -79,7 +69,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     seed = _seed(cfg, args)
     ds = load_dataset_csv(_need(cfg, "data_csv"))
     adversary = _need(cfg, "adversary")
@@ -96,22 +86,15 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     ds = load_dataset_csv(_need(cfg, "data_csv"))
     method = _need(cfg, "method")
     prefix = _out_prefix(cfg, args)
-    if method == "known_structure":
-        a = load_structure_csv(_need(cfg, "structure_csv"))
-        report = recovery.recover_table(ds, a)
-    elif method == "iterative_svd":
-        report = estimators.converged_svd_complete(
-            ds,
-            int(_need(cfg, "rank")),
-            int(cfg.get("max_iter", 500)),
-            float(cfg.get("tol", 1e-9)),
-        )
-    else:
+    if method not in RECOVER_METHODS:
         raise ConfigError(f"unknown recovery method {method!r}")
+    spec = parse_recovery_spec(cfg)
+    a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
+    report = estimators.recover(ds, spec, a)
     save_dataset_csv(report.completed, f"{prefix}.recovered.csv")
     report.save_json(f"{prefix}.report.json")
     print(
@@ -122,7 +105,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     seed = _seed(cfg, args)
     ds = ingest_csv(_need(cfg, "data_csv"), bool(cfg.get("standardize", False)))
     spec = parse_estimator_spec(_need(cfg, "estimator"))
@@ -141,7 +124,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     kind = _need(cfg, "kind")
     if kind in ("tv", "entrywise_avg", "entrywise_max"):
         left = metrics.load_distribution_csv(_need(cfg, "left_csv"))
@@ -199,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output prefix")
         if name == "experiment":
-            p.add_argument("--threads", type=int, default=1, help="trial worker threads")
+            p.add_argument(
+                "--threads", type=int, default=1, help="for compatibility; trials run serially"
+            )
         p.set_defaults(handler=handler)
     return parser
 

@@ -31,6 +31,8 @@ REPLACE = "replace"
 
 
 class AdversaryKind(str, Enum):
+    """Budget accountings, coarsest first; :func:`can_simulate` relies on the order."""
+
     SAMPLE_FRACTION = "sample_fraction"
     PER_COORDINATE_FRACTION = "per_coordinate_fraction"
     CELL_FRACTION = "cell_fraction"
@@ -131,27 +133,13 @@ def can_simulate(a: Budget, b: Budget, dim: int) -> bool:
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    ka, kb = a.kind, b.kind
-    sample = AdversaryKind.SAMPLE_FRACTION
-    coord = AdversaryKind.PER_COORDINATE_FRACTION
-    cell = AdversaryKind.CELL_FRACTION
-    if ka == kb:
-        return a.value >= b.value
-    # A whole-sample budget dominates entry-level budgets scaled by dim.
-    if ka is sample and kb is coord:
+    # A whole-sample budget dominates entry-level budgets scaled by dim, and a
+    # per-coordinate one dominates a cell budget the same way; a finer budget
+    # at or above a coarser one can afford whatever the coarser one touches.
+    order = list(AdversaryKind)
+    if order.index(a.kind) < order.index(b.kind):
         return b.value <= a.value / dim
-    if ka is sample and kb is cell:
-        return b.value <= a.value / dim
-    if ka is coord and kb is cell:
-        return b.value <= a.value / dim
-    # Entry-level budgets at or above a sample budget can afford whole rows.
-    if ka is coord and kb is sample:
-        return a.value >= b.value
-    if ka is cell and kb is sample:
-        return a.value >= b.value
-    if ka is cell and kb is coord:
-        return a.value >= b.value
-    raise AssertionError("unhandled kind pair")
+    return a.value >= b.value
 
 
 def _order_by_largest_first_coordinate(ds: Dataset) -> np.ndarray:

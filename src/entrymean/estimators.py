@@ -16,6 +16,7 @@ from .errors import (
     NoCleanSamplesError,
 )
 from .recovery import (
+    CompletionReport,
     RecoveryStatus,
     iterative_svd_complete,
     recover_replacement_randomized,
@@ -35,7 +36,8 @@ RECOVERY_METHODS = ("known_structure", "iterative_svd", "replacement")
 
 @dataclass(frozen=True)
 class RecoverySpec:
-    """How the first stage of a two-step estimator repairs the data."""
+    """How the first stage of a two-step estimator repairs the data; the one
+    owner of the recovery defaults and their checks."""
 
     method: str
     rank: int | None = None
@@ -46,12 +48,19 @@ class RecoverySpec:
     def __post_init__(self) -> None:
         if self.method not in RECOVERY_METHODS:
             raise ValueError(f"method must be one of {RECOVERY_METHODS}, got {self.method!r}")
+        if self.rank is not None:
+            rank = float(self.rank)
+            if not rank.is_integer():
+                raise ValueError(f"rank must be a whole number, got {self.rank!r}")
+            object.__setattr__(self, "rank", int(rank))
         if self.method == "iterative_svd" and (self.rank is None or self.rank < 1):
             raise ValueError("iterative_svd recovery needs a positive rank")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError("tol must be finite and nonnegative")
+        if not (math.isfinite(self.exponent) and self.exponent >= 0):
+            raise ValueError("exponent must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -183,14 +192,43 @@ def tukey_median(ds: Dataset, max_dim: int = 2) -> np.ndarray:
     return best.copy()
 
 
-def converged_svd_complete(ds: Dataset, rank: int, max_iter: int = 500, tol: float = 1e-9):
-    """The report of :func:`iterative_svd_complete`, raising if it stopped at ``max_iter``."""
-    report = iterative_svd_complete(ds, rank, max_iter, tol)
-    if not report.converged:
-        raise CompletionNotConvergedError(
-            f"rank-{rank} completion did not converge in {report.iterations} sweeps (tol {tol:g})"
-        )
-    return report
+def recover(
+    ds: Dataset,
+    spec: RecoverySpec,
+    structure: StructureMatrix | None = None,
+    rng: np.random.Generator | None = None,
+) -> CompletionReport:
+    """Repair the table by the spec's method, the first stage of a two-step estimator.
+
+    A rank-only completion that stops at ``max_iter`` short of ``tol`` raises
+    :class:`CompletionNotConvergedError` rather than return a table it did not
+    finish. Replacement decoding draws from ``rng`` (seed 0 when omitted).
+    """
+    if spec.method == "iterative_svd":
+        report = iterative_svd_complete(ds, spec.rank, spec.max_iter, spec.tol)
+        if not report.converged:
+            raise CompletionNotConvergedError(
+                f"rank-{spec.rank} completion did not converge in {report.iterations} sweeps"
+                f" (tol {spec.tol:g})"
+            )
+        return report
+    if structure is None:
+        raise ValueError(f"{spec.method} recovery needs the structure matrix")
+    if spec.method == "known_structure":
+        return recover_table(ds, structure)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    outcomes = [
+        recover_replacement_randomized(structure, x, spec.exponent, rng) for x in ds.values
+    ]
+    recovered, discarded = (
+        [i for i, o in enumerate(outcomes) if o.status is status]
+        for status in (RecoveryStatus.RECOVERED, RecoveryStatus.UNRECOVERABLE)
+    )
+    if len(discarded) == ds.n_samples:
+        raise AllSamplesDiscardedError("recovery discarded every sample")
+    kept = [o.sample for o in outcomes if o.status is not RecoveryStatus.UNRECOVERABLE]
+    return CompletionReport(Dataset(np.vstack(kept)), recovered, discarded, 0, True)
 
 
 def two_step_estimate(
@@ -199,38 +237,14 @@ def two_step_estimate(
     structure: StructureMatrix | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Repair the table first, then run the inner estimator on the survivors.
+    """Repair the table with :func:`recover`, then run the inner estimator on the survivors.
 
     Unrecoverable samples are dropped. On a clean table the repair stage is a
-    no-op and the result equals the inner estimator's output exactly. A
-    rank-only completion that stops at ``max_iter`` without reaching ``tol``
-    raises :class:`CompletionNotConvergedError` instead of averaging a table
-    it did not finish.
+    no-op and the result equals the inner estimator's output exactly.
     """
-    recovery = spec.recovery
-    if recovery is None:
+    if spec.recovery is None:
         raise ValueError("two_step_estimate needs a recovery spec")
-    if recovery.method == "iterative_svd":
-        report = converged_svd_complete(ds, recovery.rank, recovery.max_iter, recovery.tol)
-        repaired = report.completed
-    elif structure is None:
-        raise ValueError(f"{recovery.method} recovery needs the structure matrix")
-    elif recovery.method == "known_structure":
-        repaired = recover_table(ds, structure).completed
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        rows = []
-        for i in range(ds.n_samples):
-            outcome = recover_replacement_randomized(
-                structure, ds.values[i], recovery.exponent, rng
-            )
-            if outcome.status is not RecoveryStatus.UNRECOVERABLE:
-                rows.append(outcome.sample)
-        if not rows:
-            raise AllSamplesDiscardedError("recovery discarded every sample")
-        repaired = Dataset(np.vstack(rows))
-    return _dispatch_basic(repaired, spec.inner)
+    return _dispatch_basic(recover(ds, spec.recovery, structure, rng).completed, spec.inner)
 
 
 def _dispatch_basic(ds: Dataset, kind: str) -> np.ndarray:

@@ -389,8 +389,8 @@ def recover_replacement_randomized(
         raise ValueError("replacement recovery expects a fully visible sample")
     if structure_rank(a) < a.r:
         raise ValueError("structure must have full column rank")
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
+    if not (math.isfinite(exponent) and exponent >= 0):
+        raise ValueError("exponent must be finite and nonnegative")
     if rng is None:
         rng = np.random.default_rng()
     if _in_range(x, a, tol):

@@ -352,6 +352,62 @@ def test_completion_failure_exits_1_without_traceback(tmp_path):
     ]
 
 
+def corrupt_toy(tmp_path, adversary, budget):
+    data_path, structure_path = run_gen(tmp_path)
+    cfg = {
+        "data_csv": str(data_path),
+        "adversary": adversary,
+        "budget": budget,
+        "out": str(tmp_path / "hit"),
+    }
+    assert main(["corrupt", "--config", write_json(tmp_path / "corrupt.json", cfg)]) == 0
+    return str(tmp_path / "hit.corrupted.csv"), str(structure_path)
+
+
+def run_svd_recovery(tmp_path, command, data_csv, rank):
+    recovery = {"method": "iterative_svd", "rank": rank}
+    if command == "estimate":
+        cfg = {"data_csv": data_csv, "estimator": {"kind": "two_step", "recovery": recovery}}
+    else:
+        cfg = dict(recovery, data_csv=data_csv, out=str(tmp_path / "fixed"))
+    return run_entrymean(command, "--config", write_json(tmp_path / f"{command}.json", cfg))
+
+
+@pytest.mark.parametrize("command", ["estimate", "recover"])
+def test_rank_must_be_a_whole_number(tmp_path, command):
+    data_csv, _ = corrupt_toy(tmp_path, "tail_hiding", 0.05)
+    whole = run_svd_recovery(tmp_path, command, data_csv, 3)
+    assert whole.returncode == 0, whole.stderr
+    as_float = run_svd_recovery(tmp_path, command, data_csv, 3.0)
+    assert (as_float.returncode, as_float.stdout, as_float.stderr) == (0, whole.stdout, "")
+    proc = run_svd_recovery(tmp_path, command, data_csv, 2.5)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "config error: rank must be a whole number, got 2.5"
+    ]
+
+
+def test_infinite_exponent_is_a_config_error(tmp_path):
+    data_csv, structure_csv = corrupt_toy(tmp_path, "sample_shift", 0.1)
+    recovery = {"method": "replacement", "exponent": float("inf")}
+    cfg = write_json(
+        tmp_path / "estimate.json",
+        {
+            "data_csv": data_csv,
+            "structure_csv": structure_csv,
+            "estimator": {"kind": "two_step", "recovery": recovery},
+        },
+    )
+    assert "Infinity" in pathlib.Path(cfg).read_text()
+    proc = run_entrymean("estimate", "--config", cfg)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "config error: exponent must be finite and nonnegative"
+    ]
+
+
 def test_unconverged_completion_fails_estimate(tmp_path):
     data_path = tmp_path / "spread.csv"
     save_dataset_csv(scale_spread_table(every_row_hidden=True), data_path)

@@ -248,3 +248,15 @@ def test_estimator_spec_validation_and_labels():
     assert spec.label == "two_step+known_structure+coordinate_median"
     named = EstimatorSpec("empirical_mean", name="baseline")
     assert named.label == "baseline"
+
+
+def test_recovery_spec_takes_whole_number_ranks_and_finite_exponents():
+    for rank in (8, 8.0, "8"):
+        spec = RecoverySpec("iterative_svd", rank=rank)
+        assert spec.rank == 8 and type(spec.rank) is int
+    for rank in (8.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="rank"):
+            RecoverySpec("iterative_svd", rank=rank)
+    for exponent in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="exponent"):
+            RecoverySpec("replacement", exponent=exponent)

@@ -227,6 +227,10 @@ def svd_method(**options):
     return {"kind": "two_step", "recovery": {"method": "iterative_svd", "rank": 3, **options}}
 
 
+def replacement_method(**options):
+    return {"kind": "two_step", "recovery": {"method": "replacement", **options}}
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -252,6 +256,8 @@ def svd_method(**options):
         (lambda c: c.update(methods=[svd_method(tol=-1)]), "tol"),
         (lambda c: c.update(methods=[svd_method(tol=float("nan"))]), "tol"),
         (lambda c: c.update(methods=[svd_method(tol="loose")]), "float"),
+        (lambda c: c.update(methods=[svd_method(rank=2.5)]), "rank"),
+        (lambda c: c.update(methods=[replacement_method(exponent=float("inf"))]), "exponent"),
     ],
 )
 def test_parse_config_rejects_bad_fields(mutate, message):

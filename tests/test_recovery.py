@@ -629,6 +629,14 @@ def test_replacement_randomized_matches_truth():
     assert outcome.residual_hamming == 1
 
 
+@pytest.mark.parametrize("exponent", [-1.0, float("inf"), float("nan")])
+def test_replacement_randomized_refuses_bad_exponent(exponent):
+    a = random_general_position(5, 2, seed=60)
+    x = a.entries @ np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="exponent"):
+        recover_replacement_randomized(a, x, exponent, np.random.default_rng(0))
+
+
 def test_replacement_randomized_clean_shortcut():
     a = random_general_position(5, 2, seed=60)
     x = a.entries @ np.array([1.0, 1.0])
