@@ -33,10 +33,6 @@ from .experiment import (
 )
 from .structure import load_structure_csv, save_structure_csv
 
-# The replacement decoder cannot yet refuse rows past its decoding radius,
-# so ``recover`` does not offer it.
-RECOVER_METHODS = ("known_structure", "iterative_svd")
-
 
 def _need(cfg: dict, key: str):
     if key not in cfg:
@@ -88,10 +84,7 @@ def cmd_corrupt(args) -> int:
 def cmd_recover(args) -> int:
     cfg = load_json(args.config)
     ds = load_dataset_csv(_need(cfg, "data_csv"))
-    method = _need(cfg, "method")
     prefix = _out_prefix(cfg, args)
-    if method not in RECOVER_METHODS:
-        raise ConfigError(f"unknown recovery method {method!r}")
     spec = parse_recovery_spec(cfg)
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
     report = estimators.recover(ds, spec, a)
@@ -106,11 +99,10 @@ def cmd_recover(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = load_json(args.config)
-    seed = _seed(cfg, args)
     ds = ingest_csv(_need(cfg, "data_csv"), bool(cfg.get("standardize", False)))
     spec = parse_estimator_spec(_need(cfg, "estimator"))
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
-    vec = estimators.estimate(ds, spec, a, np.random.default_rng(seed))
+    vec = estimators.estimate(ds, spec, a)
     payload = {"estimator": spec.label, "estimate": [float(v) for v in vec]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is not None or cfg.get("out"):

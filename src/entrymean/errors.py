@@ -37,5 +37,10 @@ class CompletionNotConvergedError(EstimatorFailure):
     """Iterative completion stopped at its sweep cap before reaching its tolerance."""
 
 
+class ReplacementDecodingError(EstimatorFailure):
+    """Replacement decoding cannot run: the table has hidden cells, or the
+    structure is past the decoder's exhaustive caps."""
+
+
 class MetricFailure(RuntimeError):
     """A metric could not be evaluated on the given inputs."""

@@ -9,7 +9,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
-    AllSamplesDiscardedError,
     CapExceededError,
     CompletionNotConvergedError,
     FullyHiddenCoordinateError,
@@ -17,9 +16,8 @@ from .errors import (
 )
 from .recovery import (
     CompletionReport,
-    RecoveryStatus,
+    decode_replacements,
     iterative_svd_complete,
-    recover_replacement_randomized,
     recover_table,
 )
 from .structure import StructureMatrix
@@ -34,6 +32,13 @@ ESTIMATOR_KINDS = (
 RECOVERY_METHODS = ("known_structure", "iterative_svd", "replacement")
 
 
+def _whole_number(name: str, value) -> int:
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class RecoverySpec:
     """How the first stage of a two-step estimator repairs the data; the one
@@ -43,24 +48,19 @@ class RecoverySpec:
     rank: int | None = None
     max_iter: int = 500
     tol: float = 1e-9
-    exponent: float = 2.0
 
     def __post_init__(self) -> None:
         if self.method not in RECOVERY_METHODS:
             raise ValueError(f"method must be one of {RECOVERY_METHODS}, got {self.method!r}")
         if self.rank is not None:
-            rank = float(self.rank)
-            if not rank.is_integer():
-                raise ValueError(f"rank must be a whole number, got {self.rank!r}")
-            object.__setattr__(self, "rank", int(rank))
+            object.__setattr__(self, "rank", _whole_number("rank", self.rank))
         if self.method == "iterative_svd" and (self.rank is None or self.rank < 1):
             raise ValueError("iterative_svd recovery needs a positive rank")
+        object.__setattr__(self, "max_iter", _whole_number("max_iter", self.max_iter))
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError("tol must be finite and nonnegative")
-        if not (math.isfinite(self.exponent) and self.exponent >= 0):
-            raise ValueError("exponent must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -193,16 +193,12 @@ def tukey_median(ds: Dataset, max_dim: int = 2) -> np.ndarray:
 
 
 def recover(
-    ds: Dataset,
-    spec: RecoverySpec,
-    structure: StructureMatrix | None = None,
-    rng: np.random.Generator | None = None,
+    ds: Dataset, spec: RecoverySpec, structure: StructureMatrix | None = None
 ) -> CompletionReport:
     """Repair the table by the spec's method, the first stage of a two-step estimator.
 
     A rank-only completion that stops at ``max_iter`` short of ``tol`` raises
-    :class:`CompletionNotConvergedError` rather than return a table it did not
-    finish. Replacement decoding draws from ``rng`` (seed 0 when omitted).
+    :class:`CompletionNotConvergedError` rather than return an unfinished table.
     """
     if spec.method == "iterative_svd":
         report = iterative_svd_complete(ds, spec.rank, spec.max_iter, spec.tol)
@@ -216,26 +212,11 @@ def recover(
         raise ValueError(f"{spec.method} recovery needs the structure matrix")
     if spec.method == "known_structure":
         return recover_table(ds, structure)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    outcomes = [
-        recover_replacement_randomized(structure, x, spec.exponent, rng) for x in ds.values
-    ]
-    recovered, discarded = (
-        [i for i, o in enumerate(outcomes) if o.status is status]
-        for status in (RecoveryStatus.RECOVERED, RecoveryStatus.UNRECOVERABLE)
-    )
-    if len(discarded) == ds.n_samples:
-        raise AllSamplesDiscardedError("recovery discarded every sample")
-    kept = [o.sample for o in outcomes if o.status is not RecoveryStatus.UNRECOVERABLE]
-    return CompletionReport(Dataset(np.vstack(kept)), recovered, discarded, 0, True)
+    return decode_replacements(ds, structure)
 
 
 def two_step_estimate(
-    ds: Dataset,
-    spec: EstimatorSpec,
-    structure: StructureMatrix | None = None,
-    rng: np.random.Generator | None = None,
+    ds: Dataset, spec: EstimatorSpec, structure: StructureMatrix | None = None
 ) -> np.ndarray:
     """Repair the table with :func:`recover`, then run the inner estimator on the survivors.
 
@@ -244,7 +225,7 @@ def two_step_estimate(
     """
     if spec.recovery is None:
         raise ValueError("two_step_estimate needs a recovery spec")
-    return _dispatch_basic(recover(ds, spec.recovery, structure, rng).completed, spec.inner)
+    return _dispatch_basic(recover(ds, spec.recovery, structure).completed, spec.inner)
 
 
 def _dispatch_basic(ds: Dataset, kind: str) -> np.ndarray:
@@ -260,12 +241,9 @@ def _dispatch_basic(ds: Dataset, kind: str) -> np.ndarray:
 
 
 def estimate(
-    ds: Dataset,
-    spec: EstimatorSpec,
-    structure: StructureMatrix | None = None,
-    rng: np.random.Generator | None = None,
+    ds: Dataset, spec: EstimatorSpec, structure: StructureMatrix | None = None
 ) -> np.ndarray:
     """Run any configured estimator on the dataset."""
     if spec.kind == "two_step":
-        return two_step_estimate(ds, spec, structure, rng)
+        return two_step_estimate(ds, spec, structure)
     return _dispatch_basic(ds, spec.kind)

@@ -106,13 +106,17 @@ def _require(condition: bool, message: str) -> None:
 
 def parse_recovery_spec(obj: dict) -> RecoverySpec:
     """A :class:`RecoverySpec` from ``method`` and the optional ``rank``,
-    ``max_iter``, ``tol`` and ``exponent`` fields; absent fields take its defaults."""
+    ``max_iter`` and ``tol`` fields; absent fields take its defaults."""
     _require(isinstance(obj, dict) and "method" in obj, "recovery needs a 'method'")
-    casts = {"rank": lambda v: v, "max_iter": int, "tol": float, "exponent": float}
+    _require(
+        "exponent" not in obj,
+        "exponent is no longer a recovery option: replacement decoding is deterministic",
+    )
+    options = {key: obj[key] for key in ("rank", "max_iter", "tol") if key in obj}
     try:
-        return RecoverySpec(
-            obj["method"], **{key: cast(obj[key]) for key, cast in casts.items() if key in obj}
-        )
+        if "tol" in options:
+            options["tol"] = float(options["tol"])
+        return RecoverySpec(obj["method"], **options)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -305,10 +309,9 @@ def _run_trial(cfg: ExperimentConfig, inputs: _RunInputs, trial: int) -> list[Re
             cfg.adversary, ds, budget, plan_rng, shift=cfg.shift, structure=inputs.structure
         )
         corrupted = apply_plan(ds, plan)
-        for method_idx, spec in enumerate(cfg.methods):
-            est_rng = np.random.default_rng((cfg.seed, trial, budget_idx, method_idx))
+        for spec in cfg.methods:
             try:
-                value_vec = estimate(corrupted, spec, inputs.structure, est_rng)
+                value_vec = estimate(corrupted, spec, inputs.structure)
             except EstimatorFailure:
                 value_vec = None
             for metric in cfg.metrics:

@@ -12,9 +12,13 @@ Three routes are implemented:
   certified Gram solve, else an SVD) and discarded under the same rank rule,
   so on an exactly low-rank table the sweeps only confirm the fit. Otherwise
   hidden cells start at their coordinate's median and the sweeps do the work.
-* replaced entries, structure known: find the point of range(A) closest to
-  the corrupted vector in Hamming distance, either exhaustively or by
-  sampling independent row subsets.
+* replaced entries, structure known: decode the whole table by its syndrome,
+  the part of each sample outside range(A) (:func:`decode_replacements`).
+  A sample whose syndrome one support of at most (m - 1) // 2 coordinates
+  explains is rebuilt exactly, m being the removal margin below; any other
+  sample is discarded. The single-sample minimum-Hamming decoders, exhaustive
+  or over random independent row subsets, also search past that radius, where
+  they cannot tell a right reconstruction from a wrong one.
 * replaced entries via sparse decoding: project onto a random parity check
   of range(A), so corruption shows up as a sparse vector that orthogonal
   matching pursuit can decode.
@@ -30,12 +34,17 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .data import Dataset
-from .errors import AllSamplesDiscardedError, CapExceededError, CompletionInfeasibleError
+from .errors import (
+    AllSamplesDiscardedError,
+    CapExceededError,
+    CompletionInfeasibleError,
+    ReplacementDecodingError,
+)
 from .structure import (
     DEFAULT_RANK_TOL,
     StructureMatrix,
@@ -47,6 +56,9 @@ from .structure import (
 
 ENTRY_MATCH_TOL = 1e-8
 RANGE_RESIDUAL_TOL = 1e-6
+# Most subsystem solves a replacement decoder takes on: random draws per sample
+# in recover_replacement_randomized, supports per table in decode_replacements.
+REPLACEMENT_SOLVE_CAP = 100_000
 
 
 class RecoveryStatus(Enum):
@@ -68,7 +80,7 @@ class CompletionReport:
 
     ``completed`` keeps the retained samples in their original order;
     ``recovered_indices`` and ``discarded_indices`` refer to positions in the
-    input dataset. Samples that had nothing hidden appear in neither list.
+    input dataset. Samples kept as they were appear in neither list.
     """
 
     completed: Dataset
@@ -302,6 +314,49 @@ def iterative_svd_complete(
     return CompletionReport(Dataset(filled), recovered, discarded, iterations, converged)
 
 
+def decode_replacements(ds: Dataset, a: StructureMatrix) -> CompletionReport:
+    """Undo the replaced cells of every sample within the unique-decoding radius.
+
+    A sample whose syndrome x F' (F an orthonormal basis of range(A)'s complement,
+    as rows) is at most ``RANGE_RESIDUAL_TOL`` times its norm is unchanged. For
+    k = 1 ... (m - 1) // 2, m the removal margin (the least weight of a nonzero
+    vector of range(A)), and each support T of k coordinates in lexicographic
+    order, one least-squares fit over the open samples finds the corruption on T
+    that best explains each syndrome; a sample whose fit passes the same test
+    becomes x - e_T, uniquely. The rest are discarded.
+    """
+    if ds.dim != a.n:
+        raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
+    if ds.mask.any():
+        raise ReplacementDecodingError("replacement decoding expects a fully visible table")
+    try:
+        radius = (a.removal_margin - 1) // 2
+    except CapExceededError as exc:
+        raise ReplacementDecodingError(f"replacement decoding: {exc}") from None
+    n_supports = sum(math.comb(a.n, k) for k in range(1, radius + 1))
+    if n_supports > REPLACEMENT_SOLVE_CAP:
+        raise ReplacementDecodingError(
+            f"replacement decoding: {n_supports} supports within radius {radius}"
+            f" exceed the cap {REPLACEMENT_SOLVE_CAP}"
+        )
+    f = null_space_basis(a.entries.T, a.rank_tol).vectors
+    values = ds.values.copy()
+    syndrome = values @ f.T
+    bound = RANGE_RESIDUAL_TOL * np.linalg.norm(values, axis=1)
+    changed = open_rows = np.flatnonzero(np.linalg.norm(syndrome, axis=1) > bound)
+    for support in chain.from_iterable(combinations(range(a.n), k) for k in range(1, radius + 1)):
+        columns, s = f[:, list(support)], syndrome[open_rows]
+        e, *_ = np.linalg.lstsq(columns, s.T, rcond=None)
+        fits = np.linalg.norm(s - (columns @ e).T, axis=1) <= bound[open_rows]
+        values[np.ix_(open_rows[fits], support)] -= e[:, fits].T
+        open_rows = open_rows[~fits]
+    if open_rows.size == ds.n_samples:
+        raise AllSamplesDiscardedError("recovery discarded every sample")
+    recovered = np.setdiff1d(changed, open_rows).tolist()
+    kept = Dataset(np.delete(values, open_rows, axis=0))
+    return CompletionReport(kept, recovered, open_rows.tolist(), 0, True)
+
+
 def _hamming(candidate: np.ndarray, x: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(np.abs(candidate - x) > tol))
 
@@ -380,7 +435,8 @@ def recover_replacement_randomized(
 
     Each draw picks ``r`` independent rows uniformly, solves the square
     subsystem and scores the rebuilt sample against ``x``. A vector already
-    in range(A) (within ``tol``) is returned unchanged without sampling.
+    in range(A) (within ``tol``) is returned unchanged without sampling. A
+    draw count above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != a.n:
@@ -391,6 +447,11 @@ def recover_replacement_randomized(
         raise ValueError("structure must have full column rank")
     if not (math.isfinite(exponent) and exponent >= 0):
         raise ValueError("exponent must be finite and nonnegative")
+    if exponent * math.log(a.r) > math.log(REPLACEMENT_SOLVE_CAP):
+        raise CapExceededError(
+            f"exponent {exponent:g} asks for {a.r}**{exponent:g} draws, over the cap"
+            f" {REPLACEMENT_SOLVE_CAP}"
+        )
     if rng is None:
         rng = np.random.default_rng()
     if _in_range(x, a, tol):

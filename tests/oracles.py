@@ -96,6 +96,25 @@ def min_rows_to_drop_rank_direct(entries):
     raise AssertionError("unreachable for nonzero input")
 
 
+def decode_within_radius_direct(entries, x, radius):
+    """Undo at most ``radius`` replaced coordinates of ``x`` by trying every support.
+
+    Supports T go smallest first, then in lexicographic order. The first T whose
+    other coordinates fit, entries[~T] z = x[~T] by least squares with a
+    residual at most 1e-6 times |x|, gives entries @ z. None if no T fits.
+    """
+    entries = np.asarray(entries, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = entries.shape[0]
+    for k in range(radius + 1):
+        for support in combinations(range(n), k):
+            kept = [i for i in range(n) if i not in support]
+            z, *_ = np.linalg.lstsq(entries[kept], x[kept], rcond=None)
+            if np.linalg.norm(entries[kept] @ z - x[kept]) <= 1e-6 * np.linalg.norm(x):
+                return entries @ z
+    return None
+
+
 def halfplane_depth_direct(points, center, n_grid=7201):
     """Depth by sweeping many directions: every event angle plus a dense grid.
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from entrymean import cli
+from entrymean import recovery as recovery_module
 from entrymean.cli import main
 from entrymean.corruption import ADVERSARIES, apply_plan, load_plan_csv
 from entrymean.data import load_dataset_csv, save_dataset_csv
@@ -404,8 +405,63 @@ def test_infinite_exponent_is_a_config_error(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [
-        "config error: exponent must be finite and nonnegative"
+        "config error: exponent is no longer a recovery option:"
+        " replacement decoding is deterministic"
     ]
+
+
+def test_recover_offers_replacement(tmp_path):
+    data_csv, structure_csv = corrupt_toy(tmp_path, "sample_shift", 0.1)
+    cfg = {
+        "data_csv": data_csv,
+        "structure_csv": structure_csv,
+        "method": "replacement",
+        "out": str(tmp_path / "fixed"),
+    }
+    assert main(["recover", "--config", write_json(tmp_path / "recover.json", cfg)]) == 0
+    report = json.loads((tmp_path / "fixed.report.json").read_text())
+    victims = sorted(set(load_plan_csv(tmp_path / "hit.plan.csv").sample.tolist()))
+    assert len(victims) == 6
+    assert report["discarded_indices"] == victims
+    assert report["recovered_indices"] == []
+    clean = load_dataset_csv(tmp_path / "toy.data.csv")
+    recovered = load_dataset_csv(tmp_path / "fixed.recovered.csv")
+    np.testing.assert_array_equal(recovered.values, np.delete(clean.values, victims, axis=0))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("hidden_cells", "replacement decoding expects a fully visible table"),
+        ("margin_cap", "replacement decoding: n=21 exceeds the exhaustive-search cap 20"),
+        ("support_cap", "replacement decoding: 6 supports within radius 1 exceed the cap 5"),
+    ],
+)
+def test_replacement_decoding_failure_exits_1(tmp_path, monkeypatch, capsys, case, message):
+    if case == "hidden_cells":
+        data_csv, structure_csv = corrupt_toy(tmp_path, "tail_hiding", 0.1)
+    else:
+        n = 21 if case == "margin_cap" else GEN_CONFIG["structure"]["n"]
+        paths = run_gen(tmp_path, structure={"kind": "dense", "n": n, "r": 3})
+        data_csv, structure_csv = map(str, paths)
+    recovery = {"method": "replacement"}
+    cfg = write_json(
+        tmp_path / "estimate.json",
+        {
+            "data_csv": data_csv,
+            "structure_csv": structure_csv,
+            "estimator": {"kind": "two_step", "recovery": recovery},
+        },
+    )
+    if case == "support_cap":  # the cap can only be lowered in this process
+        monkeypatch.setattr(recovery_module, "REPLACEMENT_SOLVE_CAP", 5)
+        code, stderr = main(["estimate", "--config", cfg]), capsys.readouterr().err
+    else:
+        proc = run_entrymean("estimate", "--config", cfg)
+        code, stderr = proc.returncode, proc.stderr
+    assert code == 1
+    assert "Traceback" not in stderr
+    assert stderr.strip().splitlines() == [f"estimate failed: {message}"]
 
 
 def test_unconverged_completion_fails_estimate(tmp_path):

@@ -222,15 +222,14 @@ def test_two_step_refuses_unconverged_completion():
 
 
 def test_two_step_replacement_route():
-    rng = np.random.default_rng(10)
     a = random_general_position(8, 2, seed=11)
     z = draw_latents(LatentSpec("gaussian", dim=2), 30, np.random.default_rng(12))
     ds = synthesize(a, z)
     values = ds.values.copy()
     values[5, 3] += 9.0  # one replaced cell
     corrupted = Dataset(values)
-    spec = EstimatorSpec("two_step", RecoverySpec("replacement", exponent=2.0))
-    got = estimate(corrupted, spec, structure=a, rng=rng)
+    spec = EstimatorSpec("two_step", RecoverySpec("replacement"))
+    got = estimate(corrupted, spec, structure=a)
     np.testing.assert_allclose(got, empirical_mean(ds), atol=1e-6)
 
 
@@ -250,13 +249,14 @@ def test_estimator_spec_validation_and_labels():
     assert named.label == "baseline"
 
 
-def test_recovery_spec_takes_whole_number_ranks_and_finite_exponents():
+def test_recovery_spec_takes_whole_number_ranks_and_max_iter():
     for rank in (8, 8.0, "8"):
         spec = RecoverySpec("iterative_svd", rank=rank)
         assert spec.rank == 8 and type(spec.rank) is int
     for rank in (8.5, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="rank"):
             RecoverySpec("iterative_svd", rank=rank)
-    for exponent in (-1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="exponent"):
-            RecoverySpec("replacement", exponent=exponent)
+    spec = RecoverySpec("iterative_svd", rank=2, max_iter=3.0)
+    assert spec.max_iter == 3 and type(spec.max_iter) is int
+    with pytest.raises(ValueError, match="max_iter must be a whole number, got 1.9"):
+        RecoverySpec("iterative_svd", rank=2, max_iter=1.9)

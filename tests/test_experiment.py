@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrymean import experiment as experiment_module
+from entrymean import recovery as recovery_module
 from entrymean import structure as structure_module
 from entrymean.data import save_dataset_csv
 from entrymean.datagen import make_structure, synthesize
@@ -15,6 +16,7 @@ from entrymean.experiment import (
     ExperimentConfig,
     ingest_csv,
     load_config,
+    load_json,
     parse_config,
     parse_structure_spec,
     read_result_rows,
@@ -111,6 +113,42 @@ def test_estimator_failure_becomes_na(tmp_path):
     csv_path, _ = write_results(result, str(tmp_path / "na"))
     text = open(csv_path).read()
     assert text.count(",NA\n") == 6  # two failing methods, three trials
+
+
+@pytest.mark.parametrize("case", ["hidden_cells", "margin_cap", "support_cap"])
+def test_replacement_decoding_failure_becomes_na(tmp_path, monkeypatch, case):
+    # Hidden cells, a structure past the removal-margin search's cap of n = 20,
+    # and more supports within the radius than the decoder's cap (radius 1 of
+    # the n = 5, r = 3 structure gives 5 supports) each make a missing value.
+    cfg_obj = base_config()
+    cfg_obj["methods"] = [{"kind": "empirical_mean"}, replacement_method()]
+    if case != "hidden_cells":
+        cfg_obj["adversary"] = "sample_shift"
+    if case == "margin_cap":
+        cfg_obj["data"]["structure"] = {"kind": "dense", "n": 21, "r": 3}
+    if case == "support_cap":
+        monkeypatch.setattr(recovery_module, "REPLACEMENT_SOLVE_CAP", 4)
+    result = run_experiment(parse_config(cfg_obj))
+    for row in result.rows:
+        assert np.isnan(row.value) == (row.method != "empirical_mean")
+    csv_path, _ = write_results(result, str(tmp_path / "na"))
+    assert Path(csv_path).read_text().count(",NA\n") == 2 * 3  # budgets x trials
+
+
+def test_replacement_decoding_beats_the_median_under_sample_shift():
+    # Every victim of the shipped config's sample shift has all 16 cells moved,
+    # past the decoding radius 2 of its structure, so the decoder drops it.
+    cfg_obj = load_json(Path(__file__).resolve().parents[1] / "configs" / "experiment.json")
+    cfg_obj["adversary"] = "sample_shift"
+    cfg_obj["methods"].append(replacement_method())
+    means = {
+        (e["method"], e["budget"]): e["mean"]
+        for e in run_experiment(parse_config(cfg_obj)).summary()
+        if e["metric"] == "l2"
+    }
+    for budget in cfg_obj["budgets"]:
+        decoded = means[("two_step+replacement+empirical_mean", budget)]
+        assert decoded < means[("coordinate_median", budget)]
 
 
 def test_metric_failure_becomes_na(tmp_path):
@@ -258,6 +296,14 @@ def replacement_method(**options):
         (lambda c: c.update(methods=[svd_method(tol="loose")]), "float"),
         (lambda c: c.update(methods=[svd_method(rank=2.5)]), "rank"),
         (lambda c: c.update(methods=[replacement_method(exponent=float("inf"))]), "exponent"),
+        (
+            lambda c: c.update(methods=[svd_method(max_iter=1.9)]),
+            "max_iter must be a whole number, got 1.9",
+        ),
+        (
+            lambda c: c.update(methods=[replacement_method(exponent=2.0)]),
+            "exponent is no longer a recovery option",
+        ),
     ],
 )
 def test_parse_config_rejects_bad_fields(mutate, message):

@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from entrymean import recovery
-from entrymean.corruption import apply_plan, plan_tail_hiding, plan_unrecoverable_hiding
+from entrymean.corruption import (
+    CorruptionPlan,
+    apply_plan,
+    plan_sample_shift,
+    plan_tail_hiding,
+    plan_unrecoverable_hiding,
+)
 from entrymean.data import Dataset
 from entrymean.datagen import LatentSpec, StructureSpec, draw_latents, make_structure, synthesize
-from entrymean.errors import AllSamplesDiscardedError, CapExceededError, CompletionInfeasibleError
+from entrymean.errors import (
+    AllSamplesDiscardedError,
+    CapExceededError,
+    CompletionInfeasibleError,
+    ReplacementDecodingError,
+)
 from entrymean.recovery import (
     RecoveryStatus,
     build_parity_check,
@@ -27,7 +38,13 @@ from entrymean.structure import (
     structure_rank,
 )
 
-from oracles import hard_impute_direct, impute_rows_direct, warm_complete_direct
+from oracles import (
+    decode_within_radius_direct,
+    hard_impute_direct,
+    impute_rows_direct,
+    min_rows_to_drop_rank_direct,
+    warm_complete_direct,
+)
 from test_structure import random_general_position
 
 
@@ -629,12 +646,14 @@ def test_replacement_randomized_matches_truth():
     assert outcome.residual_hamming == 1
 
 
-@pytest.mark.parametrize("exponent", [-1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("exponent", [-1.0, float("inf"), float("nan"), 20.0, 400.0])
 def test_replacement_randomized_refuses_bad_exponent(exponent):
     a = random_general_position(5, 2, seed=60)
     x = a.entries @ np.array([1.0, 1.0])
-    with pytest.raises(ValueError, match="exponent"):
+    with pytest.raises(ValueError, match="exponent") as excinfo:
         recover_replacement_randomized(a, x, exponent, np.random.default_rng(0))
+    # -1, inf and nan are not exponents; 2**20 and 2**400 draws exceed the cap of 100 000.
+    assert isinstance(excinfo.value, CapExceededError) == (exponent in (20.0, 400.0))
 
 
 def test_replacement_randomized_clean_shortcut():
@@ -663,6 +682,64 @@ def test_replacement_rejects_hidden_entries_and_caps():
     big = StructureMatrix(np.random.default_rng(0).standard_normal((30, 10)))
     with pytest.raises(CapExceededError):
         recover_replacement_exhaustive(big, np.zeros(30), max_subsets=100)
+
+
+# ---------------------------------------------------------- syndrome decoding
+
+SHIPPED_STRUCTURE = StructureSpec("block_diagonal", 16, 8, blocks=((8, 4), (8, 4)), seed=20240501)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [(8, 3, 110), (7, 2, 111), (10, 3, 112), SHIPPED_STRUCTURE],
+    ids=["general_8x3", "general_7x2", "general_10x3", "shipped_block_diagonal"],
+)
+def test_decode_replacements_matches_direct_oracle(structure):
+    if isinstance(structure, StructureSpec):
+        a = make_structure(structure)
+    else:
+        a = random_general_position(*structure)
+    radius = (min_rows_to_drop_rank_direct(a.entries) - 1) // 2
+    rng = np.random.default_rng(113)
+    counts = [k for k in range(radius + 2) for _ in range(4)]
+    clean = rng.standard_normal((len(counts), a.r)) @ a.entries.T
+    rows = np.array(
+        [corrupt_coords(x, rng.choice(a.n, k, replace=False), rng) for x, k in zip(clean, counts)]
+    )
+    report = recovery.decode_replacements(Dataset(rows), a)
+    expected = [decode_within_radius_direct(a.entries, x, radius) for x in rows]
+    refused = [i for i, e in enumerate(expected) if e is None]
+    assert refused == [i for i, k in enumerate(counts) if k > radius]
+    assert report.discarded_indices == refused
+    assert report.recovered_indices == [i for i, k in enumerate(counts) if 0 < k <= radius]
+    decoded = np.array([e for e in expected if e is not None])
+    np.testing.assert_allclose(report.completed.values, decoded, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(decoded, np.delete(clean, refused, axis=0), rtol=0, atol=1e-9)
+
+
+def test_decode_replacements_discards_sample_shift_victims():
+    a = make_structure(StructureSpec("dense", 6, 3, seed=5))  # radius 1
+    ds = synthesize(a, np.random.default_rng(5).standard_normal((60, 3)))
+    plan = plan_sample_shift(ds, 0.1)  # every cell of 6 victims moves by 10
+    report = recovery.decode_replacements(apply_plan(ds, plan), a)
+    victims = sorted(set(plan.sample.tolist()))
+    assert len(victims) == 6
+    assert report.discarded_indices == victims
+    assert report.recovered_indices == []
+    np.testing.assert_array_equal(report.completed.values, np.delete(ds.values, victims, axis=0))
+
+
+def test_decode_replacements_refuses_hidden_cells_and_caps(monkeypatch):
+    a = random_general_position(5, 2, seed=90)  # margin 4, radius 1: 5 supports
+    ds = Dataset(np.random.default_rng(0).standard_normal((4, 2)) @ a.entries.T)
+    with pytest.raises(ReplacementDecodingError, match="fully visible"):
+        recovery.decode_replacements(apply_plan(ds, CorruptionPlan.hiding([0], [1])), a)
+    big = StructureMatrix(np.random.default_rng(0).standard_normal((21, 3)))
+    with pytest.raises(ReplacementDecodingError, match="exhaustive-search cap 20"):
+        recovery.decode_replacements(Dataset(np.zeros((2, 21))), big)
+    monkeypatch.setattr(recovery, "REPLACEMENT_SOLVE_CAP", 4)
+    with pytest.raises(ReplacementDecodingError, match="5 supports within radius 1 exceed the cap 4"):
+        recovery.decode_replacements(ds, a)
 
 
 # ------------------------------------------------------------ sparse decoding
