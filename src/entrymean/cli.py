@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand is driven by a JSON config file (see the ``configs/``
-directory in the repository for a worked example of each schema). ``--seed``
-and ``--out`` override the corresponding config fields, so shell pipelines
-can reuse one config with different outputs.
+directory in the repository for a worked example of each schema). ``--out``
+overrides the config's output prefix, and ``--seed`` its seed in the three
+commands that draw random numbers (``gen``, ``corrupt`` and ``experiment``),
+so shell pipelines can reuse one config with different outputs.
 
 Exit codes: 0 on success, 1 for configuration problems and for inputs an
 estimator, recovery routine or metric cannot handle, 2 for I/O problems.
@@ -11,6 +12,7 @@ estimator, recovery routine or metric cannot handle, 2 for I/O problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -154,37 +156,43 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "gen": "generate a synthetic dataset and its structure matrix",
+    "corrupt": "plan and apply corruption to a dataset CSV",
+    "recover": "repair hidden entries of a dataset CSV",
+    "estimate": "run one estimator on a dataset CSV",
+    "metric": "evaluate a distance or error metric",
+    "experiment": "run a full benchmark sweep",
+}
+_SEEDED = ("gen", "corrupt", "experiment")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``--seed`` only where a seed is used."""
     parser = argparse.ArgumentParser(
         prog="entrymean",
         description="Structured mean estimation under cell-level corruption.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "gen": (cmd_gen, "generate a synthetic dataset and its structure matrix"),
-        "corrupt": (cmd_corrupt, "plan and apply corruption to a dataset CSV"),
-        "recover": (cmd_recover, "repair hidden entries of a dataset CSV"),
-        "estimate": (cmd_estimate, "run one estimator on a dataset CSV"),
-        "metric": (cmd_metric, "evaluate a distance or error metric"),
-        "experiment": (cmd_experiment, "run a full benchmark sweep"),
-    }
-    for name, (handler, help_text) in handlers.items():
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in _SEEDED:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output prefix")
         if name == "experiment":
             p.add_argument(
                 "--threads", type=int, default=1, help="for compatibility; trials run serially"
             )
-        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = globals()[f"cmd_{args.command}"]  # looked up per call, so it can be replaced
     try:
-        return args.handler(args)
+        return handler(args)
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -158,7 +158,8 @@ def _hide_smallest(ds: Dataset, coords: np.ndarray, count: int) -> CorruptionPla
     """
     hidden = ds.mask[:, coords]
     key = np.nan_to_num(np.where(hidden, np.inf, ds.values[:, coords]), nan=np.inf)
-    order = np.argsort(key, axis=0, kind="stable")[:count].T  # (coordinate, rank)
+    # (coordinate, rank); contiguous rows sort faster than strided columns.
+    order = np.argsort(key.T.copy(), axis=1, kind="stable")[:, :count]
     keep = ~np.logical_or.accumulate(np.take_along_axis(hidden.T, order, axis=1), axis=1)
     return CorruptionPlan.hiding(order[keep], coords[np.nonzero(keep)[0]])
 

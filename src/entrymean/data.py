@@ -2,10 +2,18 @@
 
 The CSV reader takes two routes. A plain file (decimal numbers, empty cells
 for hidden entries, LF or CRLF line ends) is read in blocks of whole lines:
-the hidden mask comes from where the empty fields sit, each empty field is
-filled with ``0`` and each line end turned into a comma, and ``np.loadtxt``
-parses the block as one line of numbers. Anything else (quotes, spaces, blank
-lines, ragged rows, a cell that does not parse) makes the whole file go
+the hidden mask comes from where the empty fields sit, and ``np.loadtxt``
+parses the block's visible cells, their points dropped, as one line of int64
+significands and exponents. Each value is the significand times 10**-s, s
+its digits after the point less its exponent, formed in bulk in
+``np.longdouble`` and rounded to a double. That longdouble is within half a
+unit in its last place of the exact value, so unless it is itself a rounding
+boundary of doubles, the double is the correctly rounded one that ``float``
+gives. Boundaries, cells with ``nan`` or ``inf``, more than 18 significant
+digits or |s| > 27, and every cell where longdouble has fewer than 64
+significand bits are read by ``float`` from their own bytes. See
+:func:`_parse_block`. Anything else (quotes, spaces,
+blank lines, ragged rows, a cell that does not parse) makes the whole file go
 through a per-cell ``csv.reader`` loop, which also raises the errors. Both
 routes give the same table, bit for bit.
 
@@ -15,7 +23,7 @@ exponent of v, a cell in the fixed-notation range -4 <= k <= 16 is printed
 from its 17-digit significand rint(P), P = |v| * 10**(16 - k), computed in
 bulk in ``np.longdouble``. P carries one rounding of at most 2**-8, so the
 certificate 1e16 < rint(P) < 1e17 and |P - rint(P)| < 1/2 - delta, with
-delta = 2**-6, proves rint(P) the correctly rounded significand and k its
+delta = 2**-7, proves rint(P) the correctly rounded significand and k its
 exponent. Every cell it does not cover (zeros, exponent notation, near-ties,
 power-of-ten edges, and all cells where longdouble has fewer than 64
 significand bits) falls back to Python's ``'%.17g'``. See :func:`_format_g17`.
@@ -80,35 +88,48 @@ def load_dataset_csv(path) -> Dataset:
     Raises ValueError naming the offending row and column for ragged rows or
     cells that do not parse as decimal numbers.
 
-    A plain file is parsed about ``_BLOCK_BYTES`` at a time by
-    :func:`_parse_block`. A file that any block refuses is read again from
-    the start by :func:`_load_by_cell`, which settles everything else: the
-    errors, padded or quoted cells, and what ``float`` accepts beyond the C
-    parser (``1_0``).
+    A plain file is read by :func:`read_plain_csv`. A file it refuses is read
+    again from the start by :func:`_load_by_cell`, which settles everything
+    else: the errors, padded or quoted cells, and what ``float`` accepts
+    beyond the C parser (``1_0``).
+    """
+    table = read_plain_csv(path)
+    if table is None:
+        return _load_by_cell(path)
+    return Dataset(*table)
+
+
+def read_plain_csv(path):
+    """Values and hidden mask of a plain CSV file, or None where it is not plain.
+
+    The file is parsed about ``_BLOCK_BYTES`` at a time by :func:`_parse_block`;
+    None when any block refuses, or when the file holds no line.
     """
     width = None
     values, masks = [], []
     with open(path, "rb") as fh:
-        while lines := fh.readlines(_BLOCK_BYTES):
-            block = _parse_block(b"".join(lines), width)
+        while text := fh.read(_BLOCK_BYTES):
+            block = _parse_block(text + fh.readline(), width)  # whole lines
             if block is None:
-                return _load_by_cell(path)
+                return None
             values.append(block[0])
             masks.append(block[1])
             width = block[1].shape[1]
     if not values:
-        return _load_by_cell(path)
-    return Dataset(np.concatenate(values), np.concatenate(masks))
+        return None
+    return np.concatenate(values), np.concatenate(masks)
 
 
 _BLOCK_BYTES = 1 << 17
 # The bytes a block may hold: digits, signs, points, exponents, the letters of
-# nan, inf and infinity in either case, commas and line ends. On these the C
-# parser and ``float`` agree; a space, quote, '#', '_' or non-ASCII byte sends
-# the file to the per-cell reader.
-_PLAIN = np.zeros(256, dtype=bool)
-_PLAIN[np.frombuffer(b"0123456789+-.eEnNaAiIfFtTyY,\r\n", dtype=np.uint8)] = True
-_COMMA, _LF, _CR, _ZERO = b",\n\r0"
+# nan, inf and infinity in either case, commas and line ends. On these the
+# block reader and ``float`` agree; a space, quote, '#', '_' or non-ASCII byte
+# sends the file to the per-cell reader.
+_PLAIN = b"0123456789+-.eEnNaAiIfFtTyY,\r\n"
+_COMMA, _LF, _CR, _ZERO, _NINE, _PLUS, _E = b",\n\r09+e"
+# A significand of at most 18 digits, leading zeros aside, fits an int64.
+_SIG_DIGITS = 18
+_LEAD = np.arange(8)  # how far past the 18th digit leading zeros are looked for
 
 
 def _parse_block(block: bytes, width: int | None):
@@ -118,25 +139,40 @@ def _parse_block(block: bytes, width: int | None):
     line, and ``width`` fields on every line (the first line's count when
     ``width`` is None). The mask comes from the field boundaries: a field is
     hidden when it is empty, so a visible ``nan`` stays visible and
-    :class:`Dataset` refuses it. Each empty field gets a ``0``, which
-    ``Dataset`` overwrites with NaN, and the line ends become commas, so the
-    C parser reads the block as one line of ``rows * width`` numbers.
+    :class:`Dataset` refuses it.
+
+    One ``np.delete`` drops the LF of each CRLF, every point, and each
+    empty or re-read field with its end; the line ends and exponent markers
+    left become commas, so ``np.loadtxt`` reads the block as one line of
+    int64 significands, each followed by its exponent if it has one. A value
+    is then |sig| * 10**-s, with s the field's count of digits after its
+    point less its exponent, formed in ``np.longdouble`` (one rounding, of
+    exact operands) and rounded to a double, with the sign of the field's
+    first byte, so ``-0`` stays -0.0. ``float`` of the field's own bytes
+    gives the value where :func:`_on_boundary` cannot certify that rounding,
+    and in every field that is re-read: with a letter other than one
+    exponent marker (``nan``, ``inf``), more than 18 significant digits, or
+    |s| > 27. A field that ``float`` or the int parse refuses, with two
+    points, a sign after its point or a point in its exponent, makes the
+    block not plain.
     """
     if not block.endswith(b"\n"):
         block += b"\n"  # the last line of a file without a final newline
-    buf = np.frombuffer(block, dtype=np.uint8)
-    if not _PLAIN[buf].all():
+    if block.translate(None, _PLAIN):
         return None
+    buf = np.frombuffer(block, dtype=np.uint8)
     cr = np.flatnonzero(buf == _CR)
     if np.any(buf[cr + 1] != _LF):
         return None
-    buf = np.delete(buf, cr + 1)  # a copy in which each line ends in one byte
-    line_end = (buf == _LF) | (buf == _CR)
+    line_end = buf == _LF  # a line ends at its CR, or at its LF where it has none
+    line_end[cr] = True
+    line_end[cr + 1] = False
     ends = np.flatnonzero(line_end | (buf == _COMMA))
     # The byte before each field's end; at offset 0 it wraps to the block's
-    # final line end, which reads as the start of a line, as it is.
-    starts_line = line_end[ends - 1]
-    empty = starts_line | (buf[ends - 1] == _COMMA)
+    # final LF, which reads as the start of a line, as it is.
+    before = buf[ends - 1]
+    starts_line = before == _LF
+    empty = starts_line | (before == _COMMA)
     ends_line = line_end[ends]
     if np.any(ends_line & starts_line):
         return None  # a blank line
@@ -145,13 +181,93 @@ def _parse_block(block: bytes, width: int | None):
         width = int(np.argmax(ends_line)) + 1
     if ends.size != n_rows * width or not ends_line[width - 1 :: width].all():
         return None
-    buf[ends] = _COMMA
-    line = np.insert(buf, ends[empty], _ZERO)[:-1].tobytes()
+    starts = np.r_[0, ends[:-1] + 1 + (buf[ends[:-1]] == _CR)]
+    # Letters: an exponent's 'e' or 'E' ends the significand's digits; any
+    # other letter, or a second one, sends the field to ``float``.
+    letters = np.flatnonzero(buf > _NINE)
+    holder = np.searchsorted(ends, letters)
+    exponent = (buf[letters] | 0x20) == _E
+    reread = np.zeros(ends.size, dtype=bool)
+    reread[holder[~exponent]] = True
+    reread[holder[1:][holder[1:] == holder[:-1]]] = True
+    digits_end = ends.copy()
+    digits_end[holder[exponent]] = letters[exponent]
+    points = np.flatnonzero(buf == _POINT)
+    field = np.searchsorted(ends, points)
+    after = buf[points + 1]
+    if np.any(field[1:] == field[:-1]) or np.any((after == _MINUS) | (after == _PLUS)):
+        return None  # two points in one field, or ".-5", which is no number
+    fraction = digits_end[field] - points - 1
+    if np.any(fraction < 0):
+        return None  # a point in the exponent
+    scale = np.zeros(ends.size)  # the value is sig / 10**scale; a float, so no exponent wraps
+    scale[field] = fraction
+    pointed = np.zeros(ends.size, dtype=bool)
+    pointed[field] = True
+    first = buf[starts]
+    negative = first == _MINUS
+    signed = negative | (first == _PLUS)
+    digits = digits_end - starts - signed - pointed
+    # Past 18 digits, the leading bytes must be zeros, or the point between them.
+    long = np.flatnonzero(digits > _SIG_DIGITS)
+    need = (digits[long] - _SIG_DIGITS + pointed[long])[:, None]
+    lead = buf[np.minimum((starts + signed)[long, None] + _LEAD, buf.size - 1)]
+    lead = (lead != _ZERO) & (lead != _POINT) & (_LEAD < need)
+    reread[long] |= np.any(lead, axis=1) | (need[:, 0] > _LEAD.size)
+    skip = empty | reread
+    if np.any((digits == 0) & ~skip):
+        return None  # a field with no digit, such as "-" or "."
+    powered = (digits_end < ends) & ~skip
+    size = ends[reread] - starts[reread]
+    inside = np.repeat(starts[reread] - np.cumsum(size) + size, size) + np.arange(size.sum())
+    line = np.delete(buf, np.r_[cr + 1, points, ends[skip], inside])
+    line[(line == _LF) | (line == _CR) | (line > _NINE)] = _COMMA  # an exponent is a number of its own
+    sig = np.zeros(ends.size, dtype=np.int64)
+    if line.size:
+        try:
+            numbers = np.loadtxt([line[:-1].tobytes()], delimiter=",", dtype=np.int64, comments=None, ndmin=1)
+        except ValueError:
+            return None
+        count = 1 + powered[~skip]
+        at = np.cumsum(count) - count
+        sig[~skip] = numbers[at]
+        scale[powered] -= numbers[at[count > 1] + 1]
+    power = _POW10[np.minimum(np.abs(scale), _POW10.size - 1).astype(np.intp)]
+    q = np.abs(sig) / power
+    up = np.flatnonzero(scale < 0)
+    q[up] = np.abs(sig[up]) * power[up]
+    values = q.astype(float)
+    reread |= (np.abs(scale) >= _POW10.size) | (not _CERTIFIES) | _on_boundary(q, values)
+    values = np.where(negative, -values, values)
+    redo = np.flatnonzero(reread & ~empty)
     try:
-        values = np.loadtxt([line], delimiter=",", comments=None)
+        values[redo] = _python_floats(block, starts[redo], ends[redo])
     except ValueError:
         return None
     return values.reshape(n_rows, width), empty.reshape(n_rows, width)
+
+
+def _python_floats(block: bytes, starts: np.ndarray, ends: np.ndarray) -> list[float]:
+    """The fallback: ``float`` of each field ``block[start:end]``, by Python's correctly rounded reader."""
+    return [float(block[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def _on_boundary(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Where ``q`` may round to another double than the exact quotient it stands for.
+
+    ``q`` is a correctly rounded longdouble quotient of exact operands, so the
+    exact value lies within half a unit in ``q``'s last place. The rounding
+    boundaries of doubles, halfway between neighbours, are longdoubles too;
+    unless ``q`` is one, the exact value lies strictly on ``q``'s side of it
+    and rounds to the same double ``d = float(q) >= 0``. ``q`` is a boundary
+    where it lies halfway between ``d`` and ``d``'s neighbour on ``q``'s side,
+    the nearer one below a power of two. The offset ``q - d`` is exact with a
+    64-bit significand; a wider one rounds it to a double, which can only
+    flag more cells.
+    """
+    off = np.subtract(q, d, out=np.empty(d.shape))
+    neighbour = np.nextafter(d, np.copysign(np.inf, off))
+    return np.abs(off + off) == np.abs(neighbour - d)
 
 
 def _load_by_cell(path) -> Dataset:
@@ -242,13 +358,16 @@ _FIELD = 24  # the widest %.17g field: -1.2345678901234567e-308
 _SLOT = _FIELD + 2  # a field and its separator, "," or CRLF
 # Blocks bound the transient buffers: one block per table added ~10 MB of peak RSS.
 _BLOCK_CELLS = 1 << 14
-# The certificate's margin; the longdouble product below errs by at most 2**-8.
-_DELTA = 2.0**-6
+# The certificate's margin. The longdouble product below errs by at most 2**-8
+# (half a unit in the last place of P < 2**57), so |P - rint(P)| < 1/2 - 2**-7
+# leaves the exact product at least 2**-8 short of a tie.
+_DELTA = 2.0**-7
 # Needs a longdouble significand of 64 bits (x87 extended) or more (binary128);
 # where longdouble is a plain double every cell takes the fallback.
 _CERTIFIES = np.finfo(np.longdouble).nmant >= 63
-# 10**p = 5**p * 2**p with 5**p < 2**53, so each power is exact.
-_POW10 = np.array([10**p for p in range(21)], dtype=float).astype(np.longdouble)
+# 10**p = 5**p * 2**p with 5**p < 2**63, so each power is exact in a 64-bit
+# significand: the writer uses p <= 20, the reader |s| <= 27.
+_POW10 = np.ldexp(np.array([5**p for p in range(28)]).astype(np.longdouble), np.arange(28))
 _MINUS, _POINT = b"-."
 
 
@@ -260,7 +379,7 @@ def _format_g17(x: np.ndarray, visible: np.ndarray, slots: np.ndarray) -> np.nda
     certified: with k = floor(log10 |v|), P = |v| * 10**(16 - k) is formed in
     ``np.longdouble``. The power is exact and P < 2**57, so the one rounding
     of the product is at most 2**-8. The certificate asks
-    1e16 < rint(P) < 1e17 and |P - rint(P)| < 1/2 - delta, delta = 2**-6;
+    1e16 < rint(P) < 1e17 and |P - rint(P)| < 1/2 - delta, delta = 2**-7;
     then rint(P) is the correctly rounded 17-digit significand, k is its
     decimal exponent, and no rounding carries into the next power of ten.
     Its digits come from divmod by powers of ten and a table of 4-digit words. Each

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_csv_rows
+from .data import read_plain_csv, write_csv_rows
 from .errors import CapExceededError, MetricFailure
 
 COUPLING_CELL_CAP = 10_000
@@ -338,7 +338,14 @@ def load_distribution_csv(path) -> DiscreteDistribution:
 
     Raises ValueError naming the row of a short or ragged record, and the row
     and column of a cell that does not parse as a number.
+
+    A plain file of at least two columns with no empty cell is read by
+    :func:`entrymean.data.read_plain_csv`; any other file, errors included,
+    goes through the per-cell loop below.
     """
+    table = read_plain_csv(path)
+    if table is not None and table[0].shape[1] >= 2 and not table[1].any():
+        return DiscreteDistribution(table[0][:, :-1], table[0][:, -1])
     rows = []
     width = None
     with open(path, newline="") as fh:

@@ -56,6 +56,16 @@ def test_gen_seed_flag_overrides_config(tmp_path):
     assert (tmp_path / "c.data.csv").read_bytes() != base
 
 
+@pytest.mark.parametrize("command", ["recover", "estimate", "metric"])
+def test_seed_is_refused_where_no_seed_is_used(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "cfg.json", {"out": str(tmp_path / "x")})
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", cfg, "--seed", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_corrupt_tail_hiding(tmp_path):
     data_path, _ = run_gen(tmp_path)
     cfg = write_json(

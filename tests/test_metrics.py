@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -418,14 +420,31 @@ def test_distribution_csv_bytes_match_csv_module(tmp_path, dim):
     assert fast.read_bytes() == direct.read_bytes()
 
 
+@pytest.mark.parametrize("dim", [1, 16])
+def test_distribution_csv_reads_every_cell_like_float(tmp_path, dim):
+    rng = np.random.default_rng(dim + 100)
+    support = rng.standard_normal((500, dim)) * 10.0 ** rng.integers(-8, 20, (500, 1))
+    support[0, 0] = -0.0
+    probs = rng.random(500)
+    path = tmp_path / "dist.csv"
+    save_distribution_csv(DiscreteDistribution(support, probs / probs.sum()), path)
+    with open(path, newline="") as fh:
+        cells = np.array([[float(c) for c in row] for row in csv.reader(fh)])
+    back = load_distribution_csv(path)
+    table = np.column_stack([back.support, back.probs])
+    assert np.array_equal(table, cells)
+    assert np.array_equal(np.signbit(table), np.signbit(cells))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ("1,2,0.5\n3,0.5\n", "row 1 has 2 fields, expected 3"),
         ("1,2,0.5\n3,x,0.5\n", "row 1, column 1: 'x' is not a number"),
         ("0.5\n", "row 0 needs at least one coordinate and a probability"),
+        ("1,,0.5\n3,4,0.5\n", "row 0, column 1: '' is not a number"),
     ],
-    ids=["ragged", "bad_cell", "short"],
+    ids=["ragged", "bad_cell", "short", "empty_cell"],
 )
 def test_distribution_csv_errors_name_the_cell(tmp_path, text, message):
     path = tmp_path / "dist.csv"
