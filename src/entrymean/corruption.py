@@ -76,8 +76,8 @@ class CorruptionPlan:
             raise ValueError("hide edits carry no value")
         if not np.isfinite(value[~hide]).all():
             raise ValueError("replace edits need a finite value")
-        cells = sample * (coord.max(initial=0) + 1) + coord
-        if np.unique(cells).size != cells.size:
+        cells = np.sort(sample * (coord.max(initial=0) + 1) + coord)
+        if (cells[1:] == cells[:-1]).any():
             raise ValueError("plan touches some cell twice")
         columns = {"sample": sample, "coord": coord, "hide": hide, "value": value}
         for name, column in columns.items():
@@ -142,11 +142,27 @@ def can_simulate(a: Budget, b: Budget, dim: int) -> bool:
     return a.value >= b.value
 
 
-def _order_by_largest_first_coordinate(ds: Dataset) -> np.ndarray:
+def _smallest_first(key: np.ndarray, count: int) -> np.ndarray:
+    """Each key row's ``count`` smallest entries by column index, smallest first.
+
+    Ties go to the lower index: the first ``count`` columns of a stable
+    ``argsort``, found by selection. ``np.partition`` finds each row's
+    count-th key, every entry at or below it is a candidate (so every tie at
+    the cut is one), and one stable sort of the candidates alone by
+    (row, key) orders them: O(N + k log k) per row of N keys, k candidates.
+    """
+    count = min(count, key.shape[1])
+    kth = max(count, 1) - 1
+    row, col = np.nonzero(key <= np.partition(key, kth, axis=1)[:, kth : kth + 1])
+    col = col[np.lexsort((key[row, col], row))]  # nonzero is row-major: ties by index
+    return col[np.searchsorted(row, np.arange(key.shape[0]))[:, None] + np.arange(count)]
+
+
+def _order_by_largest_first_coordinate(ds: Dataset, count: int) -> np.ndarray:
+    """The ``count`` samples with the largest visible first coordinate, ties by index."""
     key = np.where(ds.mask[:, 0], -np.inf, ds.values[:, 0])
     key = np.nan_to_num(key, nan=-np.inf)
-    # Stable sort on the negated key: larger values first, ties by sample index.
-    return np.argsort(-key, kind="stable")
+    return _smallest_first(-key[None, :], count)[0]
 
 
 def _hide_smallest(ds: Dataset, coords: np.ndarray, count: int) -> CorruptionPlan:
@@ -158,8 +174,7 @@ def _hide_smallest(ds: Dataset, coords: np.ndarray, count: int) -> CorruptionPla
     """
     hidden = ds.mask[:, coords]
     key = np.nan_to_num(np.where(hidden, np.inf, ds.values[:, coords]), nan=np.inf)
-    # (coordinate, rank); contiguous rows sort faster than strided columns.
-    order = np.argsort(key.T.copy(), axis=1, kind="stable")[:, :count]
+    order = _smallest_first(key.T, count)  # (coordinate, rank)
     keep = ~np.logical_or.accumulate(np.take_along_axis(hidden.T, order, axis=1), axis=1)
     return CorruptionPlan.hiding(order[keep], coords[np.nonzero(keep)[0]])
 
@@ -175,7 +190,7 @@ def plan_sample_shift(ds: Dataset, epsilon: float, shift=10.0) -> CorruptionPlan
         raise ValueError("epsilon must lie in [0, 1]")
     shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), (ds.dim,))
     n_victims = int(np.floor(epsilon * ds.n_samples))
-    victims = _order_by_largest_first_coordinate(ds)[:n_victims]
+    victims = _order_by_largest_first_coordinate(ds, n_victims)
     if ds.mask[victims].any():
         raise ValueError("cannot shift samples that already carry hidden entries")
     n_edits = n_victims * ds.dim
@@ -242,7 +257,7 @@ def plan_unrecoverable_hiding(
     n_victims = min(
         int(np.floor(alpha * ds.dim * ds.n_samples / removal_margin)), ds.n_samples
     )
-    victims = _order_by_largest_first_coordinate(ds)[:n_victims]
+    victims = _order_by_largest_first_coordinate(ds, n_victims)
     coords = [np.sort(rng.choice(ds.dim, size=removal_margin, replace=False)) for _ in victims]
     return CorruptionPlan.hiding(
         np.repeat(victims, removal_margin), np.array(coords, dtype=np.int64).reshape(-1)

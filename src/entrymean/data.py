@@ -62,7 +62,7 @@ class Dataset:
                 f"mask shape {mask.shape} does not match values shape {values.shape}"
             )
         values[mask] = np.nan
-        if not np.all(np.isfinite(values[~mask])):
+        if not (np.isfinite(values) | mask).all():
             raise ValueError("visible entries must be finite")
         self.values = values
         self.mask = mask
@@ -80,6 +80,21 @@ class Dataset:
 
     def hidden_fraction(self) -> float:
         return float(self.mask.mean())
+
+
+def _reduce_visible_columns(values: np.ndarray, mask: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(rows, axis=1)`` of every column's visible entries; none may be empty.
+
+    Columns with one visible count form one contiguous block, a row each, so
+    a row gets the same pairwise sum or median as its 1-d column would.
+    """
+    counts = mask.shape[0] - mask.sum(axis=0)
+    out = np.empty(values.shape[1])
+    for count in np.unique(counts):
+        cols = np.flatnonzero(counts == count)
+        block = values[:, cols].T[~mask[:, cols].T].reshape(cols.size, count)
+        out[cols] = reduce(block, axis=1)
+    return out
 
 
 def load_dataset_csv(path) -> Dataset:

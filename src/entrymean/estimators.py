@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _reduce_visible_columns
 from .errors import (
     CapExceededError,
     CompletionNotConvergedError,
@@ -92,24 +92,21 @@ class EstimatorSpec:
         return self.kind
 
 
-def _visible_columns(ds: Dataset) -> list[np.ndarray]:
-    columns = []
-    for j in range(ds.dim):
-        col = ds.values[~ds.mask[:, j], j]
-        if col.size == 0:
-            raise FullyHiddenCoordinateError(f"coordinate {j} has no visible entries")
-        columns.append(col)
-    return columns
+def _reduce_visible(ds: Dataset, reduce) -> np.ndarray:
+    fully_hidden = ds.mask.all(axis=0)
+    if fully_hidden.any():
+        raise FullyHiddenCoordinateError(f"coordinate {fully_hidden.argmax()} has no visible entries")
+    return _reduce_visible_columns(ds.values, ds.mask, reduce)
 
 
 def empirical_mean(ds: Dataset) -> np.ndarray:
     """Per-coordinate mean of the visible entries."""
-    return np.array([col.mean() for col in _visible_columns(ds)])
+    return _reduce_visible(ds, np.mean)
 
 
 def coordinate_median(ds: Dataset) -> np.ndarray:
     """Per-coordinate median of the visible entries (midpoint on even counts)."""
-    return np.array([np.median(col) for col in _visible_columns(ds)])
+    return _reduce_visible(ds, np.median)
 
 
 def complete_case_mean(ds: Dataset) -> np.ndarray:

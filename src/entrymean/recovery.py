@@ -38,7 +38,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _reduce_visible_columns
 from .errors import (
     AllSamplesDiscardedError,
     CapExceededError,
@@ -290,10 +290,7 @@ def iterative_svd_complete(
         if rows.size == 0:
             return CompletionReport(Dataset(filled), [], discarded, 0, True)
     else:
-        for j in range(filled.shape[1]):
-            col_hidden = hidden[:, j]
-            if col_hidden.any():
-                filled[col_hidden, j] = np.median(values[~col_hidden, j])
+        np.copyto(filled, _reduce_visible_columns(values, hidden, np.median), where=hidden)
     recovered = retained[rows].tolist()
     fixed = np.delete(filled, rows, axis=0)
     fixed_gram = fixed.T @ fixed

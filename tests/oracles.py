@@ -182,6 +182,20 @@ def tail_hiding_direct(values, mask, per_coord):
     return cells
 
 
+def smallest_first_direct(keys, count, hidden=None):
+    """Indices of the ``count`` smallest keys, smallest first, ties to the lower index.
+
+    Plain ``sorted`` of (key, index) pairs; the list stops before the first
+    index whose ``hidden`` flag is set.
+    """
+    picked = []
+    for _, i in sorted((key, i) for i, key in enumerate(keys))[:count]:
+        if hidden is not None and hidden[i]:
+            break
+        picked.append(i)
+    return picked
+
+
 def impute_rows_direct(entries, values, rank_tol):
     """Per-row least-squares imputation; NaN marks a hidden entry.
 

@@ -15,9 +15,10 @@ from entrymean.corruption import (
     plan_unrecoverable_hiding,
     save_plan_csv,
 )
+from entrymean.corruption import _smallest_first
 from entrymean.data import Dataset
 import oracles
-from oracles import plan_budgets_direct, tail_hiding_direct
+from oracles import plan_budgets_direct, smallest_first_direct, tail_hiding_direct
 
 SAMPLE = AdversaryKind.SAMPLE_FRACTION
 COORD = AdversaryKind.PER_COORDINATE_FRACTION
@@ -171,6 +172,77 @@ def test_unrecoverable_hiding_budget_and_shape():
     assert all(len(coords) == margin for coords in per_sample.values())
     assert len(per_sample) == int(np.floor(alpha * 6 * 40 / margin))
     assert len(plan) <= alpha * 6 * 40
+
+
+def order_fuzz_tables(seed):
+    """Small tables with integer ties or signed zeros and 0-100% hidden columns,
+    each with the per-coordinate counts 0, 1, N - 1, N and N + 3."""
+    rng = np.random.default_rng(seed)
+    for case in range(300):
+        n, dim = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        if case % 2:
+            values = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        else:
+            values = rng.choice([-0.0, 0.0, 1.0], size=(n, dim))
+        mask = rng.random((n, dim)) < rng.choice([0.0, 0.4, 1.0], size=dim)
+        for count in sorted({0, 1, max(n - 1, 0), n, n + 3}):
+            yield values, mask, count
+
+
+def visible_keys(values, mask, j, sign=1.0):
+    return [sign * v if not h else float("inf") for v, h in zip(values[:, j].tolist(), mask[:, j])]
+
+
+def planned_order(family, values, mask, count):
+    """The planner's order for ``count`` and the direct one, as two lists."""
+    n, dim = values.shape
+    ds = Dataset(values, mask)
+    if family == "tail_hiding":
+        plan = plan_tail_hiding(ds, min((count + 0.5) / n, 1.0))
+        expected = [
+            (i, j)
+            for j in range(dim)
+            for i in smallest_first_direct(visible_keys(values, mask, j), count, mask[:, j])
+        ]
+        return list(zip(plan.sample.tolist(), plan.coord.tolist())), expected
+    if family == "concentrated_hiding":
+        plan = plan_concentrated_hiding(ds, min((count + 0.5) / (n * dim), 1.0))
+        variances = [
+            float(np.var(values[~mask[:, j], j])) if (~mask[:, j]).any() else -np.inf
+            for j in range(dim)
+        ]
+        target = variances.index(max(variances))
+        hidden = smallest_first_direct(visible_keys(values, mask, target), count, mask[:, target])
+        return list(zip(plan.sample.tolist(), plan.coord.tolist())), [(i, target) for i in hidden]
+    # Victims: the largest visible first coordinates, ties to the lower index.
+    expected = smallest_first_direct(visible_keys(values, mask, 0, sign=-1.0), count)
+    if family == "sample_shift":
+        if mask[expected].any():
+            with pytest.raises(ValueError, match="hidden entries"):
+                plan_sample_shift(ds, min((count + 0.5) / n, 1.0))
+            return expected, expected
+        plan = plan_sample_shift(ds, min((count + 0.5) / n, 1.0))
+        return plan.sample[::dim].tolist(), expected
+    margin = int(np.random.default_rng(count).integers(1, dim + 1))
+    alpha = min((count + 0.5) * margin / (dim * n), 1.0)
+    plan = plan_unrecoverable_hiding(ds, alpha, margin, np.random.default_rng(0))
+    return plan.sample[::margin].tolist(), expected
+
+
+@pytest.mark.parametrize(
+    "family", ["tail_hiding", "concentrated_hiding", "sample_shift", "unrecoverable_hiding"]
+)
+def test_planner_order_matches_direct_sort(family):
+    for values, mask, count in order_fuzz_tables(seed=21):
+        got, expected = planned_order(family, values, mask, count)
+        assert got == expected, (family, values.tolist(), mask.tolist(), count)
+
+
+def test_smallest_first_matches_direct_sort():
+    for values, mask, count in order_fuzz_tables(seed=22):
+        key = np.where(mask, np.inf, values).T
+        expected = [smallest_first_direct(row, count) for row in key.tolist()]
+        assert _smallest_first(key, count).tolist() == expected
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,42 @@ def test_empirical_mean_fully_hidden_coordinate_fails():
     ds = masked([[1.0, 0.0], [2.0, 0.0]], [[False, True], [False, True]])
     with pytest.raises(FullyHiddenCoordinateError):
         empirical_mean(ds)
+    # The lowest fully hidden coordinate is named, by the median too.
+    ds = masked(
+        [[1.0, 0.0, 5.0, 0.0], [2.0, 0.0, 6.0, 0.0]],
+        [[False, True, True, True], [False, True, False, True]],
+    )
+    for estimator in (empirical_mean, coordinate_median):
+        with pytest.raises(FullyHiddenCoordinateError, match="^coordinate 1 has no visible entries$"):
+            estimator(ds)
+
+
+def column_estimator_tables():
+    """Tables whose coordinates have mixed visible counts, all the same count
+    (even and odd), or one row; magnitudes spread so that summation order shows."""
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((1001, 7)) * np.logspace(-3, 9, 7) + 1e3
+    mixed = rng.random(values.shape) < rng.random(7)
+    mixed[0] = False
+    equal = np.zeros(values.shape, dtype=bool)
+    for j in range(7):
+        equal[rng.permutation(1001)[:301], j] = True
+    return {
+        "mixed_counts": (values, mixed),
+        "equal_odd_counts": (values, np.zeros(values.shape, dtype=bool)),
+        "equal_even_counts": (values, equal),
+        "one_row": (values[:1], np.zeros((1, 7), dtype=bool)),
+        "two_rows_mixed_counts": (values[:2], np.arange(14).reshape(2, 7) % 3 == 0),
+    }
+
+
+@pytest.mark.parametrize("table", sorted(column_estimator_tables()))
+def test_column_estimators_equal_numpy_per_coordinate_bitwise(table):
+    values, mask = column_estimator_tables()[table]
+    ds = masked(values, mask)
+    columns = [ds.values[~ds.mask[:, j], j] for j in range(ds.dim)]
+    assert empirical_mean(ds).tobytes() == np.array([np.mean(c) for c in columns]).tobytes()
+    assert coordinate_median(ds).tobytes() == np.array([np.median(c) for c in columns]).tobytes()
 
 
 def test_coordinate_median_midpoint_convention():
