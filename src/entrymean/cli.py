@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import corruption, estimators, metrics
-from .data import load_dataset_csv, save_dataset_csv
+from .data import load_dataset_csv, read_dense_csv, save_dataset_csv
 from .datagen import draw_latents, make_structure, synthesize
-from .errors import ConfigError, EstimatorFailure, MetricFailure
+from .errors import ConfigError, EstimatorFailure, MetricFailure, whole_number
 from .experiment import (
     ingest_csv,
     load_config,
@@ -50,7 +50,7 @@ def _out_prefix(cfg: dict, args) -> str:
 
 
 def _seed(cfg: dict, args, default=0) -> int:
-    return args.seed if args.seed is not None else int(cfg.get("seed", default))
+    return args.seed if args.seed is not None else whole_number("seed", cfg.get("seed", default))
 
 
 def cmd_gen(args) -> int:
@@ -135,7 +135,7 @@ def cmd_metric(args) -> int:
         if kind == "l2":
             value = metrics.l2_error(est, ref)
         else:
-            sigma = np.loadtxt(_need(cfg, "covariance_csv"), delimiter=",", ndmin=2)
+            sigma = read_dense_csv(_need(cfg, "covariance_csv"))
             value = metrics.mahalanobis_error(est, ref, sigma)
     else:
         raise ConfigError(f"unknown metric kind {kind!r}")

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, write_csv_rows
+from .data import Dataset
 from .errors import ConfigError
 from .structure import StructureMatrix
 
@@ -76,8 +76,14 @@ class CorruptionPlan:
             raise ValueError("hide edits carry no value")
         if not np.isfinite(value[~hide]).all():
             raise ValueError("replace edits need a finite value")
-        cells = np.sort(sample * (coord.max(initial=0) + 1) + coord)
-        if (cells[1:] == cells[:-1]).any():
+        span = int(coord.max(initial=0)) + 1
+        if (int(sample.max(initial=0)) + 1) * span <= np.iinfo(np.int64).max:
+            cells = np.sort(sample * span + coord)  # cell ids, none of which wraps
+            repeated = cells[1:] == cells[:-1]
+        else:  # several times slower: sort the (sample, coord) pairs
+            order = np.lexsort((coord, sample))
+            repeated = (np.diff(sample[order]) == 0) & (np.diff(coord[order]) == 0)
+        if repeated.any():
             raise ValueError("plan touches some cell twice")
         columns = {"sample": sample, "coord": coord, "hide": hide, "value": value}
         for name, column in columns.items():
@@ -300,21 +306,16 @@ def save_plan_csv(plan: CorruptionPlan, path) -> None:
 
     The bytes are those of ``csv.writer``: the indices as integers, the
     action word, and a replacement value as ``format(v, ".17g")`` or an empty
-    cell for a hidden one. Indices below 2**53 are exact doubles, whose
-    ``'%.17g'`` is the integer; larger ones are written from their digits.
+    cell for a hidden one.
     """
-    index = np.column_stack([plan.sample, plan.coord])
-    table = np.column_stack([index, np.zeros(len(plan)), plan.value])
-    hidden = np.zeros(table.shape, dtype=bool)
-    hidden[:, :2] = index >= 2**53
-    hidden[:, 2] = True
-    hidden[:, 3] = plan.hide
-    fill = np.zeros(table.shape, dtype="S20")
-    fill[:, :2][hidden[:, :2]] = [str(i).encode() for i in index[hidden[:, :2]].tolist()]
-    fill[:, 2] = np.where(plan.hide, HIDE.encode(), REPLACE.encode())
-    with open(path, "wb") as fh:
-        fh.write(b"sample,coord,action,value\r\n")
-        write_csv_rows(fh, table, hidden, fill)
+    columns = (plan.sample.tolist(), plan.coord.tolist(), plan.hide.tolist(), plan.value.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("sample,coord,action,value\r\n")
+        rows = (
+            f"{s},{c},{HIDE},\r\n" if h else f"{s},{c},{REPLACE},{v:.17g}\r\n"
+            for s, c, h, v in zip(*columns)
+        )
+        fh.write("".join(rows))
 
 
 def load_plan_csv(path) -> CorruptionPlan:

@@ -1,21 +1,23 @@
 """Sample tables with an explicit mask for hidden entries, and their CSV form.
 
-The CSV reader takes two routes. A plain file (decimal numbers, empty cells
-for hidden entries, LF or CRLF line ends) is read in blocks of whole lines:
-the hidden mask comes from where the empty fields sit, and ``np.loadtxt``
-parses the block's visible cells, their points dropped, as one line of int64
-significands and exponents. Each value is the significand times 10**-s, s
-its digits after the point less its exponent, formed in bulk in
-``np.longdouble`` and rounded to a double. That longdouble is within half a
-unit in its last place of the exact value, so unless it is itself a rounding
-boundary of doubles, the double is the correctly rounded one that ``float``
-gives. Boundaries, cells with ``nan`` or ``inf``, more than 18 significant
-digits or |s| > 27, and every cell where longdouble has fewer than 64
-significand bits are read by ``float`` from their own bytes. See
-:func:`_parse_block`. Anything else (quotes, spaces,
-blank lines, ragged rows, a cell that does not parse) makes the whole file go
-through a per-cell ``csv.reader`` loop, which also raises the errors. Both
-routes give the same table, bit for bit.
+This module is the one reader of numeric CSV tables: datasets, and through
+:func:`read_dense_csv` distributions, structures and covariances. A blank
+line or a ``#`` comment is refused. The reader takes two routes. A plain
+file (decimal numbers, empty cells for hidden entries, LF or CRLF line ends)
+is read in blocks of whole lines: the hidden mask comes from where the empty
+fields sit, and ``np.loadtxt`` parses the block's visible cells, their
+points dropped, as one line of int64 significands and exponents. Each value
+is the significand times 10**-s, s its digits after the point less its
+exponent, formed in bulk in ``np.longdouble`` and rounded to a double. That
+longdouble is within half a unit in its last place of the exact value, so
+unless it is itself a rounding boundary of doubles, the double is the
+correctly rounded one that ``float`` gives. Boundaries, cells with ``nan``
+or ``inf``, more than 18 significant digits or |s| > 27, and every cell
+where longdouble has fewer than 64 significand bits are read by ``float``
+from their own bytes. See :func:`_parse_block`. Anything else (quotes,
+spaces, blank lines, ragged rows, a cell that does not parse) makes the
+whole file go through a per-cell ``csv.reader`` loop, which also raises the
+errors. Both routes give the same table, bit for bit.
 
 The CSV writer gives the bytes of ``csv.writer`` with every visible cell as
 ``'%.17g' % v``, without a Python call for most cells. With k the decimal
@@ -102,16 +104,24 @@ def load_dataset_csv(path) -> Dataset:
 
     Raises ValueError naming the offending row and column for ragged rows or
     cells that do not parse as decimal numbers.
-
-    A plain file is read by :func:`read_plain_csv`. A file it refuses is read
-    again from the start by :func:`_load_by_cell`, which settles everything
-    else: the errors, padded or quoted cells, and what ``float`` accepts
-    beyond the C parser (``1_0``).
     """
-    table = read_plain_csv(path)
-    if table is None:
-        return _load_by_cell(path)
-    return Dataset(*table)
+    return Dataset(*_read_csv(path))
+
+
+def read_dense_csv(path) -> np.ndarray:
+    """The values of a CSV table read as :func:`load_dataset_csv` reads it,
+    with its errors; an empty cell raises ValueError naming its row and column."""
+    values, hidden = _read_csv(path)
+    if hidden.any():
+        i, j = np.argwhere(hidden)[0]
+        raise ValueError(f"row {i}, column {j}: '' is not a number")
+    return values
+
+
+def _read_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Values and hidden mask by :func:`read_plain_csv`, or where it refuses
+    the file, from the start by :func:`_load_by_cell`: the one read path."""
+    return read_plain_csv(path) or _load_by_cell(path)
 
 
 def read_plain_csv(path):
@@ -285,7 +295,9 @@ def _on_boundary(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.abs(off + off) == np.abs(neighbour - d)
 
 
-def _load_by_cell(path) -> Dataset:
+def _load_by_cell(path) -> tuple[np.ndarray, np.ndarray]:
+    """Values and hidden mask one ``csv.reader`` cell at a time. It settles what the
+    plain reader refuses: the errors, padded or quoted cells, and ``float``'s ``1_0``."""
     rows: list[list[float]] = []
     mask_rows: list[list[bool]] = []
     width = None
@@ -316,7 +328,7 @@ def _load_by_cell(path) -> Dataset:
             mask_rows.append(hidden)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(mask_rows))
+    return np.array(rows), np.array(mask_rows)
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:
@@ -334,19 +346,17 @@ def save_dataset_csv(ds: Dataset, path) -> None:
 def write_csv_rows(fh, values: np.ndarray, hidden: np.ndarray | None = None, fill=b"") -> None:
     """Write a 2-d float table to the binary file ``fh`` as CSV lines.
 
-    A visible cell is written as ``'%.17g' % v``, a hidden one as its entry
-    of ``fill`` (bytes of at most ``_FIELD``, or an array of them broadcast
-    to the table's shape);
-    cells are separated by commas and rows ended by CRLF, as ``csv.writer``
-    does for fields that need no quotes. Blocks of about ``_BLOCK_CELLS``
-    cells are formatted by :func:`_format_g17`, each into one byte array
-    with a fixed-width slot per cell, and the unused bytes of the slots are
-    dropped with one boolean mask.
+    A visible cell is written as ``'%.17g' % v``, a hidden one as the bytes
+    ``fill`` (at most ``_FIELD``); cells are separated by commas and rows
+    ended by CRLF, as ``csv.writer`` does for fields that need no quotes.
+    Blocks of about ``_BLOCK_CELLS`` cells are formatted by
+    :func:`_format_g17`, each into one byte array with a fixed-width slot per
+    cell, and the unused bytes of the slots are dropped with one boolean mask.
     """
     values = np.asarray(values, dtype=float)
     if hidden is None:
         hidden = np.zeros(values.shape, dtype=bool)
-    fill = np.broadcast_to(np.asarray(fill, dtype=f"S{_FIELD}"), values.shape)
+    fill = np.frombuffer(fill, dtype=np.uint8)
     n_cols = values.shape[1]
     step = max(1, _BLOCK_CELLS // n_cols)
     for start in range(0, values.shape[0], step):
@@ -354,9 +364,8 @@ def write_csv_rows(fh, values: np.ndarray, hidden: np.ndarray | None = None, fil
         block_hidden = hidden[rows]
         slots = np.zeros((block_hidden.size, _SLOT), dtype=np.uint8)
         length = _format_g17(values[rows].ravel(), ~block_hidden.ravel(), slots)
-        texts = fill[rows][block_hidden].view(np.uint8).reshape(-1, _FIELD)
-        slots[block_hidden.ravel(), :_FIELD] = texts
-        length[block_hidden.ravel()] = np.count_nonzero(texts, axis=1)
+        slots[block_hidden.ravel(), : fill.size] = fill
+        length[block_hidden.ravel()] = fill.size
         # Each field is followed by "," or, at the end of a row, by CRLF.
         flat = slots.ravel()
         at = np.arange(0, flat.size, _SLOT) + length

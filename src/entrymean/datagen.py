@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .errors import whole_number
 from .structure import StructureMatrix
 
 LATENT_KINDS = ("gaussian", "uniform", "exponential")
@@ -91,7 +92,9 @@ class StructureSpec:
         if self.kind == "block_diagonal":
             if not self.blocks:
                 raise ValueError("block_diagonal needs block shapes")
-            blocks = tuple((int(a), int(b)) for a, b in self.blocks)
+            blocks = tuple(
+                (whole_number("blocks", a), whole_number("blocks", b)) for a, b in self.blocks
+            )
             if any(a < 1 or b < 1 for a, b in blocks):
                 raise ValueError("block shapes must be positive")
             if sum(a for a, _ in blocks) != self.n or sum(b for _, b in blocks) != self.r:

@@ -1,8 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number rule of config fields."""
 
 
 class ConfigError(ValueError):
     """The run configuration is malformed."""
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int, exact for an int; a ConfigError naming ``name``
+    unless it is a whole number (``3.0`` is, ``True`` is not)."""
+    if type(value) is int:
+        return value
+    try:
+        if not isinstance(value, bool) and float(value).is_integer():
+            return int(float(value))
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be a whole number, got {value!r}")
 
 
 class CapExceededError(ValueError):

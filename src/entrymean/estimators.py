@@ -13,6 +13,7 @@ from .errors import (
     CompletionNotConvergedError,
     FullyHiddenCoordinateError,
     NoCleanSamplesError,
+    whole_number,
 )
 from .recovery import (
     CompletionReport,
@@ -32,13 +33,6 @@ ESTIMATOR_KINDS = (
 RECOVERY_METHODS = ("known_structure", "iterative_svd", "replacement")
 
 
-def _whole_number(name: str, value) -> int:
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(number)
-
-
 @dataclass(frozen=True)
 class RecoverySpec:
     """How the first stage of a two-step estimator repairs the data; the one
@@ -53,10 +47,10 @@ class RecoverySpec:
         if self.method not in RECOVERY_METHODS:
             raise ValueError(f"method must be one of {RECOVERY_METHODS}, got {self.method!r}")
         if self.rank is not None:
-            object.__setattr__(self, "rank", _whole_number("rank", self.rank))
+            object.__setattr__(self, "rank", whole_number("rank", self.rank))
         if self.method == "iterative_svd" and (self.rank is None or self.rank < 1):
             raise ValueError("iterative_svd recovery needs a positive rank")
-        object.__setattr__(self, "max_iter", _whole_number("max_iter", self.max_iter))
+        object.__setattr__(self, "max_iter", whole_number("max_iter", self.max_iter))
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not (math.isfinite(self.tol) and self.tol >= 0):

@@ -25,7 +25,7 @@ from .datagen import (
     population_mean,
     synthesize,
 )
-from .errors import ConfigError, EstimatorFailure, MetricFailure
+from .errors import ConfigError, EstimatorFailure, MetricFailure, whole_number
 from .estimators import EstimatorSpec, RecoverySpec, empirical_mean, estimate
 from .metrics import l2_error, mahalanobis_error
 from .structure import StructureMatrix, load_structure_csv
@@ -142,11 +142,11 @@ def parse_structure_spec(obj: dict, default_seed: int | None = None) -> Structur
     try:
         return StructureSpec(
             kind=obj["kind"],
-            n=int(obj["n"]),
-            r=int(obj["r"]),
+            n=whole_number("n", obj["n"]),
+            r=whole_number("r", obj["r"]),
             blocks=tuple(tuple(b) for b in obj["blocks"]) if obj.get("blocks") else None,
             entries=np.array(obj["entries"], dtype=float) if "entries" in obj else None,
-            seed=int(obj["seed"]) if obj.get("seed") is not None else default_seed,
+            seed=whole_number("seed", obj["seed"]) if obj.get("seed") is not None else default_seed,
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad structure spec: {exc}") from None
@@ -157,7 +157,7 @@ def parse_latent_spec(obj: dict) -> LatentSpec:
     try:
         return LatentSpec(
             kind=obj["kind"],
-            dim=int(obj["dim"]),
+            dim=whole_number("dim", obj["dim"]),
             mean=np.array(obj.get("mean", 0.0), dtype=float),
             scale=np.array(obj.get("scale", 1.0), dtype=float),
         )
@@ -170,7 +170,7 @@ def parse_synthetic_data(obj: dict, seed: int) -> DataConfig:
     seeds a structure that names no seed of its own."""
     _require("structure" in obj, "synthetic data needs a structure spec")
     _require("latent" in obj, "synthetic data needs a latent spec")
-    n_samples = int(obj.get("n_samples", 0))
+    n_samples = whole_number("n_samples", obj.get("n_samples", 0))
     _require(n_samples >= 1, "n_samples must be at least 1")
     data = DataConfig(
         kind="synthetic",
@@ -184,9 +184,9 @@ def parse_synthetic_data(obj: dict, seed: int) -> DataConfig:
 
 def parse_config(obj: dict) -> ExperimentConfig:
     _require(isinstance(obj, dict), "config must be a JSON object")
-    seed = int(obj.get("seed", 0))
+    seed = whole_number("seed", obj.get("seed", 0))
     _require(seed >= 0, "seed must be nonnegative")
-    trials = int(obj.get("trials", 1))
+    trials = whole_number("trials", obj.get("trials", 1))
     _require(trials >= 1, "trials must be at least 1")
     adversary = obj.get("adversary")
     _require(adversary in ADVERSARIES, f"adversary must be one of {ADVERSARIES}")

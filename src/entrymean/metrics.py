@@ -27,12 +27,11 @@ programs use it.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_plain_csv, write_csv_rows
+from .data import read_dense_csv, write_csv_rows
 from .errors import CapExceededError, MetricFailure
 
 COUPLING_CELL_CAP = 10_000
@@ -65,8 +64,8 @@ class DiscreteDistribution:
     """Finitely supported distribution on R^dim.
 
     ``support`` holds one atom per row; ``probs`` are the matching masses.
-    Atoms must be pairwise distinct and the masses must sum to one within
-    1e-9.
+    Atoms must be pairwise distinct and the masses finite, nonnegative and
+    summing to one within 1e-9.
     """
 
     support: np.ndarray
@@ -81,6 +80,8 @@ class DiscreteDistribution:
             raise ValueError("support must hold at least one atom")
         if not np.all(np.isfinite(support)):
             raise ValueError("atoms must be finite")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-9:
@@ -336,36 +337,13 @@ def mahalanobis_error(estimate, reference, covariance, rank_tol: float = 1e-10) 
 def load_distribution_csv(path) -> DiscreteDistribution:
     """Read atoms from CSV: each row is the atom's coordinates then its mass.
 
-    Raises ValueError naming the row of a short or ragged record, and the row
-    and column of a cell that does not parse as a number.
-
-    A plain file of at least two columns with no empty cell is read by
-    :func:`entrymean.data.read_plain_csv`; any other file, errors included,
-    goes through the per-cell loop below.
+    Read by :func:`entrymean.data.read_dense_csv`, which names the row of a
+    ragged record, and the row and column of a cell that does not parse as a
+    number or is empty.
     """
-    table = read_plain_csv(path)
-    if table is not None and table[0].shape[1] >= 2 and not table[1].any():
-        return DiscreteDistribution(table[0][:, :-1], table[0][:, -1])
-    rows = []
-    width = None
-    with open(path, newline="") as fh:
-        for i, record in enumerate(csv.reader(fh)):
-            if len(record) < 2:
-                raise ValueError(f"row {i} needs at least one coordinate and a probability")
-            if width is None:
-                width = len(record)
-            elif len(record) != width:
-                raise ValueError(f"row {i} has {len(record)} fields, expected {width}")
-            row = []
-            for j, cell in enumerate(record):
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"row {i}, column {j}: {cell!r} is not a number") from None
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: empty distribution file")
-    table = np.array(rows)
+    table = read_dense_csv(path)
+    if table.shape[1] < 2:
+        raise ValueError("row 0 needs at least one coordinate and a probability")
     return DiscreteDistribution(table[:, :-1], table[:, -1])
 
 

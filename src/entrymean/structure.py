@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .data import read_dense_csv
 from .errors import CapExceededError, DegenerateMatrixError
 
 DEFAULT_RANK_TOL = 1e-10
@@ -178,9 +179,8 @@ def sample_independent_rows(
 
 
 def load_structure_csv(path, rank_tol: float = DEFAULT_RANK_TOL) -> StructureMatrix:
-    """Read a structure matrix from a headerless CSV, one row per coordinate."""
-    entries = np.loadtxt(path, delimiter=",", ndmin=2)
-    return StructureMatrix(entries, rank_tol=rank_tol)
+    """Read a structure matrix, one row per coordinate, by :func:`.data.read_dense_csv`."""
+    return StructureMatrix(read_dense_csv(path), rank_tol=rank_tol)
 
 
 def save_structure_csv(a: StructureMatrix, path) -> None:

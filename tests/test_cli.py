@@ -271,6 +271,49 @@ def test_metric_vector_errors(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kind", ["tv", "entrywise_avg", "entrywise_max"])
+def test_metric_refuses_a_nan_mass(tmp_path, capsys, kind):
+    good = tmp_path / "good.csv"
+    good.write_text("0,0.5\n1,0.5\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,nan\n1,1\n")
+    cfg = write_json(
+        tmp_path / "metric.json", {"kind": kind, "left_csv": str(good), "right_csv": str(bad)}
+    )
+    assert main(["metric", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "config error: probabilities must be finite\n")
+
+
+def test_metric_covariance_empty_cell_names_the_cell(tmp_path, capsys):
+    cov = tmp_path / "cov.csv"
+    cov.write_text("4.0,0.0\n0.0,\n")
+    cfg = write_json(
+        tmp_path / "maha.json",
+        {
+            "kind": "mahalanobis",
+            "estimate": [3.0, 0.0],
+            "reference": [1.0, 0.0],
+            "covariance_csv": str(cov),
+        },
+    )
+    assert main(["metric", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "config error: row 1, column 1: '' is not a number\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "corrupt"])
+def test_config_seed_must_be_a_whole_number(tmp_path, capsys, command):
+    data_csv, _ = run_gen(tmp_path)
+    if command == "gen":
+        cfg = dict(GEN_CONFIG, seed=1.9, out=str(tmp_path / "seeded"))
+    else:
+        cfg = {"seed": 1.9, "data_csv": str(data_csv), "adversary": "tail_hiding", "budget": 0.1}
+    config = write_json(tmp_path / "seeded.json", cfg)
+    capsys.readouterr()
+    assert main([command, "--config", config, "--out", str(tmp_path / "seeded")]) == 1
+    assert capsys.readouterr().err == "config error: seed must be a whole number, got 1.9\n"
+
+
 def test_experiment_subcommand(tmp_path):
     cfg_obj = {
         "seed": 3,

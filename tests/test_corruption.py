@@ -67,6 +67,12 @@ def test_plan_rejects_duplicate_cells():
     with pytest.raises(ValueError):
         CorruptionPlan.hiding([0, 0], [0, 0])
     assert len(CorruptionPlan.hiding([0, 1], [1, 0])) == 2  # same numbers, distinct cells
+    # Cell ids sample * (max coord + 1) + coord would pass 2**63 here.
+    assert len(CorruptionPlan.hiding([0, 2**62], [3, 3])) == 2
+    assert len(CorruptionPlan.hiding([0, 1], [2**63 - 1, 2**63 - 1])) == 2
+    for sample, coord in [([2**62, 5, 2**62], [3, 0, 3]), ([0, 0], [2**63 - 1, 2**63 - 1])]:
+        with pytest.raises(ValueError, match="plan touches some cell twice"):
+            CorruptionPlan.hiding(sample, coord)
 
 
 def test_apply_plan_hide_and_replace():

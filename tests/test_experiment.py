@@ -304,6 +304,21 @@ def replacement_method(**options):
             lambda c: c.update(methods=[replacement_method(exponent=2.0)]),
             "exponent is no longer a recovery option",
         ),
+        (lambda c: c.update(trials=2.5), "trials must be a whole number, got 2.5"),
+        (lambda c: c.update(seed=1.9), "seed must be a whole number, got 1.9"),
+        (lambda c: c.update(seed=True), "seed must be a whole number, got True"),
+        (lambda c: c["data"].update(n_samples=100.7), "n_samples must be a whole number"),
+        (lambda c: c["data"]["structure"].update(n=5.5), "n must be a whole number"),
+        (lambda c: c["data"]["structure"].update(r=3.5), "r must be a whole number"),
+        (lambda c: c["data"]["structure"].update(seed=1.5), "seed must be a whole number"),
+        (lambda c: c["data"]["latent"].update(dim=3.5), "dim must be a whole number"),
+        (
+            lambda c: c["data"].update(
+                structure={"kind": "block_diagonal", "n": 5, "r": 3, "blocks": [[2.5, 1], [3, 2]]}
+            ),
+            "blocks must be a whole number, got 2.5",
+        ),
+        (lambda c: c.update(trials=None), "trials must be a whole number, got None"),
     ],
 )
 def test_parse_config_rejects_bad_fields(mutate, message):
@@ -311,6 +326,14 @@ def test_parse_config_rejects_bad_fields(mutate, message):
     mutate(cfg_obj)
     with pytest.raises(ConfigError, match=message):
         parse_config(cfg_obj)
+
+
+def test_integer_fields_keep_their_exact_value():
+    cfg_obj = base_config()
+    cfg_obj.update(seed=2**53 + 1, trials=2.0)
+    cfg_obj["data"]["structure"]["seed"] = 2**60 + 1
+    cfg = parse_config(cfg_obj)
+    assert (cfg.seed, cfg.trials, cfg.data.structure.seed) == (2**53 + 1, 2, 2**60 + 1)
 
 
 def test_csv_data_requires_path():

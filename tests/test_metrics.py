@@ -69,6 +69,9 @@ def test_distribution_validation():
         DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([-0.1, 1.1]))
+    for probs in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            DiscreteDistribution(np.array([[0.0], [1.0]]), np.array(probs))
 
 
 def test_tv_golden_values():

@@ -142,6 +142,39 @@ def test_structure_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.entries, a.entries)
 
 
+def test_structure_csv_reads_like_loadtxt(tmp_path):
+    rng = np.random.default_rng(14)
+    for trial in range(60):
+        n, r = rng.integers(1, 17), rng.integers(1, 9)
+        entries = rng.standard_normal((n, r)) * 10.0 ** rng.integers(-300, 301, (n, r))
+        entries[rng.random((n, r)) < 0.1] = 0.0
+        entries[rng.random((n, r)) < 0.1] = -0.0
+        path = tmp_path / f"structure{trial}.csv"
+        save_structure_csv(StructureMatrix(entries), path)
+        expected = np.loadtxt(path, delimiter=",", ndmin=2)
+        got = load_structure_csv(path).entries
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2\n3,\n", "row 1, column 1: '' is not a number"),
+        ("1,2\n# a,b\n3,4\n", "row 1, column 0: '# a' is not a number"),
+        ("1,2\n\n3,4\n", "row 1 has 0 fields, expected 2"),
+    ],
+    ids=["empty_cell", "comment", "blank_line"],
+)
+def test_structure_csv_errors_name_the_row(tmp_path, text, message):
+    path = tmp_path / "structure.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_structure_csv(path)
+    assert str(info.value) == message
+
+
 def test_structure_matrix_validation():
     with pytest.raises(ValueError):
         StructureMatrix(np.zeros((0, 2)))
