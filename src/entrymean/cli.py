@@ -21,7 +21,7 @@ import numpy as np
 from . import corruption, estimators, metrics
 from .data import load_dataset_csv, read_dense_csv, save_dataset_csv
 from .datagen import draw_latents, make_structure, synthesize
-from .errors import ConfigError, EstimatorFailure, MetricFailure, whole_number
+from .errors import ConfigError, EstimatorFailure, MetricFailure, boolean, number, whole_number
 from .experiment import (
     ingest_csv,
     load_config,
@@ -71,10 +71,10 @@ def cmd_corrupt(args) -> int:
     seed = _seed(cfg, args)
     ds = load_dataset_csv(_need(cfg, "data_csv"))
     adversary = _need(cfg, "adversary")
-    budget = float(_need(cfg, "budget"))
+    budget = number("budget", _need(cfg, "budget"))
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
     rng = np.random.default_rng(seed)
-    shift = float(cfg.get("shift", 10.0))
+    shift = number("shift", cfg.get("shift", 10.0))
     plan = corruption.make_plan(adversary, ds, budget, rng, shift=shift, structure=a)
     prefix = _out_prefix(cfg, args)
     corruption.save_plan_csv(plan, f"{prefix}.plan.csv")
@@ -101,7 +101,7 @@ def cmd_recover(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = load_json(args.config)
-    ds = ingest_csv(_need(cfg, "data_csv"), bool(cfg.get("standardize", False)))
+    ds = ingest_csv(_need(cfg, "data_csv"), boolean("standardize", cfg.get("standardize", False)))
     spec = parse_estimator_spec(_need(cfg, "estimator"))
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
     vec = estimators.estimate(ds, spec, a)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the whole-number rule of config fields."""
+"""Exception types shared across the package, and the type rules of config fields."""
 
 
 class ConfigError(ValueError):
@@ -16,6 +16,25 @@ def whole_number(name: str, value) -> int:
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"{name} must be a whole number, got {value!r}")
+
+
+def number(name: str, value) -> float:
+    """``value`` as a float; a ConfigError naming ``name`` unless it is a number
+    (``0.5`` and ``"0.5"`` are, ``True`` is not)."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be a float, got {value!r}")
+
+
+def boolean(name: str, value) -> bool:
+    """``value`` if it is a JSON ``true`` or ``false``; a ConfigError naming ``name``
+    otherwise (``"false"`` and ``0`` are not)."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 class CapExceededError(ValueError):
@@ -57,3 +76,8 @@ class ReplacementDecodingError(EstimatorFailure):
 
 class MetricFailure(RuntimeError):
     """A metric could not be evaluated on the given inputs."""
+
+
+class NonFiniteMetricInputError(ValueError, MetricFailure):
+    """A metric was given a NaN or infinite entry: a config error from the
+    ``metric`` command, a missing value in an experiment."""

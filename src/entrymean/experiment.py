@@ -25,7 +25,7 @@ from .datagen import (
     population_mean,
     synthesize,
 )
-from .errors import ConfigError, EstimatorFailure, MetricFailure, whole_number
+from .errors import ConfigError, EstimatorFailure, MetricFailure, boolean, number, whole_number
 from .estimators import EstimatorSpec, RecoverySpec, empirical_mean, estimate
 from .metrics import l2_error, mahalanobis_error
 from .structure import StructureMatrix, load_structure_csv
@@ -115,7 +115,7 @@ def parse_recovery_spec(obj: dict) -> RecoverySpec:
     options = {key: obj[key] for key in ("rank", "max_iter", "tol") if key in obj}
     try:
         if "tol" in options:
-            options["tol"] = float(options["tol"])
+            options["tol"] = number("tol", options["tol"])
         return RecoverySpec(obj["method"], **options)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
@@ -190,7 +190,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     _require(trials >= 1, "trials must be at least 1")
     adversary = obj.get("adversary")
     _require(adversary in ADVERSARIES, f"adversary must be one of {ADVERSARIES}")
-    budgets = tuple(float(b) for b in obj.get("budgets", ()))
+    budgets = tuple(number("budgets", b) for b in obj.get("budgets", ()))
     _require(len(budgets) >= 1, "at least one budget is required")
     _require(all(0.0 <= b <= 1.0 for b in budgets), "budgets must lie in [0, 1]")
     _require(
@@ -206,7 +206,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         data = DataConfig(
             kind="csv",
             path=str(data_obj["path"]),
-            standardize=bool(data_obj.get("standardize", False)),
+            standardize=boolean("standardize", data_obj.get("standardize", False)),
             structure_path=data_obj.get("structure_path"),
         )
     else:
@@ -229,7 +229,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         data=data,
         methods=methods,
         metrics=metrics,
-        shift=float(obj.get("shift", 10.0)),
+        shift=number("shift", obj.get("shift", 10.0)),
         raw=obj,
     )
 

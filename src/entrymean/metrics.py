@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_dense_csv, write_csv_rows
-from .errors import CapExceededError, MetricFailure
+from .errors import CapExceededError, MetricFailure, NonFiniteMetricInputError
 
 COUPLING_CELL_CAP = 10_000
 SUPPORT_CAP = 100
@@ -303,9 +303,19 @@ def max_sign_quadratic(matrix, max_dim: int = 20) -> float:
     return float(np.sqrt(best))
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array; :class:`NonFiniteMetricInputError` naming ``name``
+    unless every entry is finite."""
+    array = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(array)):
+        raise NonFiniteMetricInputError(f"{name} must be finite")
+    return array
+
+
 def l2_error(estimate, reference) -> float:
-    est = np.asarray(estimate, dtype=float).ravel()
-    ref = np.asarray(reference, dtype=float).ravel()
+    """Euclidean norm of the estimation error; both vectors must be finite."""
+    est = _finite("estimate", estimate).ravel()
+    ref = _finite("reference", reference).ravel()
     if est.shape != ref.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {ref.shape}")
     return float(np.linalg.norm(est - ref))
@@ -316,10 +326,11 @@ def mahalanobis_error(estimate, reference, covariance, rank_tol: float = 1e-10) 
 
     For rank-deficient covariance the error must lie in the range of Sigma
     (projection residual within 1e-6 relative), otherwise the quantity is
-    infinite in spirit and a MetricFailure is raised.
+    infinite in spirit and a MetricFailure is raised. A non-finite input
+    raises :class:`NonFiniteMetricInputError`.
     """
-    d = np.asarray(estimate, dtype=float).ravel() - np.asarray(reference, dtype=float).ravel()
-    sigma = np.atleast_2d(np.asarray(covariance, dtype=float))
+    d = _finite("estimate", estimate).ravel() - _finite("reference", reference).ravel()
+    sigma = np.atleast_2d(_finite("covariance", covariance))
     if sigma.shape != (d.size, d.size):
         raise ValueError("covariance shape does not match the vectors")
     eigvals, eigvecs = np.linalg.eigh(sigma)

@@ -1,32 +1,24 @@
 """Recovering samples of the form A @ z from hidden or replaced entries.
 
-Three routes are implemented:
+Structure known: one decoder repairs the whole table (:func:`recover_table`).
+A sample with hidden cells is solved for z on its visible coordinates; a fully
+visible one is range-tested by its syndrome, the part of it outside range(A),
+and up to a radius a syndrome that one support of that many coordinates
+explains is undone. What no test passes is discarded. ``known_structure``
+recovery is radius 0; replacement decoding (:func:`decode_replacements`) is
+radius (m - 1) // 2, m the removal margin of A (the minimum number of rows
+whose loss drops its row space), within which decoding is unique. The
+single-sample minimum-Hamming decoders, exhaustive or over random independent
+row subsets, also search past it, where distinct reconstructions can tie.
 
-* hidden entries, structure known: solve the visible rows for z, for the
-  whole table at once (:func:`recover_table`) or one sample at a time
-  (:func:`impute_from_structure`); structure unknown, rank known: complete
-  the whole table by iterated rank truncation (:func:`iterative_svd_complete`).
-  When the fully visible samples reach the target rank, their top right
-  singular vectors stand in for the structure: every other sample is fitted
-  against that basis by the per-pattern solve of :func:`recover_table` (a
-  certified Gram solve, else an SVD) and discarded under the same rank rule,
-  so on an exactly low-rank table the sweeps only confirm the fit. Otherwise
-  hidden cells start at their coordinate's median and the sweeps do the work.
-* replaced entries, structure known: decode the whole table by its syndrome,
-  the part of each sample outside range(A) (:func:`decode_replacements`).
-  A sample whose syndrome one support of at most (m - 1) // 2 coordinates
-  explains is rebuilt exactly, m being the removal margin below; any other
-  sample is discarded. The single-sample minimum-Hamming decoders, exhaustive
-  or over random independent row subsets, also search past that radius, where
-  they cannot tell a right reconstruction from a wrong one.
-* replaced entries via sparse decoding: project onto a random parity check
-  of range(A), so corruption shows up as a sparse vector that orthogonal
-  matching pursuit can decode.
+Structure unknown, rank known: :func:`iterative_svd_complete` completes the
+table by iterated rank truncation, from a basis of the fully visible samples
+when they reach the rank (every other sample fitted by :func:`recover_table`'s
+per-pattern solve), else from coordinate medians.
 
-Exact replacement recovery is guaranteed only while the number of corrupted
-coordinates is below half the removal margin of A (the minimum number of rows
-whose loss drops its row space); at or past that point distinct reconstructions
-can tie.
+Sparse decoding (:func:`recover_by_sparse_decoding`) projects a sample onto a
+random parity check of range(A), so corruption shows up as a sparse vector
+that orthogonal matching pursuit can decode.
 """
 from __future__ import annotations
 
@@ -48,7 +40,6 @@ from .errors import (
 from .structure import (
     DEFAULT_RANK_TOL,
     StructureMatrix,
-    null_space_basis,
     numerical_rank,
     sample_independent_rows,
     structure_rank,
@@ -59,6 +50,7 @@ RANGE_RESIDUAL_TOL = 1e-6
 # Most subsystem solves a replacement decoder takes on: random draws per sample
 # in recover_replacement_randomized, supports per table in decode_replacements.
 REPLACEMENT_SOLVE_CAP = 100_000
+_KEPT, _RECOVERED, _DISCARDED = 0, 1, 2
 
 
 class RecoveryStatus(Enum):
@@ -104,7 +96,7 @@ class CompletionReport:
 
 
 def impute_from_structure(x: np.ndarray, a: StructureMatrix) -> RecoveryOutcome:
-    """Fill the hidden entries of one sample ``x`` (marked NaN); see :func:`recover_table`."""
+    """Repair one sample ``x`` (NaN marks a hidden entry) by :func:`recover_table` at radius 0."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size != a.n:
         raise ValueError(f"sample length {x.size} does not match n={a.n}")
@@ -189,35 +181,50 @@ def _fit_by_pattern(
     return z @ basis.T, spans[inverse]
 
 
-def recover_table(ds: Dataset, a: StructureMatrix) -> CompletionReport:
-    """Fill the hidden entries of every sample using the known structure.
+def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> CompletionReport:
+    """Repair every sample against the known structure; the one structured decoder.
 
-    A sample is recovered exactly when the rows of ``a`` at its visible
-    coordinates still span rank(A); then the latent vector is determined and
-    the sample is rebuilt as A @ z. A least-squares residual above 1e-6
-    relative means the visible entries themselves are inconsistent with the
-    structure (replaced rather than hidden). Samples failing either test are
-    discarded rather than trusted; samples with nothing hidden pass through.
-    The solve is shared per distinct hiding pattern: a Gram-matrix solve where
-    a conditioning certificate holds, else an SVD (:func:`_fit_by_pattern`).
+    A sample with a hidden cell is rebuilt as A @ z when the rows of ``a`` at
+    its visible coordinates span rank(A) and the least-squares fit on them
+    leaves a residual within ``RANGE_RESIDUAL_TOL`` relative, solved per hiding
+    pattern (:func:`_fit_by_pattern`). A fully visible sample x is kept byte for
+    byte when its syndrome x F' (F = ``a.parity_check``) passes the same test.
+    For k = 1 ... ``radius`` and each support T of k coordinates in order, one
+    least-squares fit over the samples still open finds the corruption e_T that
+    best explains each syndrome; a sample whose fit passes becomes x - e_T.
+    Every other sample is discarded rather than trusted.
     """
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
-    rows = np.flatnonzero(ds.mask.any(axis=1))
+    hidden = ds.mask.any(axis=1)
+    rows = np.flatnonzero(hidden)
     visible = ~ds.mask[rows]
-    x = np.where(visible, ds.values[rows], 0.0)
+    table = np.where(ds.mask, 0.0, ds.values)
+    x = table[rows]
     samples, spans = _fit_by_pattern(a.entries, x, visible, a.rank_tol, structure_rank(a))
     residual = np.linalg.norm((samples - x) * visible, axis=1)
     ok = spans & (residual <= RANGE_RESIDUAL_TOL * np.linalg.norm(x, axis=1))
     values = ds.values.copy()
     values[rows[ok]] = samples[ok]
-    keep = np.ones(ds.n_samples, dtype=bool)
-    keep[rows[~ok]] = False
+    status = np.where(hidden, _DISCARDED, _KEPT)
+    status[rows[ok]] = _RECOVERED
+    f = a.parity_check
+    syndrome = table @ f.T
+    bound = RANGE_RESIDUAL_TOL * np.linalg.norm(table, axis=1)
+    open_rows = np.flatnonzero(~hidden & (np.linalg.norm(syndrome, axis=1) > bound))
+    for support in chain.from_iterable(combinations(range(a.n), k) for k in range(1, radius + 1)):
+        columns, s = f[:, list(support)], syndrome[open_rows]
+        e, *_ = np.linalg.lstsq(columns, s.T, rcond=None)
+        fits = np.linalg.norm(s - (columns @ e).T, axis=1) <= bound[open_rows]
+        values[np.ix_(open_rows[fits], support)] -= e[:, fits].T
+        status[open_rows[fits]] = _RECOVERED
+        open_rows = open_rows[~fits]
+    status[open_rows] = _DISCARDED
+    keep = status != _DISCARDED
     if not keep.any():
         raise AllSamplesDiscardedError("recovery discarded every sample")
-    return CompletionReport(
-        Dataset(values[keep]), rows[ok].tolist(), rows[~ok].tolist(), 0, True
-    )
+    recovered, discarded = np.flatnonzero(status == _RECOVERED), np.flatnonzero(~keep)
+    return CompletionReport(Dataset(values[keep]), recovered.tolist(), discarded.tolist(), 0, True)
 
 
 def iterative_svd_complete(
@@ -314,13 +321,12 @@ def iterative_svd_complete(
 def decode_replacements(ds: Dataset, a: StructureMatrix) -> CompletionReport:
     """Undo the replaced cells of every sample within the unique-decoding radius.
 
-    A sample whose syndrome x F' (F an orthonormal basis of range(A)'s complement,
-    as rows) is at most ``RANGE_RESIDUAL_TOL`` times its norm is unchanged. For
-    k = 1 ... (m - 1) // 2, m the removal margin (the least weight of a nonzero
-    vector of range(A)), and each support T of k coordinates in lexicographic
-    order, one least-squares fit over the open samples finds the corruption on T
-    that best explains each syndrome; a sample whose fit passes the same test
-    becomes x - e_T, uniquely. The rest are discarded.
+    :func:`recover_table` at radius (m - 1) // 2, m the removal margin (the
+    least weight of a nonzero vector of range(A)): two explanations of weight
+    at most that radius would differ by a vector of range(A) of weight below
+    m, so every sample decoded is decoded uniquely. A table with hidden cells,
+    a structure past the margin's exhaustive cap, and more than
+    ``REPLACEMENT_SOLVE_CAP`` supports within the radius are refused.
     """
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
@@ -336,22 +342,7 @@ def decode_replacements(ds: Dataset, a: StructureMatrix) -> CompletionReport:
             f"replacement decoding: {n_supports} supports within radius {radius}"
             f" exceed the cap {REPLACEMENT_SOLVE_CAP}"
         )
-    f = null_space_basis(a.entries.T, a.rank_tol).vectors
-    values = ds.values.copy()
-    syndrome = values @ f.T
-    bound = RANGE_RESIDUAL_TOL * np.linalg.norm(values, axis=1)
-    changed = open_rows = np.flatnonzero(np.linalg.norm(syndrome, axis=1) > bound)
-    for support in chain.from_iterable(combinations(range(a.n), k) for k in range(1, radius + 1)):
-        columns, s = f[:, list(support)], syndrome[open_rows]
-        e, *_ = np.linalg.lstsq(columns, s.T, rcond=None)
-        fits = np.linalg.norm(s - (columns @ e).T, axis=1) <= bound[open_rows]
-        values[np.ix_(open_rows[fits], support)] -= e[:, fits].T
-        open_rows = open_rows[~fits]
-    if open_rows.size == ds.n_samples:
-        raise AllSamplesDiscardedError("recovery discarded every sample")
-    recovered = np.setdiff1d(changed, open_rows).tolist()
-    kept = Dataset(np.delete(values, open_rows, axis=0))
-    return CompletionReport(kept, recovered, open_rows.tolist(), 0, True)
+    return recover_table(ds, a, radius=radius)
 
 
 def _hamming(candidate: np.ndarray, x: np.ndarray, tol: float) -> int:
@@ -476,8 +467,7 @@ def build_parity_check(
     of freedom. The expected squared row norm is therefore n / n_rows. At
     most n - rank(A) rows are meaningful; asking for more raises.
     """
-    kernel = null_space_basis(a.entries.T, a.rank_tol)
-    max_rows = kernel.vectors.shape[0]
+    max_rows = a.parity_check.shape[0]
     if n_rows < 0:
         raise ValueError("n_rows must be nonnegative")
     if n_rows > max_rows:
@@ -488,7 +478,7 @@ def build_parity_check(
     for i in range(n_rows):
         direction = np.zeros(a.n)
         while np.linalg.norm(direction) < 1e-12:
-            direction = rng.standard_normal(max_rows) @ kernel.vectors
+            direction = rng.standard_normal(max_rows) @ a.parity_check
         direction /= np.linalg.norm(direction)
         rows[i] = np.sqrt(rng.chisquare(a.n) / n_rows) * direction
     return rows

@@ -79,6 +79,13 @@ class StructureMatrix:
         """:func:`min_rows_to_drop_rank` of this matrix, computed once per matrix."""
         return min_rows_to_drop_rank(self)
 
+    @cached_property
+    def parity_check(self) -> np.ndarray:
+        """F with F A = 0: a read-only orthonormal basis (as rows) of range(A)'s complement."""
+        f = null_space_basis(self.entries.T, self.rank_tol).vectors
+        f.flags.writeable = False
+        return f
+
 
 def numerical_rank(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of ``matrix`` with singular values cut off relative to the largest."""

@@ -199,10 +199,10 @@ def smallest_first_direct(keys, count, hidden=None):
 def impute_rows_direct(entries, values, rank_tol):
     """Per-row least-squares imputation; NaN marks a hidden entry.
 
-    Returns one ``(status, sample)`` pair per row: ``("unchanged", row)``
-    when nothing is hidden, ``("unrecoverable", None)`` when the visible rows
-    of ``entries`` lose rank or ``lstsq`` leaves a residual above 1e-6 of the
-    visible entries, else ``("recovered", entries @ z)``.
+    Returns one ``(status, sample)`` pair per row: ``("unrecoverable", None)``
+    when the visible rows of ``entries`` lose rank or ``lstsq`` leaves a
+    residual above 1e-6 of the visible entries, else ``("unchanged", row)``
+    when nothing is hidden and ``("recovered", entries @ z)`` when something is.
     """
     entries = np.asarray(entries, dtype=float)
 
@@ -216,9 +216,6 @@ def impute_rows_direct(entries, values, rank_tol):
     out = []
     for x in np.asarray(values, dtype=float):
         visible = [j for j in range(x.size) if not np.isnan(x[j])]
-        if len(visible) == x.size:
-            out.append(("unchanged", x.copy()))
-            continue
         rows = entries[visible]
         if rank(rows) < full_rank:
             out.append(("unrecoverable", None))
@@ -227,6 +224,8 @@ def impute_rows_direct(entries, values, rank_tol):
         residual = np.linalg.norm(rows @ z - x[visible])
         if residual > 1e-6 * np.linalg.norm(x[visible]):
             out.append(("unrecoverable", None))
+        elif len(visible) == x.size:
+            out.append(("unchanged", x.copy()))
         else:
             out.append(("recovered", entries @ z))
     return out

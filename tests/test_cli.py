@@ -301,6 +301,31 @@ def test_metric_covariance_empty_cell_names_the_cell(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: row 1, column 1: '' is not a number\n"
 
 
+@pytest.mark.parametrize(
+    "kind, estimate, reference, covariance, message",
+    [
+        ("l2", "[NaN, 0]", "[1, 0]", "4,0\n0,1\n", "estimate must be finite"),
+        ("l2", "[3, 0]", "[-Infinity, 0]", "4,0\n0,1\n", "reference must be finite"),
+        ("mahalanobis", "[Infinity, 0]", "[1, 0]", "4,0\n0,1\n", "estimate must be finite"),
+        ("mahalanobis", "[3, 0]", "[1, 0]", "4,0\n0,nan\n", "covariance must be finite"),
+    ],
+)
+def test_metric_refuses_non_finite_inputs(
+    tmp_path, capsys, kind, estimate, reference, covariance, message
+):
+    # Python's json reads the bare words NaN and Infinity a hand-written config may hold.
+    cov = tmp_path / "cov.csv"
+    cov.write_text(covariance)
+    cfg = tmp_path / "metric.json"
+    cfg.write_text(
+        f'{{"kind": "{kind}", "estimate": {estimate}, "reference": {reference},'
+        f' "covariance_csv": "{cov}"}}\n'
+    )
+    assert main(["metric", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["gen", "corrupt"])
 def test_config_seed_must_be_a_whole_number(tmp_path, capsys, command):
     data_csv, _ = run_gen(tmp_path)
@@ -312,6 +337,30 @@ def test_config_seed_must_be_a_whole_number(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([command, "--config", config, "--out", str(tmp_path / "seeded")]) == 1
     assert capsys.readouterr().err == "config error: seed must be a whole number, got 1.9\n"
+
+
+@pytest.mark.parametrize(
+    "command, field, value, message",
+    [
+        ("corrupt", "budget", True, "budget must be a float, got True"),
+        ("corrupt", "shift", True, "shift must be a float, got True"),
+        ("estimate", "standardize", "false", "standardize must be true or false, got 'false'"),
+        ("estimate", "standardize", 0, "standardize must be true or false, got 0"),
+    ],
+)
+def test_config_fields_of_the_wrong_json_type_are_refused(
+    tmp_path, capsys, command, field, value, message
+):
+    data_csv, _ = run_gen(tmp_path)
+    if command == "corrupt":
+        cfg = {"data_csv": str(data_csv), "adversary": "sample_shift", "budget": 0.1}
+    else:
+        cfg = {"data_csv": str(data_csv), "estimator": {"kind": "empirical_mean"}}
+    config = write_json(tmp_path / "typed.json", dict(cfg, **{field: value}))
+    capsys.readouterr()
+    assert main([command, "--config", config, "--out", str(tmp_path / "typed")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("typed.*.csv"))
 
 
 def test_experiment_subcommand(tmp_path):

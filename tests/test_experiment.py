@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entrymean import estimators as estimators_module
 from entrymean import experiment as experiment_module
 from entrymean import recovery as recovery_module
 from entrymean import structure as structure_module
@@ -151,6 +152,43 @@ def test_replacement_decoding_beats_the_median_under_sample_shift():
         assert decoded < means[("coordinate_median", budget)]
 
 
+def test_known_structure_discards_every_sample_shift_victim(monkeypatch):
+    # Fully visible rows are range-tested too, so known_structure drops each
+    # shifted row of the shipped config, as replacement decoding does.
+    cfg_obj = load_json(Path(__file__).resolve().parents[1] / "configs" / "experiment.json")
+    cfg_obj["adversary"] = "sample_shift"
+    cfg_obj["methods"].append(replacement_method())
+    plans, reports = [], {"known_structure": [], "replacement": []}
+    make_plan, recover = experiment_module.make_plan, estimators_module.recover
+
+    def plan_spy(*args, **kwargs):
+        plans.append(make_plan(*args, **kwargs))
+        return plans[-1]
+
+    def recover_spy(ds, spec, structure=None):
+        reports[spec.method].append(recover(ds, spec, structure))
+        return reports[spec.method][-1]
+
+    monkeypatch.setattr(experiment_module, "make_plan", plan_spy)
+    monkeypatch.setattr(estimators_module, "recover", recover_spy)
+    result = run_experiment(parse_config(cfg_obj))
+    victims = [np.unique(plan.sample).tolist() for plan in plans]
+    assert len(victims) == 9 and all(victims)
+    for method_reports in reports.values():
+        assert [r.discarded_indices for r in method_reports] == victims
+        assert all(r.recovered_indices == [] for r in method_reports)
+    values = {}
+    for row in result.rows:
+        values.setdefault((row.method, row.metric), []).append(row.value)
+    for metric in cfg_obj["metrics"]:
+        known = values[("two_step+known_structure+empirical_mean", metric)]
+        assert known == values[("two_step+replacement+empirical_mean", metric)]
+    means = {(e["method"], e["budget"], e["metric"]): e["mean"] for e in result.summary()}
+    for budget in cfg_obj["budgets"]:
+        known = means[("two_step+known_structure+empirical_mean", budget, "l2")]
+        assert known < means[("coordinate_median", budget, "l2")]
+
+
 def test_metric_failure_becomes_na(tmp_path):
     # CSV-backed data with a single fully visible row has no covariance
     # estimate, so mahalanobis rows are NA while l2 rows are not.
@@ -177,6 +215,19 @@ def test_metric_failure_becomes_na(tmp_path):
     values = {r.metric: r.value for r in result.rows}
     assert np.isfinite(values["l2"])
     assert np.isnan(values["mahalanobis"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_estimate_becomes_na(tmp_path):
+    # Means and medians of cells near the largest double overflow to inf: a
+    # missing value, as it was, not an aborted run.
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308,1\n1.5e308,2\n1.7e308,3\n1e308,4\n")
+    cfg = base_config()
+    cfg.update(budgets=[0.0], data={"kind": "csv", "path": str(path)}, metrics=["l2", "mahalanobis"])
+    cfg["methods"] = cfg["methods"][:2]
+    result = run_experiment(parse_config(cfg))
+    assert len(result.rows) == 2 * 3 * 2 and all(np.isnan(r.value) for r in result.rows)
 
 
 def test_summary_statistics_match_rows():
@@ -319,6 +370,18 @@ def replacement_method(**options):
             "blocks must be a whole number, got 2.5",
         ),
         (lambda c: c.update(trials=None), "trials must be a whole number, got None"),
+        (lambda c: c.update(budgets=[True]), "budgets must be a float, got True"),
+        (lambda c: c.update(budgets=[0.1, "wide"]), "budgets must be a float, got 'wide'"),
+        (lambda c: c.update(shift=True), "shift must be a float, got True"),
+        (lambda c: c.update(methods=[svd_method(tol=False)]), "tol must be a float, got False"),
+        (
+            lambda c: c.update(data={"kind": "csv", "path": "x.csv", "standardize": "false"}),
+            "standardize must be true or false, got 'false'",
+        ),
+        (
+            lambda c: c.update(data={"kind": "csv", "path": "x.csv", "standardize": 1}),
+            "standardize must be true or false, got 1",
+        ),
     ],
 )
 def test_parse_config_rejects_bad_fields(mutate, message):

@@ -396,6 +396,23 @@ def test_mahalanobis_rank_deficient():
         mahalanobis_error([2.0, -1.0], [0.0, 0.0], sigma)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vector_errors_refuse_non_finite_inputs(bad):
+    sigma = np.diag([4.0, 1.0])
+    with pytest.raises(ValueError, match="estimate must be finite"):
+        l2_error([bad, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="reference must be finite"):
+        l2_error([0.0, 0.0], [0.0, bad])
+    with pytest.raises(ValueError, match="estimate must be finite"):
+        mahalanobis_error([bad, 0.0], [0.0, 0.0], sigma)
+    with pytest.raises(ValueError, match="reference must be finite"):
+        mahalanobis_error([0.0, 0.0], [bad, 0.0], sigma)
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        mahalanobis_error([1.0, 0.0], [0.0, 0.0], np.array([[4.0, 0.0], [0.0, bad]]))
+    with pytest.raises(MetricFailure, match="estimate must be finite"):  # NA in an experiment
+        l2_error([bad, 0.0], [0.0, 0.0])
+
+
 def test_distribution_csv_round_trip(tmp_path):
     p = grid_uniform()
     path = tmp_path / "dist.csv"

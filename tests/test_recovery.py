@@ -66,6 +66,15 @@ def test_impute_unchanged_when_nothing_hidden():
     assert outcome.residual_hamming == 0
 
 
+def test_impute_refuses_fully_visible_sample_outside_range():
+    a = random_general_position(6, 3, seed=0)
+    x = a.entries @ np.array([1.0, -2.0, 0.5])
+    x[4] += 1e-3  # nothing hidden, nothing to solve: the range test alone refuses it
+    outcome = impute_from_structure(x, a)
+    assert outcome.status is RecoveryStatus.UNRECOVERABLE
+    assert outcome.sample is None
+
+
 def test_impute_recovers_exactly_below_margin():
     a = random_general_position(6, 3, seed=1)
     z = np.array([0.3, 1.7, -0.9])
@@ -176,13 +185,13 @@ def test_recover_table_shares_svd_per_pattern_but_tests_rows_alone():
     )
 
 
-def test_recover_table_without_hidden_cells_passes_through():
+def test_recover_table_range_tests_rows_without_hidden_cells():
     a = random_general_position(6, 3, seed=126)
     values = np.random.default_rng(126).standard_normal((5, 3)) @ a.entries.T
-    values[2, 1] += 1.0  # not in range(A), but nothing is hidden, so nothing is tested
+    values[2, 1] += 1.0  # nothing is hidden, but the row has left range(A)
     report = recover_table(Dataset(values), a)
-    assert (report.recovered_indices, report.discarded_indices) == ([], [])
-    np.testing.assert_array_equal(report.completed.values, values)
+    assert (report.recovered_indices, report.discarded_indices) == ([], [2])
+    assert report.completed.values.tobytes() == np.delete(values, 2, axis=0).tobytes()
 
 
 def test_recover_table_refuses_when_everything_is_discarded():

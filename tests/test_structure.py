@@ -89,6 +89,16 @@ def test_general_position_cap():
         is_general_position(StructureMatrix(np.random.default_rng(0).standard_normal((40, 20))), max_subsets=1000)
 
 
+def test_parity_check_is_a_cached_read_only_complement_basis():
+    a = random_general_position(7, 3, seed=93)
+    f = a.parity_check
+    assert f is a.parity_check
+    assert f.shape == (4, 7)
+    np.testing.assert_allclose(f @ f.T, np.eye(4), atol=1e-12)
+    assert np.max(np.abs(f @ a.entries)) < 1e-12
+    assert not f.flags.writeable
+
+
 def test_null_space_basis_orthogonal_to_rows():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 7))
