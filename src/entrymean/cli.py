@@ -21,7 +21,15 @@ import numpy as np
 from . import corruption, estimators, metrics
 from .data import load_dataset_csv, read_dense_csv, save_dataset_csv
 from .datagen import draw_latents, make_structure, synthesize
-from .errors import ConfigError, EstimatorFailure, MetricFailure, boolean, number, whole_number
+from .errors import (
+    ConfigError,
+    EstimatorFailure,
+    MetricFailure,
+    boolean,
+    number,
+    numbers,
+    whole_number,
+)
 from .experiment import (
     ingest_csv,
     load_config,
@@ -130,8 +138,8 @@ def cmd_metric(args) -> int:
         else:
             value = metrics.entrywise_distance_max(left, right)
     elif kind in ("l2", "mahalanobis"):
-        est = np.array(_need(cfg, "estimate"), dtype=float)
-        ref = np.array(_need(cfg, "reference"), dtype=float)
+        est = numbers("estimate", _need(cfg, "estimate"))
+        ref = numbers("reference", _need(cfg, "reference"))
         if kind == "l2":
             value = metrics.l2_error(est, ref)
         else:

@@ -1,4 +1,5 @@
 """Exception types shared across the package, and the type rules of config fields."""
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -27,6 +28,13 @@ def number(name: str, value) -> float:
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"{name} must be a float, got {value!r}")
+
+
+def numbers(name: str, value) -> np.ndarray:
+    """``value``, a number or nested lists of them, as a float array; a ConfigError
+    naming ``name`` unless :func:`number` takes every entry (``[true, 0]`` fails)."""
+    cells = np.array(value, dtype=object)
+    return np.array([number(name, v) for v in cells.flat], dtype=float).reshape(cells.shape)
 
 
 def boolean(name: str, value) -> bool:

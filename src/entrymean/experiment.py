@@ -25,7 +25,15 @@ from .datagen import (
     population_mean,
     synthesize,
 )
-from .errors import ConfigError, EstimatorFailure, MetricFailure, boolean, number, whole_number
+from .errors import (
+    ConfigError,
+    EstimatorFailure,
+    MetricFailure,
+    boolean,
+    number,
+    numbers,
+    whole_number,
+)
 from .estimators import EstimatorSpec, RecoverySpec, empirical_mean, estimate
 from .metrics import l2_error, mahalanobis_error
 from .structure import StructureMatrix, load_structure_csv
@@ -145,7 +153,7 @@ def parse_structure_spec(obj: dict, default_seed: int | None = None) -> Structur
             n=whole_number("n", obj["n"]),
             r=whole_number("r", obj["r"]),
             blocks=tuple(tuple(b) for b in obj["blocks"]) if obj.get("blocks") else None,
-            entries=np.array(obj["entries"], dtype=float) if "entries" in obj else None,
+            entries=numbers("entries", obj["entries"]) if "entries" in obj else None,
             seed=whole_number("seed", obj["seed"]) if obj.get("seed") is not None else default_seed,
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -158,8 +166,8 @@ def parse_latent_spec(obj: dict) -> LatentSpec:
         return LatentSpec(
             kind=obj["kind"],
             dim=whole_number("dim", obj["dim"]),
-            mean=np.array(obj.get("mean", 0.0), dtype=float),
-            scale=np.array(obj.get("scale", 1.0), dtype=float),
+            mean=numbers("mean", obj.get("mean", 0.0)),
+            scale=numbers("scale", obj.get("scale", 1.0)),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad latent spec: {exc}") from None

@@ -11,10 +11,9 @@ whose loss drops its row space), within which decoding is unique. The
 single-sample minimum-Hamming decoders, exhaustive or over random independent
 row subsets, also search past it, where distinct reconstructions can tie.
 
-Structure unknown, rank known: :func:`iterative_svd_complete` completes the
-table by iterated rank truncation, from a basis of the fully visible samples
-when they reach the rank (every other sample fitted by :func:`recover_table`'s
-per-pattern solve), else from coordinate medians.
+Structure unknown, rank known: :func:`iterative_svd_complete` learns the span
+most fully visible samples lie in and decodes against it by :func:`recover_table`
+at radius 0, else completes the table by iterated rank truncation from medians.
 
 Sparse decoding (:func:`recover_by_sparse_decoding`) projects a sample onto a
 random parity check of range(A), so corruption shows up as a sparse vector
@@ -136,26 +135,26 @@ def _certified_inverse(gram: np.ndarray, rank_tol: float) -> tuple[np.ndarray, n
 
 
 def _fit_by_pattern(
-    basis: np.ndarray, x: np.ndarray, visible: np.ndarray, rank_tol: float, rank: int
+    a: StructureMatrix, x: np.ndarray, visible: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fit of each row of ``x`` on its visible coordinates.
 
     ``x`` holds zeros at hidden cells. Returns ``(samples, spans)``: the rows
-    rebuilt as ``basis @ z`` from the pseudo-inverse solve on the visible rows
-    of ``basis``, and whether those keep numerical rank ``rank`` (singular
-    values above ``rank_tol`` times the largest). Work is shared per distinct
-    hiding pattern. A pattern certified by :func:`_certified_inverse` keeps
-    every singular value far above both cutoffs below, so it spans for any
-    ``rank``; its rows are solved by the semi-normal equations plus one
-    refinement step. Other patterns take a stacked SVD of ``basis`` with the
-    hidden coordinates zeroed: the rank test counts singular values and needs
-    at least ``rank`` visible cells, and the pseudo-inverse drops those at or
-    below eps * max(visible count, columns) times the largest.
+    rebuilt as A @ z from the pseudo-inverse solve on the visible rows of A,
+    and whether those keep rank(A) (singular values above ``a.rank_tol`` times
+    the largest). Work is shared per distinct hiding pattern. A pattern
+    certified by :func:`_certified_inverse` keeps every singular value far
+    above both cutoffs below, so it spans; its rows are solved by the
+    semi-normal equations plus one refinement step. Other patterns take a
+    stacked SVD of A with the hidden coordinates zeroed: the rank test counts
+    singular values and needs rank(A) visible cells, and the pseudo-inverse
+    drops those at or below eps * max(visible count, columns) times the largest.
     """
     keys = np.packbits(visible, axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     patterns = visible[first]
+    basis, rank_tol, rank = a.entries, a.rank_tol, structure_rank(a)
     n, r = basis.shape
     outer = (basis[:, :, None] * basis[:, None, :]).reshape(n, r * r)
     gram_inv, certified = _certified_inverse((outer.T @ patterns.T).reshape(r, r, -1), rank_tol)
@@ -170,7 +169,7 @@ def _fit_by_pattern(
     top = s[:, :1]
     spans = certified.copy()
     # Below about 5e-17 a rank_tol counts the rounding-level singular values
-    # of the zeroed coordinates; fewer than ``rank`` visible cells never span.
+    # of the zeroed coordinates; fewer than rank(A) visible cells never span.
     counts = patterns[rest].sum(axis=1)
     spans[rest] = (np.count_nonzero(s > rank_tol * top, axis=1) >= rank) & (counts >= rank)
     cutoff = np.finfo(float).eps * np.maximum(counts, r)[:, None] * top
@@ -201,7 +200,7 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     visible = ~ds.mask[rows]
     table = np.where(ds.mask, 0.0, ds.values)
     x = table[rows]
-    samples, spans = _fit_by_pattern(a.entries, x, visible, a.rank_tol, structure_rank(a))
+    samples, spans = _fit_by_pattern(a, x, visible)
     residual = np.linalg.norm((samples - x) * visible, axis=1)
     ok = spans & (residual <= RANGE_RESIDUAL_TOL * np.linalg.norm(x, axis=1))
     values = ds.values.copy()
@@ -227,39 +226,51 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     return CompletionReport(Dataset(values[keep]), recovered.tolist(), discarded.tolist(), 0, True)
 
 
+def _consensus_span(rows: np.ndarray, rank: int) -> np.ndarray | None:
+    """Orthonormal basis (as columns) of the span most ``rows`` lie in, or None.
+
+    RANSAC (Fischler and Bolles, 1981) over fixed candidates: all ``rows``, then
+    up to 200 disjoint blocks of ``rank`` rows in ``default_rng(0)`` order. One
+    of numerical rank ``rank`` proposes its top ``rank`` right singular vectors;
+    it wins when more than max(rank / n, 1/2) of ``rows`` lie within
+    ``RANGE_RESIDUAL_TOL`` relative of them, refitted on those unless all do.
+    """
+    count, n = rows.shape
+    blocks = np.random.default_rng(0).permutation(count)[: min(count // rank, 200) * rank]
+    norms = np.linalg.norm(rows, axis=1)
+    for candidate in chain([rows], rows[blocks.reshape(-1, rank)]):
+        _, s, vt = np.linalg.svd(candidate, full_matrices=False)
+        if np.count_nonzero(s > DEFAULT_RANK_TOL * s[:1]) != rank:
+            continue
+        span = vt[:rank].T
+        fits = np.linalg.norm(rows - rows @ span @ span.T, axis=1) <= RANGE_RESIDUAL_TOL * norms
+        if fits.sum() > max(rank / n, 0.5) * count:
+            if not fits.all():
+                span = np.linalg.svd(rows[fits], full_matrices=False)[2][:rank].T
+            return span
+    return None
+
+
 def iterative_svd_complete(
-    ds: Dataset,
-    rank: int,
-    max_iter: int = 500,
-    tol: float = 1e-9,
+    ds: Dataset, rank: int, max_iter: int = 500, tol: float = 1e-9
 ) -> CompletionReport:
-    """Complete hidden entries by alternating rank truncation and re-imposition.
+    """Complete a table of rank ``rank`` whose structure is unknown.
 
-    Samples with fewer than ``rank`` visible entries cannot pin down their
-    row of a rank-``rank`` table and are discarded up front.
+    Samples with fewer than ``rank`` visible entries cannot pin down their row
+    and are discarded up front. When most of the rest with nothing hidden lie
+    in one span (:func:`_consensus_span`), :func:`recover_table` decodes the
+    table against it at radius 0, in 0 iterations: hidden cells are solved from
+    visible ones and samples outside the span are discarded. Otherwise a table
+    with nothing hidden is returned unchanged, and hidden cells start at their
+    coordinate's visible median for hard-impute sweeps: each projects the table
+    to the nearest rank-``rank`` matrix and copies the projection back into the
+    hidden cells only, until the largest change there falls to ``tol``.
 
-    Start: when the retained samples with nothing hidden have numerical rank
-    at least ``rank`` (under ``DEFAULT_RANK_TOL``), their top ``rank`` right
-    singular vectors are the starting basis. Each sample with a hidden cell is
-    fitted against it on its visible coordinates and discarded when those
-    span rank below ``rank``, by the per-pattern solve of :func:`recover_table`
-    (certified Gram solve, else SVD). On an exactly low-rank table this start
-    is the completion and the first sweep confirms it. Otherwise (too few or
-    too degenerate complete samples) hidden cells start at their coordinate's
-    visible median.
-
-    Sweeps: each one projects the table to the nearest rank-``rank`` matrix
-    and copies the projected values back into the originally hidden cells
-    only. Stops when the largest change on hidden cells falls to ``tol``.
-
-    The projection X V V' onto the top ``rank`` right singular vectors V is
-    taken from the eigenvectors of the small Gram matrix X'X and evaluated
-    on the samples with a hidden cell alone, so a sweep costs one n-by-n
-    eigenproblem instead of an SVD of the whole table; the Gram part of the
-    samples with nothing hidden is formed once. Squaring X squares its condition:
-    the error of the computed subspace grows with (s_1 / s_rank)^2 instead of
-    s_1 / s_rank. That matters only for tables whose top singular values
-    spread widely, where hard-impute already fails to converge.
+    A sweep takes the projection X V V' from the top ``rank`` eigenvectors V of
+    the small Gram matrix X'X, evaluated on the samples with a hidden cell
+    alone; the Gram part of the others is formed once. Squaring X squares its
+    condition, which matters only for tables whose top singular values spread
+    widely, where hard-impute already fails to converge.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
@@ -276,35 +287,24 @@ def iterative_svd_complete(
         )
     values = ds.values[retained]
     hidden = ds.mask[retained]
+    span = _consensus_span(values[~hidden.any(axis=1)], rank)
+    if span is not None:
+        report = recover_table(Dataset(values, hidden), StructureMatrix(span))
+        discarded = sorted(discarded + retained[report.discarded_indices].tolist())
+        recovered = retained[report.recovered_indices].tolist()
+        return CompletionReport(report.completed, recovered, discarded, 0, True)
     if not hidden.any():
         return CompletionReport(Dataset(values.copy()), [], discarded, 0, True)
     if np.any((~hidden).sum(axis=0) == 0):
         raise CompletionInfeasibleError("a coordinate is hidden in every retained sample")
     rows = np.flatnonzero(hidden.any(axis=1))
-    filled = values.copy()
-    complete = np.delete(values, rows, axis=0)
-    _, s, vt = np.linalg.svd(complete, full_matrices=False)
-    if np.count_nonzero(s > DEFAULT_RANK_TOL * s[:1]) >= rank:
-        visible = ~hidden[rows]
-        samples, spans = _fit_by_pattern(
-            vt[:rank].T, np.where(visible, values[rows], 0.0), visible, DEFAULT_RANK_TOL, rank
-        )
-        filled[rows] = np.where(visible, values[rows], samples)
-        drop = rows[~spans]
-        discarded = sorted(discarded + retained[drop].tolist())
-        retained, filled, hidden = (np.delete(a, drop, axis=0) for a in (retained, filled, hidden))
-        rows = np.flatnonzero(hidden.any(axis=1))
-        if rows.size == 0:
-            return CompletionReport(Dataset(filled), [], discarded, 0, True)
-    else:
-        np.copyto(filled, _reduce_visible_columns(values, hidden, np.median), where=hidden)
+    filled = np.where(hidden, _reduce_visible_columns(values, hidden, np.median), values)
     recovered = retained[rows].tolist()
     fixed = np.delete(filled, rows, axis=0)
     fixed_gram = fixed.T @ fixed
     changing = filled[rows]
     cells = np.flatnonzero(hidden[rows])
-    iterations = 0
-    converged = False
+    iterations, converged = 0, False
     for iterations in range(1, max_iter + 1):
         _, eigvecs = np.linalg.eigh(fixed_gram + changing.T @ changing)
         basis = eigvecs[:, -rank:]

@@ -346,20 +346,43 @@ def test_config_seed_must_be_a_whole_number(tmp_path, capsys, command):
         ("corrupt", "shift", True, "shift must be a float, got True"),
         ("estimate", "standardize", "false", "standardize must be true or false, got 'false'"),
         ("estimate", "standardize", 0, "standardize must be true or false, got 0"),
+        ("metric", "estimate", [True, 0], "estimate must be a float, got True"),
+        ("metric", "reference", [0, False], "reference must be a float, got False"),
+        (
+            "gen",
+            "structure",
+            {"kind": "explicit", "n": 2, "r": 1, "entries": [[True], [1]]},
+            "bad structure spec: entries must be a float, got True",
+        ),
+        (
+            "gen",
+            "latent",
+            {"kind": "gaussian", "dim": 3, "mean": [False, 0, 0]},
+            "bad latent spec: mean must be a float, got False",
+        ),
+        (
+            "gen",
+            "latent",
+            {"kind": "gaussian", "dim": 3, "scale": True},
+            "bad latent spec: scale must be a float, got True",
+        ),
     ],
 )
 def test_config_fields_of_the_wrong_json_type_are_refused(
     tmp_path, capsys, command, field, value, message
 ):
     data_csv, _ = run_gen(tmp_path)
-    if command == "corrupt":
-        cfg = {"data_csv": str(data_csv), "adversary": "sample_shift", "budget": 0.1}
-    else:
-        cfg = {"data_csv": str(data_csv), "estimator": {"kind": "empirical_mean"}}
+    cfg = {
+        "corrupt": {"data_csv": str(data_csv), "adversary": "sample_shift", "budget": 0.1},
+        "estimate": {"data_csv": str(data_csv), "estimator": {"kind": "empirical_mean"}},
+        "metric": {"kind": "l2", "estimate": [0, 0], "reference": [0, 0]},
+        "gen": GEN_CONFIG,
+    }[command]
     config = write_json(tmp_path / "typed.json", dict(cfg, **{field: value}))
     capsys.readouterr()
     assert main([command, "--config", config, "--out", str(tmp_path / "typed")]) == 1
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
     assert not list(tmp_path.glob("typed.*.csv"))
 
 

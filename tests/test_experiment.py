@@ -154,11 +154,12 @@ def test_replacement_decoding_beats_the_median_under_sample_shift():
 
 def test_known_structure_discards_every_sample_shift_victim(monkeypatch):
     # Fully visible rows are range-tested too, so known_structure drops each
-    # shifted row of the shipped config, as replacement decoding does.
+    # shifted row of the shipped config, as replacement decoding does, and so
+    # does rank-only completion against the span most clean rows share.
     cfg_obj = load_json(Path(__file__).resolve().parents[1] / "configs" / "experiment.json")
     cfg_obj["adversary"] = "sample_shift"
-    cfg_obj["methods"].append(replacement_method())
-    plans, reports = [], {"known_structure": [], "replacement": []}
+    cfg_obj["methods"] += [replacement_method(), svd_method(rank=8)]
+    plans, reports = [], {"known_structure": [], "replacement": [], "iterative_svd": []}
     make_plan, recover = experiment_module.make_plan, estimators_module.recover
 
     def plan_spy(*args, **kwargs):
@@ -183,6 +184,7 @@ def test_known_structure_discards_every_sample_shift_victim(monkeypatch):
     for metric in cfg_obj["metrics"]:
         known = values[("two_step+known_structure+empirical_mean", metric)]
         assert known == values[("two_step+replacement+empirical_mean", metric)]
+        assert known == values[("two_step+iterative_svd+empirical_mean", metric)]
     means = {(e["method"], e["budget"], e["metric"]): e["mean"] for e in result.summary()}
     for budget in cfg_obj["budgets"]:
         known = means[("two_step+known_structure+empirical_mean", budget, "l2")]
@@ -373,6 +375,14 @@ def replacement_method(**options):
         (lambda c: c.update(budgets=[True]), "budgets must be a float, got True"),
         (lambda c: c.update(budgets=[0.1, "wide"]), "budgets must be a float, got 'wide'"),
         (lambda c: c.update(shift=True), "shift must be a float, got True"),
+        (
+            lambda c: c["data"].update(
+                structure={"kind": "explicit", "n": 2, "r": 1, "entries": [[True], [1]]}
+            ),
+            "entries must be a float, got True",
+        ),
+        (lambda c: c["data"]["latent"].update(mean=[False, 0, 0]), "mean must be a float, got False"),
+        (lambda c: c["data"]["latent"].update(scale=True), "scale must be a float, got True"),
         (lambda c: c.update(methods=[svd_method(tol=False)]), "tol must be a float, got False"),
         (
             lambda c: c.update(data={"kind": "csv", "path": "x.csv", "standardize": "false"}),

@@ -350,7 +350,8 @@ def test_iterative_svd_matches_full_svd_reference(make_table, rank, max_iter, sc
     )
     report = iterative_svd_complete(ds, rank, max_iter, tol)
     assert report.discarded_indices == dropped
-    assert (report.iterations, report.converged) == (iterations, converged)
+    # Decoded against the span, with no sweep where the oracle's first confirms it.
+    assert (report.iterations, report.converged) == (iterations - 1, converged) == (0, True)
     np.testing.assert_allclose(
         report.completed.values, table, rtol=0, atol=1e-10 * np.abs(table).max()
     )
@@ -394,6 +395,52 @@ def test_iterative_svd_exact_on_criterion_7_tables(budget):
         rtol=0,
         atol=1e-9 * np.abs(clean.values).max(),
     )
+
+
+def shifted_complete_rows_table(fraction):
+    """Rank-2 table whose first ``fraction`` of fully visible rows are moved by 10 in every cell."""
+    ds, values = low_rank_dataset(60, 8, 2, seed=1, mask_fraction=0.08)
+    complete = np.flatnonzero(~ds.mask.any(axis=1))
+    shifted = complete[: int(np.ceil(fraction * complete.size))]
+    table = values.copy()
+    table[shifted] += 10.0
+    return Dataset(np.where(ds.mask, np.nan, table), ds.mask), values, shifted
+
+
+def test_iterative_svd_takes_the_span_most_complete_rows_share():
+    # The shifted rows lift the first candidate, all complete rows, to rank 3;
+    # a block of clean rows then proposes the span they are discarded against.
+    ds, clean, shifted = shifted_complete_rows_table(0.2)
+    report = iterative_svd_complete(ds, rank=2)
+    assert report.discarded_indices == shifted.tolist()
+    assert report.recovered_indices == np.flatnonzero(ds.mask.any(axis=1)).tolist()
+    assert (report.iterations, report.converged) == (0, True)
+    np.testing.assert_allclose(
+        report.completed.values,
+        np.delete(clean, shifted, axis=0),
+        rtol=0,
+        atol=1e-9 * np.abs(clean).max(),
+    )
+    rerun = iterative_svd_complete(ds, rank=2)
+    assert rerun.completed.values.tobytes() == report.completed.values.tobytes()
+    assert rerun.to_dict() == report.to_dict()
+    # With half the complete rows shifted no span wins: hidden cells take the
+    # median-start sweeps, and a fully visible table comes back unchanged.
+    ds, _, _ = shifted_complete_rows_table(0.5)
+    table, iterations, converged = hard_impute_direct(ds.values, ds.mask, 2, 20, 1e-9)
+    report = iterative_svd_complete(ds, rank=2, max_iter=20)
+    assert report.discarded_indices == []
+    assert (report.iterations, report.converged) == (iterations, converged)
+    np.testing.assert_allclose(
+        report.completed.values, table, rtol=0, atol=1e-10 * np.abs(table).max()
+    )
+    _, clean = low_rank_dataset(60, 8, 2, seed=1)
+    clean[:30] += 10.0
+    report = iterative_svd_complete(Dataset(clean), rank=2)
+    assert report.to_dict() == {
+        "recovered_indices": [], "discarded_indices": [], "iterations": 0, "converged": True
+    }
+    assert report.completed.values.tobytes() == clean.tobytes()
 
 
 # ------------------------------------- conditioning certificate and SVD route
@@ -572,7 +619,8 @@ def test_iterative_svd_warm_start_routes_agree(make_table, rank, monkeypatch):
     reports.append(iterative_svd_complete(ds, rank))
     for report in reports:
         assert report.discarded_indices == dropped
-        assert (report.iterations, report.converged) == (iterations, converged)
+        # Decoded against the span, with no sweep where the oracle's first confirms it.
+        assert (report.iterations, report.converged) == (iterations - 1, converged) == (0, True)
         np.testing.assert_allclose(
             report.completed.values, table, rtol=0, atol=1e-10 * np.abs(table).max()
         )
