@@ -12,18 +12,23 @@ Atoms are compared coordinate by coordinate with exact float equality (-0.0
 equals 0.0); the intended use is distributions whose supports are
 constructed, not measured.
 
-Both distances are linear programs, solved only on the mass that moves:
-an atom held by both distributions keeps the smaller of its two masses in
-place, which some optimal coupling always does, and the program is built
-over the atoms left with residual mass. Between two uniform residuals with
-the same number of atoms (two empirical tables of equal length), the "avg"
-program is an assignment problem: by Birkhoff-von Neumann a permutation is
-an optimal vertex, so it is solved by ``linear_sum_assignment`` instead.
+Both distances are linear programs, except when a coordinate separates the
+moved atoms, and are solved only on the mass that moves: an atom held by
+both distributions keeps the smaller of its two masses in place, which some
+optimal coupling always does, and the program is built over the atoms left
+with residual mass. A coordinate separates them when every residual atom of
+one side differs there from every residual atom of the other; then "max" is
+the residual mass, and so is "avg" when every coordinate separates them.
+Sample-level replacement, which moves every coordinate of its victims,
+leaves such residuals. Between two uniform residuals with the same number
+of atoms (two empirical tables of equal length), the "avg" program is an
+assignment problem: by Birkhoff-von Neumann a permutation is an optimal
+vertex, so it is solved by ``linear_sum_assignment`` instead.
 Total variation uses the same atom matching.
 
-``scipy.optimize`` is imported on the first solve, not with this module: it
-costs about half a second and 50 MB per process, and only the coupling
-programs use it.
+``scipy.optimize`` is imported on the first program that needs a solver,
+not with this module: it costs about half a second and 40-50 MB per
+process, and only the coupling programs use it.
 """
 from __future__ import annotations
 
@@ -40,6 +45,10 @@ SUPPORT_CAP = 100
 
 class _LazySolver:
     """The ``scipy.optimize`` function ``name``, imported on the first call.
+
+    Only a coupling program left over after the shared-mass reduction and the
+    separated-coordinate closed form calls one, so a process whose couplings
+    all move coordinate-separated atoms never imports ``scipy.optimize``.
 
     An instance, not a function, so that span tracers which wrap the package's
     own functions (``perfbench/tracing.py``) still see scipy's solver time as
@@ -64,8 +73,8 @@ class DiscreteDistribution:
     """Finitely supported distribution on R^dim.
 
     ``support`` holds one atom per row; ``probs`` are the matching masses.
-    Atoms must be pairwise distinct and the masses finite, nonnegative and
-    summing to one within 1e-9.
+    Atoms must be pairwise distinct under exact equality (-0.0 equals 0.0),
+    and the masses finite, nonnegative and summing to one within 1e-9.
     """
 
     support: np.ndarray
@@ -86,7 +95,7 @@ class DiscreteDistribution:
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        if len({tuple(row) for row in support}) != support.shape[0]:
+        if np.unique(support + 0.0, axis=0).shape[0] != support.shape[0]:
             raise ValueError("atoms must be pairwise distinct")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
@@ -223,6 +232,14 @@ def optimal_entrywise_coupling(
     equal-size pair leaves a uniform, equal-size residual, so it still takes
     the assignment.
 
+    No program is solved when a coordinate k separates the residual atoms,
+    that is, when every residual atom of p differs in k from every residual
+    atom of q. Every coupling of the residuals then puts all of their mass R
+    on pairs that differ in k, and no coordinate can carry more than R. So
+    the "max" value is R, and the "avg" value is R when every coordinate
+    separates them; any coupling of the residuals is a witness, and the
+    product coupling scaled to mass R is used.
+
     The cell and support caps apply to the input sizes, before the reduction.
     """
     _check_same_dim(p, q)
@@ -250,7 +267,12 @@ def optimal_entrywise_coupling(
         # Whatever is left on one side is rounding, within the 1e-9 mass check.
         return 0.0, Coupling(p, q, weights)
     diff = _disagreement_tensor(p.support[rows], q.support[cols])
-    value, block = _solve_coupling(diff, p_rest[rows], q_rest[cols], norm)
+    p_mass, q_mass = p_rest[rows], q_rest[cols]
+    separated = diff.all(axis=(0, 1))
+    if separated.all() if norm == "avg" else separated.any():
+        value, block = float(p_mass.sum()), np.outer(p_mass, q_mass) / q_mass.sum()
+    else:
+        value, block = _solve_coupling(diff, p_mass, q_mass, norm)
     weights[np.ix_(rows, cols)] += block
     return value, Coupling(p, q, weights)
 

@@ -655,10 +655,20 @@ def test_only_coupling_metrics_import_scipy_optimize(tmp_path):
         for name in ("gen", "corrupt", "recover", "estimate", "metric", "experiment")
     ]
     assert not loads_optimize(tmp_path, *chain)
+    # (1, 0) against (0, 1): the moved atoms differ in every coordinate, so
+    # the distance is their mass and no solver is needed.
     (tmp_path / "p.csv").write_text("0,0,0.5\n1,0,0.5\n")
     (tmp_path / "q.csv").write_text("0,0,0.5\n0,1,0.5\n")
     avg = write_json(
         tmp_path / "avg.json", {"kind": "entrywise_avg", "left_csv": "p.csv", "right_csv": "q.csv"}
+    )
+    assert not loads_optimize(tmp_path, ["metric", "--config", avg])
+    # The diagonal against the anti-diagonal: no coordinate separates them.
+    (tmp_path / "diag.csv").write_text("0,0,0.5\n1,1,0.5\n")
+    (tmp_path / "anti.csv").write_text("0,1,0.5\n1,0,0.5\n")
+    avg = write_json(
+        tmp_path / "avg.json",
+        {"kind": "entrywise_avg", "left_csv": "diag.csv", "right_csv": "anti.csv"},
     )
     assert loads_optimize(tmp_path, ["metric", "--config", avg])
 

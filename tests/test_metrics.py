@@ -72,6 +72,8 @@ def test_distribution_validation():
     for probs in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, -np.inf]):
         with pytest.raises(ValueError, match="probabilities must be finite"):
             DiscreteDistribution(np.array([[0.0], [1.0]]), np.array(probs))
+    with pytest.raises(ValueError, match="atoms must be pairwise distinct"):
+        DiscreteDistribution(np.array([[-0.0], [0.0]]), np.array([0.5, 0.5]))
 
 
 def test_tv_golden_values():
@@ -285,8 +287,10 @@ def test_negative_zero_atom_is_shared():
 
 
 def test_only_residual_atoms_reach_the_solver(monkeypatch):
-    # 100 uniform atoms against the same atoms with 10 moved off the grid in
-    # every coordinate: both distances are the moved mass, 0.1.
+    # 100 uniform atoms against the same atoms with 10 moved, each in its own
+    # coordinate. No coordinate separates the moved atoms, so both programs
+    # run, on the 10 moved atoms only. Keeping each in place costs 1/16 of
+    # its mass 0.01 on average and 0.01 on its own coordinate.
     seen = []
     real_lsa, real_lp = metrics_module.linear_sum_assignment, metrics_module.linprog
 
@@ -302,13 +306,81 @@ def test_only_residual_atoms_reach_the_solver(monkeypatch):
     monkeypatch.setattr(metrics_module, "linprog", lp)
     rng = np.random.default_rng(11)
     clean = rng.standard_normal((100, 16))
+    moved = rng.choice(100, size=10, replace=False)
     shifted = clean.copy()
-    shifted[rng.choice(100, size=10, replace=False)] += 10.0
+    shifted[moved, rng.choice(16, size=10, replace=False)] += 10.0
     p = DiscreteDistribution(clean, np.full(100, 0.01))
+    q = DiscreteDistribution(shifted, np.full(100, 0.01))
+    assert entrywise_distance_avg(p, q) == pytest.approx(0.1 / 16, abs=1e-12)
+    assert entrywise_distance_max(p, q) == pytest.approx(0.01, abs=1e-12)
+    assert seen == [("assignment", (10, 10)), ("lp", 10 * 10 + 1)]
+    # Moved in every coordinate, the atoms are separated: both distances are
+    # the moved mass, 0.1, and no solver runs.
+    seen.clear()
+    shifted = clean.copy()
+    shifted[moved] += 10.0
     q = DiscreteDistribution(shifted, np.full(100, 0.01))
     assert entrywise_distance_avg(p, q) == pytest.approx(0.1, abs=1e-12)
     assert entrywise_distance_max(p, q) == pytest.approx(0.1, abs=1e-12)
-    assert seen == [("assignment", (10, 10)), ("lp", 10 * 10 + 1)]
+    assert seen == []
+
+
+def separated_pair(rng, dim, every_coordinate, uniform):
+    # Atoms of the {0..5}^dim grid against the same atoms with some moved by
+    # +10, in every coordinate or in one fixed coordinate, so that the moved
+    # atoms are separated there. Non-uniform masses are also reshuffled among
+    # the moved atoms, so the two residuals differ in shape, not in mass.
+    n_atoms = int(rng.integers(2, 5))
+    flat = rng.choice(6**dim, size=n_atoms, replace=False)
+    atoms = np.array([[(cell // 6**k) % 6 for k in range(dim)] for cell in flat], dtype=float)
+    moved = rng.choice(n_atoms, size=int(rng.integers(1, n_atoms + 1)), replace=False)
+    shifted = atoms.copy()
+    shifted[np.ix_(moved, np.arange(dim) if every_coordinate else [rng.integers(dim)])] += 10.0
+    p_probs = np.full(n_atoms, 1.0 / n_atoms) if uniform else rng.random(n_atoms) + 0.05
+    p_probs /= p_probs.sum()
+    q_probs = p_probs.copy()
+    if not uniform:
+        share = rng.random(moved.size) + 0.05
+        q_probs[moved] = share / share.sum() * p_probs[moved].sum()
+    return DiscreteDistribution(atoms, p_probs), DiscreteDistribution(shifted, q_probs), moved
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("every_coordinate", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_separated_residuals_take_the_closed_form(seed, every_coordinate, uniform, monkeypatch):
+    solved = []
+    real_lsa, real_lp = metrics_module.linear_sum_assignment, metrics_module.linprog
+
+    def lsa(cost):
+        solved.append("assignment")
+        return real_lsa(cost)
+
+    def lp(c, **kwargs):
+        solved.append("lp")
+        return real_lp(c, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "linear_sum_assignment", lsa)
+    monkeypatch.setattr(metrics_module, "linprog", lp)
+    rng = np.random.default_rng(700 + seed)
+    p, q, moved = separated_pair(rng, int(rng.integers(2, 4)), every_coordinate, uniform)
+    cost = hamming_cost_matrix(p.support, q.support)
+    for norm in ("avg", "max"):
+        solved.clear()
+        value, coupling = optimal_entrywise_coupling(p, q, norm)
+        if norm == "avg":
+            assert value == pytest.approx(transport_minimum(p.probs, q.probs, cost), abs=1e-12)
+        else:
+            assert value == pytest.approx(entrywise_max_lp(p, q), abs=1e-12)
+            assert value == pytest.approx(p.probs[moved].sum(), abs=1e-12)
+        # Separated in one coordinate only, the "avg" program is still solved.
+        assert len(solved) == (1 if norm == "avg" and not every_coordinate else 0)
+        np.testing.assert_allclose(coupling.weights.sum(axis=1), p.probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coupling.weights.sum(axis=0), q.probs, rtol=0, atol=1e-12)
+        realized = coupling.coordinate_disagreement()
+        assert (realized.mean() if norm == "avg" else realized.max()) == pytest.approx(
+            value, abs=1e-12
+        )
 
 
 def test_coupling_marginal_validation():
