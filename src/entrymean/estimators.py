@@ -31,6 +31,7 @@ ESTIMATOR_KINDS = (
     "two_step",
 )
 RECOVERY_METHODS = ("known_structure", "iterative_svd", "replacement")
+TUKEY_DIM_CAP = 2
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def _tukey_candidates(points: np.ndarray) -> np.ndarray:
     return np.unique(np.vstack(candidates), axis=0)
 
 
-def tukey_median(ds: Dataset, max_dim: int = 2) -> np.ndarray:
+def tukey_median(ds: Dataset) -> np.ndarray:
     """Point of maximum halfspace depth; exact, so only for tiny dimensions.
 
     In one dimension this is the ordinary median. In two dimensions the depth
@@ -166,8 +167,8 @@ def tukey_median(ds: Dataset, max_dim: int = 2) -> np.ndarray:
     """
     if ds.mask.any():
         raise ValueError("tukey_median needs fully visible data")
-    if ds.dim > max_dim:
-        raise CapExceededError(f"dim={ds.dim} exceeds the exact-depth cap {max_dim}")
+    if ds.dim > TUKEY_DIM_CAP:
+        raise CapExceededError(f"dim={ds.dim} exceeds the exact-depth cap {TUKEY_DIM_CAP}")
     if ds.dim == 1:
         return np.array([np.median(ds.values[:, 0])])
     points = ds.values

@@ -38,9 +38,11 @@ import numpy as np
 
 from .data import read_dense_csv, write_csv_rows
 from .errors import CapExceededError, MetricFailure, NonFiniteMetricInputError
+from .structure import DEFAULT_RANK_TOL
 
 COUPLING_CELL_CAP = 10_000
 SUPPORT_CAP = 100
+SIGN_ENUMERATION_CAP = 20
 
 
 class _LazySolver:
@@ -299,18 +301,18 @@ def cov_to_corr(matrix) -> np.ndarray:
     return m * np.outer(inv, inv)
 
 
-def max_sign_quadratic(matrix, max_dim: int = 20) -> float:
+def max_sign_quadratic(matrix) -> float:
     """Largest sqrt(x' S x) over sign vectors x, with S the unit-diagonal rescaling.
 
     For positive semidefinite input the result lies between sqrt(dim) and dim;
     the identity matrix attains the lower end and the all-ones matrix the
-    upper end. Enumerates all sign vectors (up to global sign), hence the
-    ``max_dim`` cap.
+    upper end. Enumerates all sign vectors (up to global sign), hence the cap
+    of ``SIGN_ENUMERATION_CAP`` dimensions.
     """
     s = cov_to_corr(matrix)
     dim = s.shape[0]
-    if dim > max_dim:
-        raise CapExceededError(f"dim={dim} exceeds the enumeration cap {max_dim}")
+    if dim > SIGN_ENUMERATION_CAP:
+        raise CapExceededError(f"dim={dim} exceeds the enumeration cap {SIGN_ENUMERATION_CAP}")
     best = -np.inf
     total = 1 << (dim - 1)  # fix the first sign: x and -x agree in value
     chunk = 1 << 14
@@ -343,10 +345,11 @@ def l2_error(estimate, reference) -> float:
     return float(np.linalg.norm(est - ref))
 
 
-def mahalanobis_error(estimate, reference, covariance, rank_tol: float = 1e-10) -> float:
+def mahalanobis_error(estimate, reference, covariance) -> float:
     """sqrt of d' pinv(Sigma) d for d the estimation error.
 
-    For rank-deficient covariance the error must lie in the range of Sigma
+    Eigenvalues up to ``DEFAULT_RANK_TOL`` times the largest count as zero. For
+    rank-deficient covariance the error must lie in the range of Sigma
     (projection residual within 1e-6 relative), otherwise the quantity is
     infinite in spirit and a MetricFailure is raised. A non-finite input
     raises :class:`NonFiniteMetricInputError`.
@@ -356,7 +359,7 @@ def mahalanobis_error(estimate, reference, covariance, rank_tol: float = 1e-10) 
     if sigma.shape != (d.size, d.size):
         raise ValueError("covariance shape does not match the vectors")
     eigvals, eigvecs = np.linalg.eigh(sigma)
-    cutoff = rank_tol * max(eigvals.max(initial=0.0), 0.0)
+    cutoff = DEFAULT_RANK_TOL * max(eigvals.max(initial=0.0), 0.0)
     keep = eigvals > cutoff
     if not np.any(keep):
         raise MetricFailure("covariance has numerical rank zero")

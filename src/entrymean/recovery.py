@@ -7,17 +7,21 @@ and up to a radius a syndrome that one support of that many coordinates
 explains is undone. What no test passes is discarded. ``known_structure``
 recovery is radius 0; replacement decoding (:func:`decode_replacements`) is
 radius (m - 1) // 2, m the removal margin of A (the minimum number of rows
-whose loss drops its row space), within which decoding is unique. The
-single-sample minimum-Hamming decoders, exhaustive or over random independent
-row subsets, also search past it, where distinct reconstructions can tie.
+whose loss drops its row space), within which decoding is unique.
 
 Structure unknown, rank known: :func:`iterative_svd_complete` learns the span
 most fully visible samples lie in and decodes against it by :func:`recover_table`
 at radius 0, else completes the table by iterated rank truncation from medians.
 
-Sparse decoding (:func:`recover_by_sparse_decoding`) projects a sample onto a
-random parity check of range(A), so corruption shows up as a sparse vector
-that orthogonal matching pursuit can decode.
+One sample at a time, the minimum-Hamming decoders (exhaustive, or over random
+independent row subsets) also search past the radius, where distinct
+reconstructions can tie, and sparse decoding (:func:`recover_by_sparse_decoding`)
+projects the sample onto a random parity check of range(A), so corruption shows
+up as a sparse vector that orthogonal matching pursuit can decode. They share
+one sample check. The randomized and sparse decoders keep a sample that passes
+:func:`recover_table`'s range test; the Hamming decoders score r-row subsets in
+one stacked solve. An entry matches when it is within ``ENTRY_MATCH_TOL``
+max(1, |x|_inf), so no rule depends on the sample's scale.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ from .errors import (
 from .structure import (
     DEFAULT_RANK_TOL,
     StructureMatrix,
+    _independent_rows,
     numerical_rank,
     sample_independent_rows,
     structure_rank,
@@ -97,8 +102,6 @@ class CompletionReport:
 def impute_from_structure(x: np.ndarray, a: StructureMatrix) -> RecoveryOutcome:
     """Repair one sample ``x`` (NaN marks a hidden entry) by :func:`recover_table` at radius 0."""
     x = np.asarray(x, dtype=float).ravel()
-    if x.size != a.n:
-        raise ValueError(f"sample length {x.size} does not match n={a.n}")
     hidden = np.isnan(x)
     try:
         report = recover_table(Dataset(x[None, :], hidden[None, :]), a)
@@ -180,6 +183,12 @@ def _fit_by_pattern(
     return z @ basis.T, spans[inverse]
 
 
+def _in_range(x: np.ndarray, a: StructureMatrix) -> np.ndarray:
+    """The range test of each sample x (last axis): syndrome |x F'| <= ``RANGE_RESIDUAL_TOL`` |x|."""
+    bound = RANGE_RESIDUAL_TOL * np.linalg.norm(x, axis=-1)
+    return np.linalg.norm(x @ a.parity_check.T, axis=-1) <= bound
+
+
 def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> CompletionReport:
     """Repair every sample against the known structure; the one structured decoder.
 
@@ -208,16 +217,16 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     status = np.where(hidden, _DISCARDED, _KEPT)
     status[rows[ok]] = _RECOVERED
     f = a.parity_check
-    syndrome = table @ f.T
-    bound = RANGE_RESIDUAL_TOL * np.linalg.norm(table, axis=1)
-    open_rows = np.flatnonzero(~hidden & (np.linalg.norm(syndrome, axis=1) > bound))
+    open_rows = np.flatnonzero(~hidden & ~_in_range(table, a))
+    syndrome = table[open_rows] @ f.T
+    bound = RANGE_RESIDUAL_TOL * np.linalg.norm(table[open_rows], axis=1)
     for support in chain.from_iterable(combinations(range(a.n), k) for k in range(1, radius + 1)):
-        columns, s = f[:, list(support)], syndrome[open_rows]
-        e, *_ = np.linalg.lstsq(columns, s.T, rcond=None)
-        fits = np.linalg.norm(s - (columns @ e).T, axis=1) <= bound[open_rows]
+        columns = f[:, list(support)]
+        e, *_ = np.linalg.lstsq(columns, syndrome.T, rcond=None)
+        fits = np.linalg.norm(syndrome - (columns @ e).T, axis=1) <= bound
         values[np.ix_(open_rows[fits], support)] -= e[:, fits].T
         status[open_rows[fits]] = _RECOVERED
-        open_rows = open_rows[~fits]
+        open_rows, syndrome, bound = open_rows[~fits], syndrome[~fits], bound[~fits]
     status[open_rows] = _DISCARDED
     keep = status != _DISCARDED
     if not keep.any():
@@ -345,70 +354,69 @@ def decode_replacements(ds: Dataset, a: StructureMatrix) -> CompletionReport:
     return recover_table(ds, a, radius=radius)
 
 
-def _hamming(candidate: np.ndarray, x: np.ndarray, tol: float) -> int:
-    return int(np.count_nonzero(np.abs(candidate - x) > tol))
-
-
-def _in_range(x: np.ndarray, a: StructureMatrix, tol: float) -> bool:
-    z, *_ = np.linalg.lstsq(a.entries, x, rcond=None)
-    return bool(np.max(np.abs(a.entries @ z - x)) <= tol)
-
-
-def replacement_candidates(
-    a: StructureMatrix,
-    x: np.ndarray,
-    tol: float = ENTRY_MATCH_TOL,
-    max_subsets: int = 100_000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All reconstructions from independent r-row subsets, with Hamming residuals.
-
-    Returns ``(candidates, residuals)`` where ``candidates[i]`` solves one
-    invertible r-row subsystem exactly and ``residuals[i]`` counts the
-    coordinates of ``x`` it fails to reproduce (beyond ``tol``). Dependent
-    subsets are skipped.
-    """
+def _fully_visible(x, a: StructureMatrix) -> np.ndarray:
+    """The sample check: ``x`` as a float vector of ``a.n`` entries, none of them NaN."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size != a.n:
         raise ValueError(f"sample length {x.size} does not match n={a.n}")
     if np.any(np.isnan(x)):
         raise ValueError("replacement recovery expects a fully visible sample")
-    r = a.r
-    if structure_rank(a) < r:
+    return x
+
+
+def _misses(candidates: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Entries of each candidate off ``x`` by more than ``ENTRY_MATCH_TOL`` max(1, |x|_inf)."""
+    tol = ENTRY_MATCH_TOL * max(1.0, float(np.max(np.abs(x))))
+    return np.count_nonzero(np.abs(candidates - x) > tol, axis=-1)
+
+
+def _score_subsets(
+    a: StructureMatrix, x: np.ndarray, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``candidates[i]`` = A z for A[subsets[i]] z = x[subsets[i]], and its :func:`_misses`."""
+    step = max(1, (1 << 20) // a.r**2)  # square systems per stacked solve: about 8 MB
+    blocks = np.split(subsets, range(step, len(subsets), step))
+    zs = np.concatenate([np.linalg.solve(a.entries[rows], x[rows, None]) for rows in blocks])
+    candidates = zs[..., 0] @ a.entries.T
+    return candidates, _misses(candidates, x)
+
+
+def replacement_candidates(
+    a: StructureMatrix, x: np.ndarray, max_subsets: int = 100_000
+) -> tuple[np.ndarray, np.ndarray]:
+    """All reconstructions from independent r-row subsets, with Hamming residuals.
+
+    ``(candidates, residuals)`` of :func:`_score_subsets` over the r-row subsets,
+    in lexicographic order, that :func:`.structure.is_general_position`'s
+    stacked rank test finds independent; the rest are skipped.
+    """
+    x = _fully_visible(x, a)
+    if structure_rank(a) < a.r:
         raise ValueError("structure must have full column rank")
-    if math.comb(a.n, r) > max_subsets:
-        raise CapExceededError(f"C({a.n}, {r}) subsets exceed the cap {max_subsets}")
-    subsets = np.array(list(combinations(range(a.n), r)))
-    sub_a = a.entries[subsets]  # (n_subsets, r, r)
-    svals = np.linalg.svd(sub_a, compute_uv=False)
-    invertible = svals[:, -1] > a.rank_tol * svals[:, 0]
-    if not invertible.any():
+    if math.comb(a.n, a.r) > max_subsets:
+        raise CapExceededError(f"C({a.n}, {a.r}) subsets exceed the cap {max_subsets}")
+    subsets = np.array(list(combinations(range(a.n), a.r)))
+    subsets = subsets[_independent_rows(a, subsets)]
+    if subsets.size == 0:
         raise ValueError("no invertible r-row subset exists")
-    sub_a = sub_a[invertible]
-    sub_x = x[subsets[invertible]]
-    zs = np.linalg.solve(sub_a, sub_x[..., None])[..., 0]
-    candidates = zs @ a.entries.T
-    residuals = (np.abs(candidates - x[None, :]) > tol).sum(axis=1)
-    return candidates, residuals
+    return _score_subsets(a, x, subsets)
 
 
 def recover_replacement_exhaustive(
-    a: StructureMatrix,
-    x: np.ndarray,
-    tol: float = ENTRY_MATCH_TOL,
-    max_subsets: int = 100_000,
+    a: StructureMatrix, x: np.ndarray, max_subsets: int = 100_000
 ) -> RecoveryOutcome:
     """Reconstruction of minimum Hamming residual over every r-row subset.
 
-    Ties between distinct optimal reconstructions are broken by picking the
-    lexicographically smallest vector, so the result is deterministic even in
-    the ambiguous regime.
+    A sample that some candidate of :func:`replacement_candidates` matches in
+    every entry is returned unchanged. Ties between distinct optimal
+    reconstructions are broken by picking the lexicographically smallest
+    vector, so the result is deterministic even in the ambiguous regime.
     """
-    candidates, residuals = replacement_candidates(a, x, tol, max_subsets)
+    candidates, residuals = replacement_candidates(a, x, max_subsets)
     best = int(residuals.min())
     if best == 0:
         return RecoveryOutcome(RecoveryStatus.UNCHANGED, np.asarray(x, dtype=float).copy(), 0)
-    pool = candidates[residuals == best]
-    winner = min(map(tuple, pool))
+    winner = min(map(tuple, candidates[residuals == best]))
     return RecoveryOutcome(RecoveryStatus.RECOVERED, np.array(winner), best)
 
 
@@ -417,20 +425,15 @@ def recover_replacement_randomized(
     x: np.ndarray,
     exponent: float = 2.0,
     rng: np.random.Generator | None = None,
-    tol: float = ENTRY_MATCH_TOL,
 ) -> RecoveryOutcome:
     """Hamming-residual minimization over ceil(r**exponent) random row subsets.
 
-    Each draw picks ``r`` independent rows uniformly, solves the square
-    subsystem and scores the rebuilt sample against ``x``. A vector already
-    in range(A) (within ``tol``) is returned unchanged without sampling. A
-    draw count above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`.
+    A sample that passes the range test is returned unchanged without sampling.
+    Otherwise each draw picks ``r`` independent rows uniformly, all draws are
+    scored at once by :func:`_score_subsets`, and the first of least residual
+    wins. A draw count above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != a.n:
-        raise ValueError(f"sample length {x.size} does not match n={a.n}")
-    if np.any(np.isnan(x)):
-        raise ValueError("replacement recovery expects a fully visible sample")
+    x = _fully_visible(x, a)
     if structure_rank(a) < a.r:
         raise ValueError("structure must have full column rank")
     if not (math.isfinite(exponent) and exponent >= 0):
@@ -442,19 +445,13 @@ def recover_replacement_randomized(
         )
     if rng is None:
         rng = np.random.default_rng()
-    if _in_range(x, a, tol):
+    if _in_range(x, a):
         return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
     n_draws = int(math.ceil(a.r**exponent))
-    best_sample = None
-    best_residual = None
-    for _ in range(n_draws):
-        rows = sample_independent_rows(a, a.r, rng)
-        z = np.linalg.solve(a.entries[rows], x[rows])
-        candidate = a.entries @ z
-        residual = _hamming(candidate, x, tol)
-        if best_residual is None or residual < best_residual:
-            best_sample, best_residual = candidate, residual
-    return RecoveryOutcome(RecoveryStatus.RECOVERED, best_sample, best_residual)
+    subsets = np.array([sample_independent_rows(a, a.r, rng) for _ in range(n_draws)])
+    candidates, residuals = _score_subsets(a, x, subsets)
+    best = int(np.argmin(residuals))
+    return RecoveryOutcome(RecoveryStatus.RECOVERED, candidates[best].copy(), int(residuals[best]))
 
 
 def build_parity_check(
@@ -527,30 +524,22 @@ def recover_by_sparse_decoding(
     sparsity: int,
     n_parity_rows: int,
     rng: np.random.Generator,
-    tol: float = ENTRY_MATCH_TOL,
 ) -> RecoveryOutcome:
     """Decode replacement corruption through a random parity check of range(A).
 
-    Projecting x by F with F @ A = 0 erases the clean part, leaving y = F @ e
-    with e the corruption vector. If the e found by matching pursuit brings
-    x - e back into range(A) (residual within 1e-6 relative) the repaired
-    sample is returned; otherwise the sample is unrecoverable at this
-    sparsity level.
+    A sample that passes the range test of :func:`recover_table` is returned
+    unchanged. Otherwise projecting x by F with F @ A = 0 erases the clean
+    part, leaving y = F @ e with e the corruption vector. If the e found by
+    matching pursuit brings x - e through the same range test, the repaired
+    sample is returned with the count of entries it moves by more than
+    ``ENTRY_MATCH_TOL`` max(1, |x|_inf); otherwise the sample is unrecoverable
+    at this sparsity level.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != a.n:
-        raise ValueError(f"sample length {x.size} does not match n={a.n}")
-    if np.any(np.isnan(x)):
-        raise ValueError("sparse decoding expects a fully visible sample")
-    if _in_range(x, a, tol):
+    x = _fully_visible(x, a)
+    if _in_range(x, a):
         return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
     f = build_parity_check(a, n_parity_rows, rng)
-    e = orthogonal_matching_pursuit(f, f @ x, sparsity)
-    repaired = x - e
-    z, *_ = np.linalg.lstsq(a.entries, repaired, rcond=None)
-    range_gap = np.max(np.abs(a.entries @ z - repaired))
-    if range_gap > RANGE_RESIDUAL_TOL * max(1.0, np.max(np.abs(repaired))):
+    repaired = x - orthogonal_matching_pursuit(f, f @ x, sparsity)
+    if not _in_range(repaired, a):
         return RecoveryOutcome(RecoveryStatus.UNRECOVERABLE)
-    return RecoveryOutcome(
-        RecoveryStatus.RECOVERED, repaired, int(np.count_nonzero(np.abs(e) > tol))
-    )
+    return RecoveryOutcome(RecoveryStatus.RECOVERED, repaired, int(_misses(repaired, x)))

@@ -18,6 +18,7 @@ from .data import read_dense_csv
 from .errors import CapExceededError, DegenerateMatrixError
 
 DEFAULT_RANK_TOL = 1e-10
+REMOVAL_SEARCH_CAP = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,19 +103,19 @@ def structure_rank(a: StructureMatrix) -> int:
     return a.rank
 
 
-def min_rows_to_drop_rank(a: StructureMatrix, max_n: int = 20) -> int:
+def min_rows_to_drop_rank(a: StructureMatrix) -> int:
     """Smallest number of rows whose removal lowers the row-space dimension.
 
     Subset sizes are tried in increasing order, so the first size that admits
     a rank-reducing removal is returned. The search is exhaustive over row
-    subsets, hence the ``max_n`` cap.
+    subsets, hence the cap of ``REMOVAL_SEARCH_CAP`` rows.
 
     Returns a value between 1 and ``a.n`` inclusive. The identity matrix gives
     1 (any single row is load bearing) while a matrix whose rows are all equal
     gives ``a.n`` (the shared direction survives until nothing is left).
     """
-    if a.n > max_n:
-        raise CapExceededError(f"n={a.n} exceeds the exhaustive-search cap {max_n}")
+    if a.n > REMOVAL_SEARCH_CAP:
+        raise CapExceededError(f"n={a.n} exceeds the exhaustive-search cap {REMOVAL_SEARCH_CAP}")
     base = structure_rank(a)
     if base == 0:
         raise ValueError("zero matrix has no row-space dimension to lose")
@@ -127,11 +128,18 @@ def min_rows_to_drop_rank(a: StructureMatrix, max_n: int = 20) -> int:
     raise AssertionError("unreachable: removing every row empties the row space")
 
 
+def _independent_rows(a: StructureMatrix, subsets: np.ndarray) -> np.ndarray:
+    """Whether the rows of ``a`` that each row of ``subsets`` picks (at most r of them)
+    are independent by :func:`numerical_rank`'s rule, from one stacked SVD."""
+    s = np.linalg.svd(a.entries[subsets], compute_uv=False)
+    return s[:, -1] > a.rank_tol * s[:, 0]
+
+
 def is_general_position(a: StructureMatrix, max_subsets: int = 100_000) -> bool:
     """Whether every r-subset of rows is linearly independent.
 
-    A matrix without full column rank is never in general position. The check
-    enumerates all C(n, r) subsets and refuses to run past ``max_subsets``.
+    A matrix without full column rank is never in general position. One stacked
+    SVD tests all C(n, r) subsets; more than ``max_subsets`` of them are refused.
     """
     if structure_rank(a) < a.r:
         return False
@@ -139,10 +147,7 @@ def is_general_position(a: StructureMatrix, max_subsets: int = 100_000) -> bool:
         raise CapExceededError(
             f"C({a.n}, {a.r}) subsets exceed the cap {max_subsets}"
         )
-    for rows in combinations(range(a.n), a.r):
-        if numerical_rank(a.entries[list(rows)], a.rank_tol) < a.r:
-            return False
-    return True
+    return bool(_independent_rows(a, np.array(list(combinations(range(a.n), a.r)))).all())
 
 
 def null_space_basis(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
@@ -178,16 +183,16 @@ def sample_independent_rows(
         raise ValueError(f"no {count} rows of a rank-{structure_rank(a)} matrix are independent")
     for _ in range(max_tries):
         idx = np.sort(rng.choice(a.n, size=count, replace=False))
-        if numerical_rank(a.entries[idx], a.rank_tol) == count:
+        if _independent_rows(a, idx[None])[0]:
             return idx
     raise DegenerateMatrixError(
         f"no independent {count}-row subset found in {max_tries} draws"
     )
 
 
-def load_structure_csv(path, rank_tol: float = DEFAULT_RANK_TOL) -> StructureMatrix:
+def load_structure_csv(path) -> StructureMatrix:
     """Read a structure matrix, one row per coordinate, by :func:`.data.read_dense_csv`."""
-    return StructureMatrix(read_dense_csv(path), rank_tol=rank_tol)
+    return StructureMatrix(read_dense_csv(path))
 
 
 def save_structure_csv(a: StructureMatrix, path) -> None:

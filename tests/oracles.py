@@ -115,6 +115,40 @@ def decode_within_radius_direct(entries, x, radius):
     return None
 
 
+def randomized_replacement_direct(entries, x, exponent, rng):
+    """Minimum-Hamming reconstruction of ``x`` over ceil(r**exponent) random r-row draws.
+
+    Returns ``(status, sample, residual)``. ``("unchanged", x, 0)`` when the
+    least-squares fit entries @ z = x leaves a residual at most 1e-6 |x|.
+    Otherwise each draw repeats ``np.sort(rng.choice(n, r, replace=False))``
+    until the picked rows have r singular values above 1e-10 times the largest,
+    solves that square system, and counts the coordinates where entries @ z
+    misses ``x`` by more than 1e-8 max(1, max |x|). The first draw of least
+    count wins: ``("recovered", entries @ z, count)``.
+    """
+    entries = np.asarray(entries, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n, r = entries.shape
+    z, *_ = np.linalg.lstsq(entries, x, rcond=None)
+    if np.linalg.norm(entries @ z - x) <= 1e-6 * np.linalg.norm(x):
+        return "unchanged", x.copy(), 0
+    tol = 1e-8 * max(1.0, max(abs(v) for v in x))
+    best_sample, best_count = None, None
+    for _ in range(int(np.ceil(r**exponent))):
+        for _ in range(1000):
+            rows = np.sort(rng.choice(n, size=r, replace=False))
+            s = np.linalg.svd(entries[rows], compute_uv=False)
+            if sum(1 for v in s if v > 1e-10 * s[0]) == r:
+                break
+        else:
+            raise AssertionError("no independent draw in 1000 tries")
+        sample = entries @ np.linalg.solve(entries[rows], x[rows])
+        count = sum(1 for got, want in zip(sample, x) if abs(got - want) > tol)
+        if best_count is None or count < best_count:
+            best_sample, best_count = sample, count
+    return "recovered", best_sample, best_count
+
+
 def halfplane_depth_direct(points, center, n_grid=7201):
     """Depth by sweeping many directions: every event angle plus a dense grid.
 

@@ -43,6 +43,7 @@ from oracles import (
     hard_impute_direct,
     impute_rows_direct,
     min_rows_to_drop_rank_direct,
+    randomized_replacement_direct,
     warm_complete_direct,
 )
 from test_structure import random_general_position
@@ -730,6 +731,52 @@ def test_replacement_randomized_never_beats_exhaustive():
         brute = recover_replacement_exhaustive(a, corrupted)
         sampled = recover_replacement_randomized(a, corrupted, rng=rng)
         assert sampled.residual_hamming >= brute.residual_hamming
+
+
+def test_replacement_randomized_matches_direct_oracle():
+    # Dimensions, scales and replaced counts vary, some past the decoding radius.
+    rng = np.random.default_rng(140)
+    statuses = set()
+    for case in range(200):
+        n = int(rng.integers(4, 13))
+        r = int(rng.integers(1, min(5, n - 1) + 1))
+        a = StructureMatrix(rng.standard_normal((n, r)))
+        x = a.entries @ rng.standard_normal(r)
+        coords = rng.choice(n, int(rng.integers(0, n - r + 1)), replace=False)
+        x[coords] += rng.uniform(0.5, 2.0, coords.size) * rng.choice([-1.0, 1.0], coords.size)
+        x *= 10.0 ** rng.uniform(-3.0, 6.0) / np.abs(x).max()
+        exponent = float(rng.choice([1.0, 1.5, 2.0]))
+        got = recover_replacement_randomized(a, x, exponent, np.random.default_rng(case))
+        status, sample, residual = randomized_replacement_direct(
+            a.entries, x, exponent, np.random.default_rng(case)
+        )
+        assert got.status.value == status
+        assert got.residual_hamming == residual
+        np.testing.assert_allclose(got.sample, sample, rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
+        statuses.add(status)
+    assert statuses == {"unchanged", "recovered"}
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e12])
+def test_single_sample_decoders_do_not_depend_on_scale(scale):
+    # Both the range test and the entry match are relative, so the outcome is the same at any scale.
+    a = random_general_position(8, 3, seed=141)
+    x = a.entries @ np.random.default_rng(142).standard_normal(3)
+    x *= scale / np.abs(x).max()
+    corrupted = x.copy()
+    corrupted[5] += 0.5 * scale
+    decoders = {
+        "exhaustive": lambda s: recover_replacement_exhaustive(a, s),
+        "randomized": lambda s: recover_replacement_randomized(a, s, rng=np.random.default_rng(0)),
+        "sparse": lambda s: recover_by_sparse_decoding(a, s, 1, 5, np.random.default_rng(0)),
+    }
+    for name, decode in decoders.items():
+        clean = decode(x)
+        assert (clean.status, clean.residual_hamming) == (RecoveryStatus.UNCHANGED, 0), name
+        np.testing.assert_array_equal(clean.sample, x)
+        repaired = decode(corrupted)
+        assert (repaired.status, repaired.residual_hamming) == (RecoveryStatus.RECOVERED, 1), name
+        np.testing.assert_allclose(repaired.sample, x, rtol=0, atol=1e-12 * scale, err_msg=name)
 
 
 def test_replacement_rejects_hidden_entries_and_caps():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,29 @@ def test_general_position_detects_dependent_subset():
     bad[3] = bad[0] + bad[1]  # rows 0, 1, 3 now dependent
     assert not is_general_position(StructureMatrix(bad))
     assert not is_general_position(StructureMatrix(np.array([[1.0], [0.0]])))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_general_position_matches_per_subset_rank(seed):
+    # Random, duplicated-row, planted-dependent and nearly dependent matrices.
+    rng = np.random.default_rng(seed)
+    n, r = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+    entries = rng.standard_normal((max(n, r + 1), r))
+    planted = entries[0] + (entries[1] if r > 1 else 0.0)
+    last_rows = {
+        "random": entries[-1],
+        "duplicate": entries[0],
+        "dependent": planted,
+        "near_1e-12": planted + 1e-12 * rng.standard_normal(r),
+        "near_1e-8": planted + 1e-8 * rng.standard_normal(r),
+    }
+    for kind, last in last_rows.items():
+        e = np.vstack([entries[:-1], last])
+        a = StructureMatrix(e)
+        per_subset = structure_rank(a) == r and all(
+            numerical_rank(e[list(rows)]) == r for rows in itertools.combinations(range(a.n), r)
+        )
+        assert is_general_position(a) == per_subset, kind
 
 
 def test_general_position_cap():
