@@ -348,8 +348,7 @@ def l2_error(estimate, reference) -> float:
 def mahalanobis_error(estimate, reference, covariance) -> float:
     """sqrt of d' pinv(Sigma) d for d the estimation error.
 
-    Eigenvalues up to ``DEFAULT_RANK_TOL`` times the largest count as zero. For
-    rank-deficient covariance the error must lie in the range of Sigma
+    For rank-deficient covariance the error must lie in the range of Sigma
     (projection residual within 1e-6 relative), otherwise the quantity is
     infinite in spirit and a MetricFailure is raised. A non-finite input
     raises :class:`NonFiniteMetricInputError`.

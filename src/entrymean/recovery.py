@@ -43,6 +43,7 @@ from .errors import (
 from .structure import (
     DEFAULT_RANK_TOL,
     StructureMatrix,
+    _in_blocks,
     _independent_rows,
     numerical_rank,
     sample_independent_rows,
@@ -337,8 +338,6 @@ def decode_replacements(ds: Dataset, a: StructureMatrix) -> CompletionReport:
     a structure past the margin's exhaustive cap, and more than
     ``REPLACEMENT_SOLVE_CAP`` supports within the radius are refused.
     """
-    if ds.dim != a.n:
-        raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
     if ds.mask.any():
         raise ReplacementDecodingError("replacement decoding expects a fully visible table")
     try:
@@ -374,8 +373,7 @@ def _score_subsets(
     a: StructureMatrix, x: np.ndarray, subsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``candidates[i]`` = A z for A[subsets[i]] z = x[subsets[i]], and its :func:`_misses`."""
-    step = max(1, (1 << 20) // a.r**2)  # square systems per stacked solve: about 8 MB
-    blocks = np.split(subsets, range(step, len(subsets), step))
+    blocks = _in_blocks(subsets, a.r)
     zs = np.concatenate([np.linalg.solve(a.entries[rows], x[rows, None]) for rows in blocks])
     candidates = zs[..., 0] @ a.entries.T
     return candidates, _misses(candidates, x)
@@ -391,8 +389,6 @@ def replacement_candidates(
     stacked rank test finds independent; the rest are skipped.
     """
     x = _fully_visible(x, a)
-    if structure_rank(a) < a.r:
-        raise ValueError("structure must have full column rank")
     if math.comb(a.n, a.r) > max_subsets:
         raise CapExceededError(f"C({a.n}, {a.r}) subsets exceed the cap {max_subsets}")
     subsets = np.array(list(combinations(range(a.n), a.r)))
@@ -434,8 +430,6 @@ def recover_replacement_randomized(
     wins. A draw count above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`.
     """
     x = _fully_visible(x, a)
-    if structure_rank(a) < a.r:
-        raise ValueError("structure must have full column rank")
     if not (math.isfinite(exponent) and exponent >= 0):
         raise ValueError("exponent must be finite and nonnegative")
     if exponent * math.log(a.r) > math.log(REPLACEMENT_SOLVE_CAP):

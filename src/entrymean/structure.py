@@ -128,18 +128,24 @@ def min_rows_to_drop_rank(a: StructureMatrix) -> int:
     raise AssertionError("unreachable: removing every row empties the row space")
 
 
+def _in_blocks(subsets: np.ndarray, width: int) -> list[np.ndarray]:
+    """Row-index picks in blocks whose rows of a ``width``-column matrix hold about 2^20 cells."""
+    return np.array_split(subsets, max(1, min(len(subsets), subsets.size * width >> 20)))
+
+
 def _independent_rows(a: StructureMatrix, subsets: np.ndarray) -> np.ndarray:
     """Whether the rows of ``a`` that each row of ``subsets`` picks (at most r of them)
-    are independent by :func:`numerical_rank`'s rule, from one stacked SVD."""
-    s = np.linalg.svd(a.entries[subsets], compute_uv=False)
+    are independent by :func:`numerical_rank`'s rule, from stacked SVDs."""
+    blocks = _in_blocks(subsets, a.r)
+    s = np.concatenate([np.linalg.svd(a.entries[rows], compute_uv=False) for rows in blocks])
     return s[:, -1] > a.rank_tol * s[:, 0]
 
 
 def is_general_position(a: StructureMatrix, max_subsets: int = 100_000) -> bool:
     """Whether every r-subset of rows is linearly independent.
 
-    A matrix without full column rank is never in general position. One stacked
-    SVD tests all C(n, r) subsets; more than ``max_subsets`` of them are refused.
+    A matrix without full column rank is never in general position. Stacked
+    SVDs test all C(n, r) subsets; more than ``max_subsets`` of them are refused.
     """
     if structure_rank(a) < a.r:
         return False
