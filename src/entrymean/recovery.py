@@ -19,8 +19,8 @@ reconstructions can tie, and sparse decoding (:func:`recover_by_sparse_decoding`
 projects the sample onto a random parity check of range(A), so corruption shows
 up as a sparse vector that orthogonal matching pursuit can decode. They share
 one sample check. The randomized and sparse decoders keep a sample that passes
-:func:`recover_table`'s range test; the Hamming decoders score r-row subsets in
-one stacked solve. An entry matches when it is within ``ENTRY_MATCH_TOL``
+:func:`recover_table`'s range test; the Hamming decoders score r-row subsets by
+stacked solves. An entry matches when it is within ``ENTRY_MATCH_TOL``
 max(1, |x|_inf), so no rule depends on the sample's scale.
 """
 from __future__ import annotations
