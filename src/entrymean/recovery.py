@@ -7,7 +7,11 @@ and up to a radius a syndrome that one support of that many coordinates
 explains is undone. What no test passes is discarded. ``known_structure``
 recovery is radius 0; replacement decoding (:func:`decode_replacements`) is
 radius (m - 1) // 2, m the removal margin of A (the minimum number of rows
-whose loss drops its row space), within which decoding is unique.
+whose loss drops its row space), within which decoding is unique. Factors are
+formed once per distinct hiding pattern; the work done per sample (solves,
+residual and range tests, the write-back) runs on blocks of about
+``_ROW_BLOCK`` samples, so besides its output the decoder holds no array that
+grows with the table faster than its patterns and row indices.
 
 Structure unknown, rank known: :func:`iterative_svd_complete` learns the span
 most fully visible samples lie in and decodes against it by :func:`recover_table`
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations
@@ -56,6 +61,9 @@ RANGE_RESIDUAL_TOL = 1e-6
 # in recover_replacement_randomized, supports per table in decode_replacements.
 REPLACEMENT_SOLVE_CAP = 100_000
 _KEPT, _RECOVERED, _DISCARDED = 0, 1, 2
+# Rows decoded at once: the per-row temporaries of recover_table and
+# _consensus_span span about this many rows, whatever the table's length.
+_ROW_BLOCK = 1024
 
 
 class RecoveryStatus(Enum):
@@ -138,36 +146,57 @@ def _certified_inverse(gram: np.ndarray, rank_tol: float) -> tuple[np.ndarray, n
     return root.transpose(2, 1, 0) @ root.transpose(2, 0, 1), certified
 
 
-def _fit_by_pattern(
-    a: StructureMatrix, x: np.ndarray, visible: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares fit of each row of ``x`` on its visible coordinates.
+def _block_starts(count: int) -> list[int]:
+    """Starts of blocks of ``_ROW_BLOCK`` rows of ``range(count)``; a lone last row
+    joins the block before it. numpy multiplies a one-row matrix by gemv, which
+    rounds unlike gemm, and gemm rounds a row alike in any call of two or more
+    rows, so a row's products do not depend on the blocks unless a factor has
+    one column (rank or co-rank 1), which sends every call to gemv."""
+    starts = list(range(0, count, _ROW_BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return starts
 
-    ``x`` holds zeros at hidden cells. Returns ``(samples, spans)``: the rows
-    rebuilt as A @ z from the pseudo-inverse solve on the visible rows of A,
-    and whether those keep rank(A) (singular values above ``a.rank_tol`` times
-    the largest). Work is shared per distinct hiding pattern. A pattern
-    certified by :func:`_certified_inverse` keeps every singular value far
-    above both cutoffs below, so it spans; its rows are solved by the
+
+def _row_blocks(count: int) -> list[slice]:
+    """:func:`_block_starts` of ``range(count)`` as slices."""
+    starts = _block_starts(count)
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+
+
+def _fit_by_pattern(
+    a: StructureMatrix, ds: Dataset, rows: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Least-squares fit of the samples ``ds.values[rows]`` on their visible coordinates.
+
+    Returns an iterator of ``(block, samples, fits)``, one per block of
+    ``rows``: the samples rebuilt as A @ z from the pseudo-inverse solve on the
+    visible rows of A, and whether each fit holds, meaning those rows keep
+    rank(A) (singular values above ``a.rank_tol`` times the largest) and the
+    fit leaves a residual within ``RANGE_RESIDUAL_TOL`` relative on the
+    visible cells.
+
+    Factors are formed once per distinct hiding pattern, before this returns,
+    so their transients are freed before the caller allocates its output. A
+    pattern certified by :func:`_certified_inverse` keeps every singular value
+    far above both cutoffs below, so it spans; its rows are solved by the
     semi-normal equations plus one refinement step. Other patterns take a
     stacked SVD of A with the hidden coordinates zeroed: the rank test counts
     singular values and needs rank(A) visible cells, and the pseudo-inverse
-    drops those at or below eps * max(visible count, columns) times the largest.
+    drops those at or below eps * max(visible count, columns) times the
+    largest. The per-row work (gathers of the factors, solves, residual tests)
+    runs on blocks of about ``_ROW_BLOCK`` rows, the certified patterns' rows
+    first; a lone row of either kind rides in a block of the other
+    (:func:`_block_starts`).
     """
-    keys = np.packbits(visible, axis=1)
+    keys = np.packbits(~ds.mask[rows], axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    patterns = visible[first]
+    patterns = ~ds.mask[rows[first]]
     basis, rank_tol, rank = a.entries, a.rank_tol, structure_rank(a)
     n, r = basis.shape
     outer = (basis[:, :, None] * basis[:, None, :]).reshape(n, r * r)
     gram_inv, certified = _certified_inverse((outer.T @ patterns.T).reshape(r, r, -1), rank_tol)
-    z = np.empty((x.shape[0], r))
-    on_gram = certified[inverse]
-    g, xs = gram_inv[inverse[on_gram]], x[on_gram]
-    z0 = np.einsum("kij,kj->ki", g, xs @ basis)
-    residual = (xs - z0 @ basis.T) * visible[on_gram]
-    z[on_gram] = z0 + np.einsum("kij,kj->ki", g, residual @ basis)
     rest = ~certified
     u, s, vt = np.linalg.svd(basis * patterns[rest, :, None], full_matrices=False)
     top = s[:, :1]
@@ -178,10 +207,34 @@ def _fit_by_pattern(
     spans[rest] = (np.count_nonzero(s > rank_tol * top, axis=1) >= rank) & (counts >= rank)
     cutoff = np.finfo(float).eps * np.maximum(counts, r)[:, None] * top
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    slot = (np.cumsum(rest) - 1)[inverse[~on_gram]]
-    u, inv_s, vt = u[slot], inv_s[slot], vt[slot]
-    z[~on_gram] = np.einsum("kji,kj->ki", vt, np.einsum("kji,kj->ki", u, x[~on_gram]) * inv_s)
-    return z @ basis.T, spans[inverse]
+    slot = np.cumsum(rest) - 1
+    on_gram = certified[inverse]
+    order = np.argsort(~on_gram, kind="stable")
+    n_gram = int(np.count_nonzero(on_gram))
+
+    def fit(start: int, stop: int):
+        block = rows[order[start:stop]]
+        pattern = inverse[order[start:stop]]
+        hidden = ds.mask[block]
+        x = np.where(hidden, 0.0, ds.values[block])
+        visible = ~hidden
+        k = min(max(n_gram - start, 0), stop - start)  # the block's certified rows lead
+        g, xs = gram_inv[pattern[:k]], x[:k]
+        z = np.empty((stop - start, r))
+        z0 = np.einsum("kij,kj->ki", g, xs @ basis)
+        residual = (xs - z0 @ basis.T) * visible[:k]
+        z[:k] = z0 + np.einsum("kij,kj->ki", g, residual @ basis)
+        j = slot[pattern[k:]]
+        z[k:] = np.einsum("kji,kj->ki", vt[j], np.einsum("kji,kj->ki", u[j], x[k:]) * inv_s[j])
+        samples = z @ basis.T
+        residual = np.linalg.norm((samples - x) * visible, axis=1)
+        fits = residual <= RANGE_RESIDUAL_TOL * np.linalg.norm(x, axis=1)
+        return block, samples, spans[pattern] & fits
+
+    starts = _block_starts(n_gram) + [n_gram + s for s in _block_starts(rows.size - n_gram)]
+    if 1 in (n_gram, rows.size - n_gram) and len(starts) > 1:
+        starts.remove(n_gram)
+    return (fit(start, stop) for start, stop in zip(starts, starts[1:] + [rows.size]))
 
 
 def _in_range(x: np.ndarray, a: StructureMatrix) -> np.ndarray:
@@ -195,32 +248,42 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
 
     A sample with a hidden cell is rebuilt as A @ z when the rows of ``a`` at
     its visible coordinates span rank(A) and the least-squares fit on them
-    leaves a residual within ``RANGE_RESIDUAL_TOL`` relative, solved per hiding
-    pattern (:func:`_fit_by_pattern`). A fully visible sample x is kept byte for
-    byte when its syndrome x F' (F = ``a.parity_check``) passes the same test.
-    For k = 1 ... ``radius`` and each support T of k coordinates in order, one
-    least-squares fit over the samples still open finds the corruption e_T that
-    best explains each syndrome; a sample whose fit passes becomes x - e_T.
-    Every other sample is discarded rather than trusted.
+    leaves a residual within ``RANGE_RESIDUAL_TOL`` relative, with factors
+    formed per hiding pattern (:func:`_fit_by_pattern`). A fully visible sample
+    x is kept byte for byte when its syndrome x F' (F = ``a.parity_check``)
+    passes the same test. For k = 1 ... ``radius`` and each support T of k
+    coordinates in order, one least-squares fit over the samples still open
+    finds the corruption e_T that best explains each syndrome; a sample whose
+    fit passes becomes x - e_T. Every other sample is discarded rather than
+    trusted.
+
+    The fits, the range tests and the write-back run on blocks of about
+    ``_ROW_BLOCK`` rows, into one copy of the table whose kept rows are then
+    packed in place, so besides the per-pattern factors the call allocates
+    about 2.5 times the table at most, the output included. For a structure
+    of rank and co-rank at least 2 each row's arithmetic is that of one call
+    over all rows (:func:`_block_starts`), so the result does not depend on
+    the block size.
     """
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
     hidden = ds.mask.any(axis=1)
-    rows = np.flatnonzero(hidden)
-    visible = ~ds.mask[rows]
-    table = np.where(ds.mask, 0.0, ds.values)
-    x = table[rows]
-    samples, spans = _fit_by_pattern(a, x, visible)
-    residual = np.linalg.norm((samples - x) * visible, axis=1)
-    ok = spans & (residual <= RANGE_RESIDUAL_TOL * np.linalg.norm(x, axis=1))
+    blocks = _fit_by_pattern(a, ds, np.flatnonzero(hidden))
     values = ds.values.copy()
-    values[rows[ok]] = samples[ok]
     status = np.where(hidden, _DISCARDED, _KEPT)
-    status[rows[ok]] = _RECOVERED
+    for rows, samples, fits in blocks:
+        values[rows[fits]] = samples[fits]
+        status[rows[fits]] = _RECOVERED
+    # Whole blocks are range-tested, hidden cells zeroed, so each product has
+    # the rows of one call over the whole table; only fully visible rows count.
+    in_range = np.zeros(ds.n_samples, dtype=bool)
+    for block in _row_blocks(ds.n_samples):
+        if not hidden[block].all():
+            in_range[block] = _in_range(np.where(ds.mask[block], 0.0, ds.values[block]), a)
     f = a.parity_check
-    open_rows = np.flatnonzero(~hidden & ~_in_range(table, a))
-    syndrome = table[open_rows] @ f.T
-    bound = RANGE_RESIDUAL_TOL * np.linalg.norm(table[open_rows], axis=1)
+    open_rows = np.flatnonzero(~hidden & ~in_range)
+    syndrome = ds.values[open_rows] @ f.T
+    bound = RANGE_RESIDUAL_TOL * np.linalg.norm(ds.values[open_rows], axis=1)
     for support in chain.from_iterable(combinations(range(a.n), k) for k in range(1, radius + 1)):
         columns = f[:, list(support)]
         e, *_ = np.linalg.lstsq(columns, syndrome.T, rcond=None)
@@ -232,8 +295,18 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     keep = status != _DISCARDED
     if not keep.any():
         raise AllSamplesDiscardedError("recovery discarded every sample")
+    completed = Dataset(values if keep.all() else _kept_rows(values, keep))
     recovered, discarded = np.flatnonzero(status == _RECOVERED), np.flatnonzero(~keep)
-    return CompletionReport(Dataset(values[keep]), recovered.tolist(), discarded.tolist(), 0, True)
+    return CompletionReport(completed, recovered.tolist(), discarded.tolist(), 0, True)
+
+
+def _kept_rows(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``values[keep]`` formed in place: the kept rows move up a block at a time,
+    never onto a row still to be read, and the leading rows are returned as a view."""
+    kept = np.flatnonzero(keep)
+    for block in _row_blocks(kept.size):
+        values[block] = values[kept[block]]
+    return values[: kept.size]
 
 
 def _consensus_span(rows: np.ndarray, rank: int) -> np.ndarray | None:
@@ -244,18 +317,29 @@ def _consensus_span(rows: np.ndarray, rank: int) -> np.ndarray | None:
     of numerical rank ``rank`` proposes its top ``rank`` right singular vectors;
     it wins when more than max(rank / n, 1/2) of ``rows`` lie within
     ``RANGE_RESIDUAL_TOL`` relative of them, refitted on those unless all do.
+    Rows are tested in blocks of about ``_ROW_BLOCK``, and a candidate is dropped
+    as soon as its misses leave too few rows to win.
     """
     count, n = rows.shape
     blocks = np.random.default_rng(0).permutation(count)[: min(count // rank, 200) * rank]
     norms = np.linalg.norm(rows, axis=1)
+    needed = max(rank / n, 0.5) * count  # a winner fits more rows than this
+    fits = np.empty(count, dtype=bool)
     for candidate in chain([rows], rows[blocks.reshape(-1, rank)]):
         _, s, vt = np.linalg.svd(candidate, full_matrices=False)
         if np.count_nonzero(s > DEFAULT_RANK_TOL * s[:1]) != rank:
             continue
         span = vt[:rank].T
-        fits = np.linalg.norm(rows - rows @ span @ span.T, axis=1) <= RANGE_RESIDUAL_TOL * norms
-        if fits.sum() > max(rank / n, 0.5) * count:
-            if not fits.all():
+        misses = 0
+        for block in _row_blocks(count):
+            x = rows[block]
+            residual = np.linalg.norm(x - x @ span @ span.T, axis=1)
+            fits[block] = residual <= RANGE_RESIDUAL_TOL * norms[block]
+            misses += np.count_nonzero(~fits[block])
+            if count - misses <= needed:
+                break
+        else:
+            if misses:
                 span = np.linalg.svd(rows[fits], full_matrices=False)[2][:rank].T
             return span
     return None
@@ -295,16 +379,17 @@ def iterative_svd_complete(
         raise CompletionInfeasibleError(
             "every sample has fewer visible entries than the target rank"
         )
-    values = ds.values[retained]
-    hidden = ds.mask[retained]
+    if discarded:
+        ds = Dataset(ds.values[retained], ds.mask[retained])
+    values, hidden = ds.values, ds.mask
     span = _consensus_span(values[~hidden.any(axis=1)], rank)
     if span is not None:
-        report = recover_table(Dataset(values, hidden), StructureMatrix(span))
+        report = recover_table(ds, StructureMatrix(span))
         discarded = sorted(discarded + retained[report.discarded_indices].tolist())
         recovered = retained[report.recovered_indices].tolist()
         return CompletionReport(report.completed, recovered, discarded, 0, True)
     if not hidden.any():
-        return CompletionReport(Dataset(values.copy()), [], discarded, 0, True)
+        return CompletionReport(Dataset(values), [], discarded, 0, True)
     if np.any((~hidden).sum(axis=0) == 0):
         raise CompletionInfeasibleError("a coordinate is hidden in every retained sample")
     rows = np.flatnonzero(hidden.any(axis=1))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -932,3 +933,99 @@ def test_sparse_decoding_reports_unrecoverable():
         # If it claims recovery the result must genuinely sit in range(A).
         z, *_ = np.linalg.lstsq(a.entries, outcome.sample, rcond=None)
         assert np.max(np.abs(a.entries @ z - outcome.sample)) < 1e-5
+
+
+# ------------------------------------------------------------------ row blocks
+
+
+def replaced_cells_table():
+    """The shipped structure (radius 2) and 300 fully visible samples with 0 to 3 cells moved."""
+    a = make_structure(SHIPPED_STRUCTURE)
+    rng = np.random.default_rng(140)
+    clean = rng.standard_normal((300, a.r)) @ a.entries.T
+    counts = rng.integers(0, 4, clean.shape[0])
+    rows = [
+        corrupt_coords(x, rng.choice(a.n, k, replace=False), rng)
+        for x, k in zip(clean, counts)
+    ]
+    return a, Dataset(np.array(rows))
+
+
+def known_structure(a, ds):
+    return recover_table(ds, a)
+
+
+def rank_only(a, ds):
+    return iterative_svd_complete(ds, a.r)
+
+
+def replacement(a, ds):
+    return recovery.decode_replacements(ds, a)
+
+
+@pytest.mark.parametrize("block", [2, 3, 7])
+@pytest.mark.parametrize(
+    "decode, make_table, refuse",
+    [
+        (known_structure, lambda: criterion_7_tables(0.2)[0::2], False),
+        (known_structure, lambda: criterion_7_tables(0.2)[0::2], True),
+        (known_structure, lambda: weak_latent_table(1e-3, seed=134), False),
+        (rank_only, lambda: criterion_7_tables(0.2)[0::2], False),
+        (rank_only, lambda: weak_latent_table(1e-3, seed=135, complete_rows=100), False),
+        (replacement, replaced_cells_table, False),
+    ],
+    ids=[
+        "known_structure",
+        "known_structure_svd_route",
+        "known_structure_both_routes",
+        "iterative_svd",
+        "iterative_svd_both_routes",
+        "replacement_radius_2",
+    ],
+)
+def test_row_blocks_do_not_change_the_decode(decode, make_table, refuse, block, monkeypatch):
+    # At 2-7 rows a block, the rows of one hiding pattern, and the certified
+    # and SVD-route rows, fall in many blocks, and some blocks end in a lone row.
+    a, ds = make_table()
+    certified_counts(monkeypatch, refuse)
+    monkeypatch.setattr(recovery, "_ROW_BLOCK", 10**9)
+    whole = decode(a, ds)
+    monkeypatch.setattr(recovery, "_ROW_BLOCK", block)
+    blocked = decode(a, ds)
+    assert blocked.completed.values.tobytes() == whole.completed.values.tobytes()
+    assert blocked.recovered_indices == whole.recovered_indices
+    assert blocked.discarded_indices == whole.discarded_indices
+    assert whole.recovered_indices
+
+
+@pytest.mark.parametrize("block", [2, 5, 10**9])
+def test_consensus_span_stops_early_without_changing_the_winner(block, monkeypatch):
+    # Every other complete row is moved off the span: half the rows never win,
+    # one more than half do, and the span is refitted on them.
+    monkeypatch.setattr(recovery, "_ROW_BLOCK", block)
+    _, clean = low_rank_dataset(40, 8, 2, seed=7)
+    rows = clean.copy()
+    rows[::2] += 10.0
+    assert recovery._consensus_span(rows, 2) is None
+    rows[0] -= 10.0
+    span = recovery._consensus_span(rows, 2)
+    monkeypatch.setattr(recovery, "_ROW_BLOCK", 10**9)
+    assert span.tobytes() == recovery._consensus_span(rows, 2).tobytes()
+    np.testing.assert_allclose(
+        clean @ span @ span.T, clean, rtol=0, atol=1e-9 * np.abs(clean).max()
+    )
+
+
+@pytest.mark.parametrize("budget", [0.05, 0.2])
+def test_decoders_allocate_a_few_tables_at_most(budget):
+    a = make_structure(SHIPPED_STRUCTURE)
+    ds = synthesize(a, draw_latents(LatentSpec("gaussian", 8), 20_000, np.random.default_rng(141)))
+    table = apply_plan(ds, plan_tail_hiding(ds, budget))
+    for decode, bound in ((known_structure, 3), (rank_only, 4)):
+        tracemalloc.start()
+        try:
+            decode(a, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * table.values.nbytes, (decode.__name__, peak / table.values.nbytes)
