@@ -268,7 +268,7 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
     hidden = ds.mask.any(axis=1)
-    blocks = _fit_by_pattern(a, ds, np.flatnonzero(hidden))
+    blocks = _fit_by_pattern(a, ds, np.flatnonzero(hidden))  # factors formed before the copy
     values = ds.values.copy()
     status = np.where(hidden, _DISCARDED, _KEPT)
     for rows, samples, fits in blocks:
