@@ -66,7 +66,6 @@ from .structure import (
     null_space_basis,
     numerical_rank,
     sample_independent_rows,
-    structure_rank,
 )
 
 __version__ = "0.1.0"

@@ -22,10 +22,10 @@ independent row subsets) also search past the radius, where distinct
 reconstructions can tie, and sparse decoding (:func:`recover_by_sparse_decoding`)
 projects the sample onto a random parity check of range(A), so corruption shows
 up as a sparse vector that orthogonal matching pursuit can decode. They share
-one sample check. The randomized and sparse decoders keep a sample that passes
-:func:`recover_table`'s range test; the Hamming decoders score r-row subsets by
-stacked solves. An entry matches when it is within ``ENTRY_MATCH_TOL``
-max(1, |x|_inf), so no rule depends on the sample's scale.
+one sample check and return a sample that passes :func:`recover_table`'s range
+test unchanged; the Hamming decoders score r-row subsets by stacked solves. An
+entry matches when it is within ``ENTRY_MATCH_TOL`` max(1, |x|_inf), so no rule
+depends on the sample's scale.
 """
 from __future__ import annotations
 
@@ -49,10 +49,9 @@ from .structure import (
     DEFAULT_RANK_TOL,
     StructureMatrix,
     _in_blocks,
-    _independent_rows,
+    _independent_subsets,
     numerical_rank,
     sample_independent_rows,
-    structure_rank,
 )
 
 ENTRY_MATCH_TOL = 1e-8
@@ -193,7 +192,7 @@ def _fit_by_pattern(
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     patterns = ~ds.mask[rows[first]]
-    basis, rank_tol, rank = a.entries, a.rank_tol, structure_rank(a)
+    basis, rank_tol, rank = a.entries, a.rank_tol, a.rank
     n, r = basis.shape
     outer = (basis[:, :, None] * basis[:, None, :]).reshape(n, r * r)
     gram_inv, certified = _certified_inverse((outer.T @ patterns.T).reshape(r, r, -1), rank_tol)
@@ -351,14 +350,16 @@ def iterative_svd_complete(
     """Complete a table of rank ``rank`` whose structure is unknown.
 
     Samples with fewer than ``rank`` visible entries cannot pin down their row
-    and are discarded up front. When most of the rest with nothing hidden lie
-    in one span (:func:`_consensus_span`), :func:`recover_table` decodes the
-    table against it at radius 0, in 0 iterations: hidden cells are solved from
-    visible ones and samples outside the span are discarded. Otherwise a table
-    with nothing hidden is returned unchanged, and hidden cells start at their
-    coordinate's visible median for hard-impute sweeps: each projects the table
-    to the nearest rank-``rank`` matrix and copies the projection back into the
-    hidden cells only, until the largest change there falls to ``tol``.
+    and are discarded. When most samples with nothing hidden lie in one span
+    (:func:`_consensus_span`), :func:`recover_table` decodes the whole table
+    against it at radius 0, in 0 iterations: hidden cells are solved from
+    visible ones, and samples outside the span or with too few visible cells to
+    span it are discarded. Otherwise the samples with too few visible cells are
+    discarded up front, a table left with nothing hidden is returned unchanged,
+    and hidden cells start at their coordinate's visible median for hard-impute
+    sweeps: each projects the table to the nearest rank-``rank`` matrix and
+    copies the projection back into the hidden cells only, until the largest
+    change there falls to ``tol``.
 
     A sweep takes the projection X V V' from the top ``rank`` eigenvectors V of
     the small Gram matrix X'X, evaluated on the samples with a hidden cell
@@ -373,21 +374,18 @@ def iterative_svd_complete(
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and nonnegative")
     visible_counts = (~ds.mask).sum(axis=1)
-    discarded = [int(i) for i in np.flatnonzero(visible_counts < rank)]
     retained = np.flatnonzero(visible_counts >= rank)
     if retained.size == 0:
         raise CompletionInfeasibleError(
             "every sample has fewer visible entries than the target rank"
         )
+    span = _consensus_span(ds.values[~ds.mask.any(axis=1)], rank)
+    if span is not None:
+        return recover_table(ds, StructureMatrix(span))
+    discarded = np.flatnonzero(visible_counts < rank).tolist()
     if discarded:
         ds = Dataset(ds.values[retained], ds.mask[retained])
     values, hidden = ds.values, ds.mask
-    span = _consensus_span(values[~hidden.any(axis=1)], rank)
-    if span is not None:
-        report = recover_table(ds, StructureMatrix(span))
-        discarded = sorted(discarded + retained[report.discarded_indices].tolist())
-        recovered = retained[report.recovered_indices].tolist()
-        return CompletionReport(report.completed, recovered, discarded, 0, True)
     if not hidden.any():
         return CompletionReport(Dataset(values), [], discarded, 0, True)
     if np.any((~hidden).sum(axis=0) == 0):
@@ -458,45 +456,40 @@ def _score_subsets(
     a: StructureMatrix, x: np.ndarray, subsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``candidates[i]`` = A z for A[subsets[i]] z = x[subsets[i]], and its :func:`_misses`."""
+    if subsets.size == 0:
+        raise ValueError("no invertible r-row subset exists")
     blocks = _in_blocks(subsets, a.r)
     zs = np.concatenate([np.linalg.solve(a.entries[rows], x[rows, None]) for rows in blocks])
     candidates = zs[..., 0] @ a.entries.T
     return candidates, _misses(candidates, x)
 
 
-def replacement_candidates(
-    a: StructureMatrix, x: np.ndarray, max_subsets: int = 100_000
-) -> tuple[np.ndarray, np.ndarray]:
+def replacement_candidates(a: StructureMatrix, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All reconstructions from independent r-row subsets, with Hamming residuals.
 
     ``(candidates, residuals)`` of :func:`_score_subsets` over the r-row subsets,
-    in lexicographic order, that :func:`.structure.is_general_position`'s
-    stacked rank test finds independent; the rest are skipped.
+    in lexicographic order, that the stacked rank test behind
+    :func:`.structure.is_general_position` finds independent; the rest are
+    skipped, and more than ``SUBSET_CAP`` subsets are refused.
     """
-    x = _fully_visible(x, a)
-    if math.comb(a.n, a.r) > max_subsets:
-        raise CapExceededError(f"C({a.n}, {a.r}) subsets exceed the cap {max_subsets}")
-    subsets = np.array(list(combinations(range(a.n), a.r)))
-    subsets = subsets[_independent_rows(a, subsets)]
-    if subsets.size == 0:
-        raise ValueError("no invertible r-row subset exists")
-    return _score_subsets(a, x, subsets)
+    return _score_subsets(a, _fully_visible(x, a), _independent_subsets(a))
 
 
-def recover_replacement_exhaustive(
-    a: StructureMatrix, x: np.ndarray, max_subsets: int = 100_000
-) -> RecoveryOutcome:
+def recover_replacement_exhaustive(a: StructureMatrix, x: np.ndarray) -> RecoveryOutcome:
     """Reconstruction of minimum Hamming residual over every r-row subset.
 
-    A sample that some candidate of :func:`replacement_candidates` matches in
-    every entry is returned unchanged. Ties between distinct optimal
-    reconstructions are broken by picking the lexicographically smallest
-    vector, so the result is deterministic even in the ambiguous regime.
+    After the subset cap of :func:`replacement_candidates`, a sample that
+    passes the range test of :func:`recover_table` is returned unchanged.
+    Otherwise ties between distinct optimal reconstructions are broken by
+    picking the lexicographically smallest vector, so the result is
+    deterministic even in the ambiguous regime.
     """
-    candidates, residuals = replacement_candidates(a, x, max_subsets)
+    x = _fully_visible(x, a)
+    subsets = _independent_subsets(a)
+    if _in_range(x, a):
+        return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
+    candidates, residuals = _score_subsets(a, x, subsets)
     best = int(residuals.min())
-    if best == 0:
-        return RecoveryOutcome(RecoveryStatus.UNCHANGED, np.asarray(x, dtype=float).copy(), 0)
     winner = min(map(tuple, candidates[residuals == best]))
     return RecoveryOutcome(RecoveryStatus.RECOVERED, np.array(winner), best)
 

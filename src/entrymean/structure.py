@@ -1,16 +1,18 @@
 """Structure matrices: known linear maps from latent factors to coordinates.
 
 A structure matrix A has one row per observed coordinate and one column per
-latent factor, so a sample is A @ z for some latent vector z. Everything here
-treats rank decisions through a single relative singular-value cutoff to keep
-the various subset checks consistent with each other.
+latent factor, so a sample is A @ z for some latent vector z. Every rank
+decision here takes a single relative singular-value cutoff, applied in one
+place, :func:`numerical_rank`, which ranks one matrix or a stack of them. The
+row-subset searches (the removal margin, general position, the independent
+r-row subsets and draws) rank their subsets as stacks, by :func:`_subset_ranks`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -19,6 +21,13 @@ from .errors import CapExceededError, DegenerateMatrixError
 
 DEFAULT_RANK_TOL = 1e-10
 REMOVAL_SEARCH_CAP = 20
+# Most r-row subsets is_general_position and replacement_candidates enumerate.
+SUBSET_CAP = 100_000
+# Most rejected draws of sample_independent_rows.
+DRAW_CAP = 1000
+# Kept-row subsets min_rows_to_drop_rank ranks at once: the search stops at the
+# first chunk with a rank drop, and a chunk at n = 20 stacks about 3 MB.
+_MARGIN_CHUNK = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,44 +97,16 @@ class StructureMatrix:
         return f
 
 
-def numerical_rank(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of ``matrix`` with singular values cut off relative to the largest."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+def numerical_rank(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> int | np.ndarray:
+    """Rank of ``matrix`` with singular values cut off relative to the largest.
 
-
-def structure_rank(a: StructureMatrix) -> int:
-    return a.rank
-
-
-def min_rows_to_drop_rank(a: StructureMatrix) -> int:
-    """Smallest number of rows whose removal lowers the row-space dimension.
-
-    Subset sizes are tried in increasing order, so the first size that admits
-    a rank-reducing removal is returned. The search is exhaustive over row
-    subsets, hence the cap of ``REMOVAL_SEARCH_CAP`` rows.
-
-    Returns a value between 1 and ``a.n`` inclusive. The identity matrix gives
-    1 (any single row is load bearing) while a matrix whose rows are all equal
-    gives ``a.n`` (the shared direction survives until nothing is left).
+    The one rank rule of this module. A stack of matrices (the last two axes)
+    gives an array of their ranks, one SVD per matrix; a single matrix an int.
     """
-    if a.n > REMOVAL_SEARCH_CAP:
-        raise CapExceededError(f"n={a.n} exceeds the exhaustive-search cap {REMOVAL_SEARCH_CAP}")
-    base = structure_rank(a)
-    if base == 0:
-        raise ValueError("zero matrix has no row-space dimension to lose")
-    all_rows = np.arange(a.n)
-    for k in range(1, a.n + 1):
-        for dropped in combinations(range(a.n), k):
-            kept = np.delete(all_rows, dropped)
-            if numerical_rank(a.entries[kept], a.rank_tol) < base:
-                return k
-    raise AssertionError("unreachable: removing every row empties the row space")
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    s = np.linalg.svd(m, compute_uv=False)
+    ranks = np.count_nonzero(s > rank_tol * s[..., :1], axis=-1)
+    return int(ranks) if m.ndim == 2 else ranks
 
 
 def _in_blocks(subsets: np.ndarray, width: int) -> list[np.ndarray]:
@@ -133,66 +114,90 @@ def _in_blocks(subsets: np.ndarray, width: int) -> list[np.ndarray]:
     return np.array_split(subsets, max(1, min(len(subsets), subsets.size * width >> 20)))
 
 
-def _independent_rows(a: StructureMatrix, subsets: np.ndarray) -> np.ndarray:
-    """Whether the rows of ``a`` that each row of ``subsets`` picks (at most r of them)
-    are independent by :func:`numerical_rank`'s rule, from stacked SVDs."""
+def _subset_ranks(a: StructureMatrix, subsets: np.ndarray) -> np.ndarray:
+    """:func:`numerical_rank` of the rows of ``a`` that each row of ``subsets`` picks,
+    from stacked SVDs in blocks of about 2^20 cells."""
     blocks = _in_blocks(subsets, a.r)
-    s = np.concatenate([np.linalg.svd(a.entries[rows], compute_uv=False) for rows in blocks])
-    return s[:, -1] > a.rank_tol * s[:, 0]
+    return np.concatenate([numerical_rank(a.entries[rows], a.rank_tol) for rows in blocks])
 
 
-def is_general_position(a: StructureMatrix, max_subsets: int = 100_000) -> bool:
+def min_rows_to_drop_rank(a: StructureMatrix) -> int:
+    """Smallest number of rows whose removal lowers the row-space dimension.
+
+    Subset sizes k are tried in increasing order, and the first that admits a
+    rank-reducing removal is returned. The kept (n - k)-row subsets of each
+    size are ranked in chunks of ``_MARGIN_CHUNK`` by :func:`_subset_ranks`,
+    and the search stops at the first chunk with a rank drop. Fewer than
+    rank(A) kept rows always lose rank, so no size past n - rank(A) + 1 is
+    searched. The search is exhaustive over row subsets, hence the cap of
+    ``REMOVAL_SEARCH_CAP`` rows.
+
+    Returns a value between 1 and ``a.n`` inclusive. The identity matrix gives
+    1 (any single row is load bearing) while a matrix whose rows are all equal
+    gives ``a.n`` (the shared direction survives until nothing is left).
+    """
+    if a.n > REMOVAL_SEARCH_CAP:
+        raise CapExceededError(f"n={a.n} exceeds the exhaustive-search cap {REMOVAL_SEARCH_CAP}")
+    if a.rank == 0:
+        raise ValueError("zero matrix has no row-space dimension to lose")
+    for k in range(1, a.n - a.rank + 1):
+        kept = combinations(range(a.n), a.n - k)
+        while chunk := list(islice(kept, _MARGIN_CHUNK)):
+            if np.any(_subset_ranks(a, np.array(chunk)) < a.rank):
+                return k
+    return a.n - a.rank + 1
+
+
+def _independent_subsets(a: StructureMatrix) -> np.ndarray:
+    """The r-row subsets of ``a``, in lexicographic order, whose rows are independent.
+
+    More than ``SUBSET_CAP`` subsets to test are refused.
+    """
+    if math.comb(a.n, a.r) > SUBSET_CAP:
+        raise CapExceededError(f"C({a.n}, {a.r}) subsets exceed the cap {SUBSET_CAP}")
+    subsets = np.array(list(combinations(range(a.n), a.r)), dtype=np.intp).reshape(-1, a.r)
+    return subsets[_subset_ranks(a, subsets) == a.r]
+
+
+def is_general_position(a: StructureMatrix) -> bool:
     """Whether every r-subset of rows is linearly independent.
 
-    A matrix without full column rank is never in general position. Stacked
-    SVDs test all C(n, r) subsets; more than ``max_subsets`` of them are refused.
+    A matrix without full column rank is never in general position. Otherwise
+    :func:`_independent_subsets` tests all C(n, r) subsets, so more than
+    ``SUBSET_CAP`` of them are refused.
     """
-    if structure_rank(a) < a.r:
+    if a.rank < a.r:
         return False
-    if math.comb(a.n, a.r) > max_subsets:
-        raise CapExceededError(
-            f"C({a.n}, {a.r}) subsets exceed the cap {max_subsets}"
-        )
-    return bool(_independent_rows(a, np.array(list(combinations(range(a.n), a.r)))).all())
+    return len(_independent_subsets(a)) == math.comb(a.n, a.r)
 
 
 def null_space_basis(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     """Orthonormal basis (as rows) of the kernel of ``matrix``."""
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    width = m.shape[1]
-    if m.size == 0:
-        return SubspaceBasis(np.eye(width), orthonormal=True)
-    _, s, vt = np.linalg.svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rank_tol * s[0]))
-    return SubspaceBasis(vt[rank:], orthonormal=True)
+    vt = np.linalg.svd(m)[2]
+    return SubspaceBasis(vt[numerical_rank(m, rank_tol) :], orthonormal=True)
 
 
 def sample_independent_rows(
-    a: StructureMatrix,
-    count: int,
-    rng: np.random.Generator,
-    max_tries: int = 1000,
+    a: StructureMatrix, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw ``count`` row indices whose rows are linearly independent.
 
     Uses rejection sampling so accepted subsets are uniform over all
-    independent subsets of that size. Raises DegenerateMatrixError once the
-    retry budget runs out, which signals a matrix where independent subsets
-    are rare or absent.
+    independent subsets of that size. Raises DegenerateMatrixError after
+    ``DRAW_CAP`` rejected draws, which signals a matrix where independent
+    subsets are rare or absent.
     """
     if not 1 <= count <= a.n:
         raise ValueError(f"count must be in [1, {a.n}], got {count}")
-    if count > structure_rank(a):
-        raise ValueError(f"no {count} rows of a rank-{structure_rank(a)} matrix are independent")
-    for _ in range(max_tries):
+    if count > a.rank:
+        raise ValueError(f"no {count} rows of a rank-{a.rank} matrix are independent")
+    for _ in range(DRAW_CAP):
         idx = np.sort(rng.choice(a.n, size=count, replace=False))
-        if _independent_rows(a, idx[None])[0]:
+        if _subset_ranks(a, idx[None])[0] == count:
             return idx
     raise DegenerateMatrixError(
-        f"no independent {count}-row subset found in {max_tries} draws"
+        f"no independent {count}-row subset found in {DRAW_CAP} draws"
     )
 
 

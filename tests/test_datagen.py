@@ -10,7 +10,7 @@ from entrymean.datagen import (
     population_mean,
     synthesize,
 )
-from entrymean.structure import is_general_position, structure_rank
+from entrymean.structure import is_general_position
 
 
 def test_structure_spec_validation():
@@ -49,7 +49,7 @@ def test_block_diagonal_layout():
     assert np.all(a.entries[:8, 4:] == 0.0)
     assert np.all(a.entries[8:, :4] == 0.0)
     assert np.any(a.entries[:8, :4] != 0.0)
-    assert structure_rank(a) == 8
+    assert a.rank == 8
 
 
 def test_latent_spec_validation():

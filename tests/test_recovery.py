@@ -36,7 +36,6 @@ from entrymean.structure import (
     StructureMatrix,
     is_general_position,
     numerical_rank,
-    structure_rank,
 )
 
 from oracles import (
@@ -493,7 +492,7 @@ def boundary_case(name):
         entries = random_general_position(8, 4, seed=132).entries.copy()
         entries[:, 3] = entries[:, 0] - 2.0 * entries[:, 1]
         a = StructureMatrix(entries)
-        assert structure_rank(a) == 3
+        assert a.rank == 3
         values = masked_samples(a, 300, seed=132)[0]
         lost = np.array([numerical_rank(a.entries[~np.isnan(x)]) < 3 for x in values])
         return a, values, lost, "unrecoverable"
@@ -780,13 +779,31 @@ def test_single_sample_decoders_do_not_depend_on_scale(scale):
         np.testing.assert_allclose(repaired.sample, x, rtol=0, atol=1e-12 * scale, err_msg=name)
 
 
+def test_single_sample_decoders_share_the_clean_sample_rule():
+    # A cell moved by 1e-7 |x|_inf stays within the 1e-6 relative range test,
+    # though it misses the 1e-8 entry match: every decoder keeps the sample.
+    a = random_general_position(8, 3, seed=143)
+    x = a.entries @ np.random.default_rng(144).standard_normal(3)
+    x[2] += 1e-7 * np.abs(x).max()
+    decoders = {
+        "exhaustive": lambda s: recover_replacement_exhaustive(a, s),
+        "randomized": lambda s: recover_replacement_randomized(a, s, rng=np.random.default_rng(0)),
+        "sparse": lambda s: recover_by_sparse_decoding(a, s, 1, 5, np.random.default_rng(0)),
+        "impute": lambda s: impute_from_structure(s, a),
+    }
+    for name, decode in decoders.items():
+        outcome = decode(x)
+        assert outcome.status is RecoveryStatus.UNCHANGED, name
+        np.testing.assert_array_equal(outcome.sample, x, err_msg=name)
+
+
 def test_replacement_rejects_hidden_entries_and_caps():
     a = random_general_position(5, 2, seed=90)
     with pytest.raises(ValueError):
         recover_replacement_exhaustive(a, np.array([1.0, np.nan, 0.0, 0.0, 0.0]))
     big = StructureMatrix(np.random.default_rng(0).standard_normal((30, 10)))
     with pytest.raises(CapExceededError):
-        recover_replacement_exhaustive(big, np.zeros(30), max_subsets=100)
+        recover_replacement_exhaustive(big, np.zeros(30))
 
 
 # ---------------------------------------------------------- syndrome decoding
@@ -1021,11 +1038,11 @@ def test_decoders_allocate_a_few_tables_at_most(budget):
     a = make_structure(SHIPPED_STRUCTURE)
     ds = synthesize(a, draw_latents(LatentSpec("gaussian", 8), 20_000, np.random.default_rng(141)))
     table = apply_plan(ds, plan_tail_hiding(ds, budget))
-    for decode, bound in ((known_structure, 3), (rank_only, 4)):
+    for decode in (known_structure, rank_only):
         tracemalloc.start()
         try:
             decode(a, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * table.values.nbytes, (decode.__name__, peak / table.values.nbytes)
+        assert peak <= 3 * table.values.nbytes, (decode.__name__, peak / table.values.nbytes)

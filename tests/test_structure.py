@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from entrymean import structure
+from entrymean.datagen import StructureSpec, make_structure
 from entrymean.errors import CapExceededError, DegenerateMatrixError
 from entrymean.structure import (
     StructureMatrix,
@@ -13,7 +16,6 @@ from entrymean.structure import (
     numerical_rank,
     sample_independent_rows,
     save_structure_csv,
-    structure_rank,
 )
 from oracles import min_rows_to_drop_rank_direct
 
@@ -31,7 +33,21 @@ def test_rank_basics():
     assert numerical_rank(np.zeros((3, 2))) == 0
     assert numerical_rank([[1.0, 2.0], [2.0, 4.0]]) == 1
     a = StructureMatrix(np.eye(5))
-    assert structure_rank(a) == 5
+    assert a.rank == 5
+
+
+def test_stacked_rank_matches_per_matrix_calls():
+    rng = np.random.default_rng(21)
+    stack = rng.standard_normal((40, 6, 4))
+    stack[::3, :, 3] = stack[::3, :, 0] - stack[::3, :, 1]  # rank 3
+    stack[1::5, 2:] = 0.0  # rank 2
+    stack[2::7] *= 1e-30  # full rank at any scale
+    stack[4] = 0.0
+    stack[5, :, 1:] = 1e-14 * stack[5, :, :1]  # rank 1
+    ranks = numerical_rank(stack)
+    assert ranks.shape == (40,)
+    assert ranks.tolist() == [numerical_rank(m) for m in stack]
+    assert {0, 1, 2, 3, 4} <= set(ranks.tolist())
 
 
 def test_rank_tolerance_is_relative():
@@ -64,6 +80,57 @@ def test_min_rows_matches_direct_search(seed):
         entries[n - 1] = entries[0]  # plant a duplicate row
     a = StructureMatrix(entries)
     assert min_rows_to_drop_rank(a) == min_rows_to_drop_rank_direct(entries)
+
+
+def block_diagonal(shapes, rng):
+    n, r = (sum(sizes) for sizes in zip(*shapes))
+    return make_structure(StructureSpec("block_diagonal", n, r, blocks=shapes), rng).entries
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_min_rows_matches_direct_search_on_structured_matrices(seed):
+    rng = np.random.default_rng(60 + seed)
+    duplicated = rng.standard_normal((10, 3))
+    duplicated[[4, 7, 9]] = duplicated[0]
+    deficient = rng.standard_normal((11, 4))
+    deficient[:, 3] = deficient[:, 0] - 2.0 * deficient[:, 1]  # rank 3
+    deficient_blocks = block_diagonal([(5, 2), (5, 3)], rng)
+    deficient_blocks[5:, 4] = deficient_blocks[5:, 2] + deficient_blocks[5:, 3]  # rank 4
+    cases = {
+        "block_diagonal": block_diagonal([(6, 3), (6, 3)], rng),
+        "uneven_blocks": block_diagonal([(5, 1), (4, 2), (3, 2)], rng),
+        "dense": rng.standard_normal((12, 4)),
+        "duplicated": duplicated,
+        "rank_deficient": deficient,
+        "deficient_blocks": deficient_blocks,
+    }
+    for name, entries in cases.items():
+        a = StructureMatrix(entries)
+        assert min_rows_to_drop_rank(a) == min_rows_to_drop_rank_direct(entries), name
+
+
+SEARCH_STRUCTURES = {
+    "shipped": (StructureSpec("block_diagonal", 16, 8, blocks=((8, 4), (8, 4)), seed=20240501), 5),
+    "blocks_n20": (StructureSpec("block_diagonal", 20, 10, blocks=((10, 5), (10, 5)), seed=20240501), 6),
+    "dense_16x8": (StructureSpec("dense", 16, 8, seed=20240501), 9),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_STRUCTURES)
+def test_min_rows_on_the_search_structures(name):
+    spec, margin = SEARCH_STRUCTURES[name]
+    assert min_rows_to_drop_rank(make_structure(spec)) == margin
+
+
+def test_min_rows_search_memory_stays_small():
+    a = make_structure(SEARCH_STRUCTURES["blocks_n20"][0])
+    tracemalloc.start()
+    try:
+        assert min_rows_to_drop_rank(a) == 6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_min_rows_bounds_and_caps():
@@ -103,7 +170,7 @@ def test_general_position_matches_per_subset_rank(seed):
     for kind, last in last_rows.items():
         e = np.vstack([entries[:-1], last])
         a = StructureMatrix(e)
-        per_subset = structure_rank(a) == r and all(
+        per_subset = a.rank == r and all(
             numerical_rank(e[list(rows)]) == r for rows in itertools.combinations(range(a.n), r)
         )
         assert is_general_position(a) == per_subset, kind
@@ -111,7 +178,7 @@ def test_general_position_matches_per_subset_rank(seed):
 
 def test_general_position_cap():
     with pytest.raises(CapExceededError):
-        is_general_position(StructureMatrix(np.random.default_rng(0).standard_normal((40, 20))), max_subsets=1000)
+        is_general_position(StructureMatrix(np.random.default_rng(0).standard_normal((40, 20))))
 
 
 def test_parity_check_is_a_cached_read_only_complement_basis():
@@ -156,16 +223,18 @@ def test_sample_independent_rows_rejects_dependent_matrices():
         sample_independent_rows(a, 2, np.random.default_rng(0))
 
 
-def test_sample_independent_rows_retry_budget():
+def test_sample_independent_rows_retry_budget(monkeypatch):
     entries = np.vstack([np.eye(2), np.tile([[1.0, 0.0]], (30, 1))])
     a = StructureMatrix(entries)
     rng = np.random.default_rng(5)
     # Independent pairs exist but are rare; a budget of one draw should fail
     # for at least one seed while a generous budget succeeds.
+    monkeypatch.setattr(structure, "DRAW_CAP", 1)
     with pytest.raises(DegenerateMatrixError):
         for s in range(20):
-            sample_independent_rows(a, 2, np.random.default_rng(s), max_tries=1)
-    idx = sample_independent_rows(a, 2, rng, max_tries=10_000)
+            sample_independent_rows(a, 2, np.random.default_rng(s))
+    monkeypatch.setattr(structure, "DRAW_CAP", 10_000)
+    idx = sample_independent_rows(a, 2, rng)
     assert numerical_rank(a.entries[idx]) == 2
 
 
