@@ -60,7 +60,6 @@ from .recovery import (
 )
 from .structure import (
     StructureMatrix,
-    SubspaceBasis,
     is_general_position,
     min_rows_to_drop_rank,
     null_space_basis,

@@ -32,6 +32,9 @@ ESTIMATOR_KINDS = (
 )
 RECOVERY_METHODS = ("known_structure", "iterative_svd", "replacement")
 TUKEY_DIM_CAP = 2
+# Most samples of a 2-column tukey_median: its candidate search is O(N^4)
+# Python, about a second at N = 14 on a 2-vCPU host.
+TUKEY_SAMPLE_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,8 @@ class EstimatorSpec:
                 raise ValueError(f"inner estimator cannot be {self.inner!r}")
         elif self.recovery is not None:
             raise ValueError(f"{self.kind} does not take a recovery spec")
+        if self.name is not None and any(c in str(self.name) for c in ",\r\n"):
+            raise ValueError(f"method name {self.name!r} holds a comma or a line break")
 
     @property
     def label(self) -> str:
@@ -163,7 +168,8 @@ def tukey_median(ds: Dataset) -> np.ndarray:
     is maximized over the sample points and all intersections of lines
     through sample pairs, which is sufficient because the depth function is
     piecewise constant on the arrangement those lines induce. Ties go to the
-    lexicographically smallest candidate. Hidden entries are not accepted.
+    lexicographically smallest candidate. Hidden entries are not accepted, and
+    more than ``TUKEY_SAMPLE_CAP`` samples in two dimensions are refused.
     """
     if ds.mask.any():
         raise ValueError("tukey_median needs fully visible data")
@@ -171,6 +177,10 @@ def tukey_median(ds: Dataset) -> np.ndarray:
         raise CapExceededError(f"dim={ds.dim} exceeds the exact-depth cap {TUKEY_DIM_CAP}")
     if ds.dim == 1:
         return np.array([np.median(ds.values[:, 0])])
+    if ds.n_samples > TUKEY_SAMPLE_CAP:
+        raise CapExceededError(
+            f"N={ds.n_samples} exceeds the exact-depth sample cap {TUKEY_SAMPLE_CAP}"
+        )
     points = ds.values
     candidates = _tukey_candidates(points)
     # np.unique sorts rows lexicographically, so the first maximizer wins ties.

@@ -38,7 +38,7 @@ import numpy as np
 
 from .data import read_dense_csv, write_csv_rows
 from .errors import CapExceededError, MetricFailure, NonFiniteMetricInputError
-from .structure import DEFAULT_RANK_TOL
+from .structure import RANK_TOL
 
 COUPLING_CELL_CAP = 10_000
 SUPPORT_CAP = 100
@@ -358,7 +358,7 @@ def mahalanobis_error(estimate, reference, covariance) -> float:
     if sigma.shape != (d.size, d.size):
         raise ValueError("covariance shape does not match the vectors")
     eigvals, eigvecs = np.linalg.eigh(sigma)
-    cutoff = DEFAULT_RANK_TOL * max(eigvals.max(initial=0.0), 0.0)
+    cutoff = RANK_TOL * max(eigvals.max(initial=0.0), 0.0)
     keep = eigvals > cutoff
     if not np.any(keep):
         raise MetricFailure("covariance has numerical rank zero")

@@ -46,7 +46,7 @@ from .errors import (
     ReplacementDecodingError,
 )
 from .structure import (
-    DEFAULT_RANK_TOL,
+    RANK_TOL,
     StructureMatrix,
     _in_blocks,
     _independent_subsets,
@@ -121,17 +121,17 @@ def impute_from_structure(x: np.ndarray, a: StructureMatrix) -> RecoveryOutcome:
     return RecoveryOutcome(RecoveryStatus.UNCHANGED, sample, 0)
 
 
-def _certified_inverse(gram: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _certified_inverse(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of the Gram matrices ``gram[:, :, p]``, stacked first, and a certificate.
 
     Root-free Cholesky G = L D L' by elimination on [G | I], one loop over the
     columns for the whole stack. Certified: every pivot above tr(G) / bound and
-    tr(G) tr(G^-1) <= bound = min(1e8, (1e-3 / rank_tol)^2). As tr(G) bounds the
-    top eigenvalue and tr(G^-1) the inverse of the least (no pivot is below it),
-    G = B'B then has cond(B) <= 1e4 and s_min / s_max >= 1e3 * rank_tol.
+    tr(G) tr(G^-1) <= bound = 1e8. As tr(G) bounds the top eigenvalue and
+    tr(G^-1) the inverse of the least (no pivot is below it), G = B'B then has
+    cond(B) <= 1e4, so s_min / s_max >= 1e-4, far above ``RANK_TOL``.
     """
     r, _, count = gram.shape
-    bound = min(1e8, (1e-3 / max(rank_tol, 1e-7)) ** 2)  # no overflow for a tiny rank_tol
+    bound = 1e8
     trace = np.einsum("iip->p", gram)
     work = np.concatenate([gram, np.broadcast_to(np.eye(r)[:, :, None], gram.shape)], axis=1)
     pivots = np.empty((r, count))
@@ -171,7 +171,7 @@ def _fit_by_pattern(
     Returns an iterator of ``(block, samples, fits)``, one per block of
     ``rows``: the samples rebuilt as A @ z from the pseudo-inverse solve on the
     visible rows of A, and whether each fit holds, meaning those rows keep
-    rank(A) (singular values above ``a.rank_tol`` times the largest) and the
+    rank(A) (singular values above ``RANK_TOL`` times the largest) and the
     fit leaves a residual within ``RANGE_RESIDUAL_TOL`` relative on the
     visible cells.
 
@@ -181,30 +181,28 @@ def _fit_by_pattern(
     far above both cutoffs below, so it spans; its rows are solved by the
     semi-normal equations plus one refinement step. Other patterns take a
     stacked SVD of A with the hidden coordinates zeroed: the rank test counts
-    singular values and needs rank(A) visible cells, and the pseudo-inverse
-    drops those at or below eps * max(visible count, columns) times the
-    largest. The per-row work (gathers of the factors, solves, residual tests)
-    runs on blocks of about ``_ROW_BLOCK`` rows, the certified patterns' rows
-    first; a lone row of either kind rides in a block of the other
-    (:func:`_block_starts`).
+    the singular values above ``RANK_TOL`` times the largest, a cutoff the
+    rounding-level ones of the zeroed coordinates stay far below, and the
+    pseudo-inverse drops those at or below eps * max(visible count, columns)
+    times the largest. The per-row work (gathers of the factors, solves,
+    residual tests) runs on blocks of about ``_ROW_BLOCK`` rows, the certified
+    patterns' rows first; a lone row of either kind rides in a block of the
+    other (:func:`_block_starts`).
     """
     keys = np.packbits(~ds.mask[rows], axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     patterns = ~ds.mask[rows[first]]
-    basis, rank_tol, rank = a.entries, a.rank_tol, a.rank
+    basis = a.entries
     n, r = basis.shape
     outer = (basis[:, :, None] * basis[:, None, :]).reshape(n, r * r)
-    gram_inv, certified = _certified_inverse((outer.T @ patterns.T).reshape(r, r, -1), rank_tol)
+    gram_inv, certified = _certified_inverse((outer.T @ patterns.T).reshape(r, r, -1))
     rest = ~certified
     u, s, vt = np.linalg.svd(basis * patterns[rest, :, None], full_matrices=False)
     top = s[:, :1]
     spans = certified.copy()
-    # Below about 5e-17 a rank_tol counts the rounding-level singular values
-    # of the zeroed coordinates; fewer than rank(A) visible cells never span.
-    counts = patterns[rest].sum(axis=1)
-    spans[rest] = (np.count_nonzero(s > rank_tol * top, axis=1) >= rank) & (counts >= rank)
-    cutoff = np.finfo(float).eps * np.maximum(counts, r)[:, None] * top
+    spans[rest] = np.count_nonzero(s > RANK_TOL * top, axis=1) >= a.rank
+    cutoff = np.finfo(float).eps * np.maximum(patterns[rest].sum(axis=1), r)[:, None] * top
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     slot = np.cumsum(rest) - 1
     on_gram = certified[inverse]
@@ -326,7 +324,7 @@ def _consensus_span(rows: np.ndarray, rank: int) -> np.ndarray | None:
     fits = np.empty(count, dtype=bool)
     for candidate in chain([rows], rows[blocks.reshape(-1, rank)]):
         _, s, vt = np.linalg.svd(candidate, full_matrices=False)
-        if np.count_nonzero(s > DEFAULT_RANK_TOL * s[:1]) != rank:
+        if np.count_nonzero(s > RANK_TOL * s[:1]) != rank:
             continue
         span = vt[:rank].T
         misses = 0

@@ -2,8 +2,8 @@
 
 A structure matrix A has one row per observed coordinate and one column per
 latent factor, so a sample is A @ z for some latent vector z. Every rank
-decision here takes a single relative singular-value cutoff, applied in one
-place, :func:`numerical_rank`, which ranks one matrix or a stack of them. The
+decision here uses one relative singular-value cutoff, ``RANK_TOL``, applied in
+one place, :func:`numerical_rank`, which ranks one matrix or a stack of them. The
 row-subset searches (the removal margin, general position, the independent
 r-row subsets and draws) rank their subsets as stacks, by :func:`_subset_ranks`.
 """
@@ -19,7 +19,8 @@ import numpy as np
 from .data import read_dense_csv
 from .errors import CapExceededError, DegenerateMatrixError
 
-DEFAULT_RANK_TOL = 1e-10
+# Singular values at most this times the largest count as zero in every rank decision.
+RANK_TOL = 1e-10
 REMOVAL_SEARCH_CAP = 20
 # Most r-row subsets is_general_position and replacement_candidates enumerate.
 SUBSET_CAP = 100_000
@@ -31,21 +32,6 @@ _MARGIN_CHUNK = 2048
 
 
 @dataclass(frozen=True, eq=False)
-class SubspaceBasis:
-    """Basis of a linear subspace; each row of ``vectors`` is one basis vector."""
-
-    vectors: np.ndarray
-    orthonormal: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", np.atleast_2d(np.asarray(self.vectors, dtype=float)))
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class StructureMatrix:
     """An (n, r) matrix mapping latent vectors to sample coordinates.
 
@@ -53,13 +39,9 @@ class StructureMatrix:
     ----------
     entries : array, shape (n, r)
         One row per coordinate of the observed space.
-    rank_tol : float
-        Relative cutoff: singular values below ``rank_tol`` times the largest
-        one are treated as zero in every rank decision made for this matrix.
     """
 
     entries: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=float)
@@ -67,8 +49,6 @@ class StructureMatrix:
             raise ValueError("entries must be a non-empty 2-d array")
         if not np.all(np.isfinite(entries)):
             raise ValueError("entries must be finite")
-        if not self.rank_tol > 0:
-            raise ValueError("rank_tol must be positive")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -81,8 +61,8 @@ class StructureMatrix:
 
     @cached_property
     def rank(self) -> int:
-        """Numerical rank under ``rank_tol``, computed once per matrix."""
-        return numerical_rank(self.entries, self.rank_tol)
+        """:func:`numerical_rank` of this matrix, computed once per matrix."""
+        return numerical_rank(self.entries)
 
     @cached_property
     def removal_margin(self) -> int:
@@ -92,20 +72,20 @@ class StructureMatrix:
     @cached_property
     def parity_check(self) -> np.ndarray:
         """F with F A = 0: a read-only orthonormal basis (as rows) of range(A)'s complement."""
-        f = null_space_basis(self.entries.T, self.rank_tol).vectors
+        f = null_space_basis(self.entries.T)
         f.flags.writeable = False
         return f
 
 
-def numerical_rank(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> int | np.ndarray:
-    """Rank of ``matrix`` with singular values cut off relative to the largest.
+def numerical_rank(matrix) -> int | np.ndarray:
+    """Rank of ``matrix``: its singular values above ``RANK_TOL`` times the largest.
 
     The one rank rule of this module. A stack of matrices (the last two axes)
     gives an array of their ranks, one SVD per matrix; a single matrix an int.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     s = np.linalg.svd(m, compute_uv=False)
-    ranks = np.count_nonzero(s > rank_tol * s[..., :1], axis=-1)
+    ranks = np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
     return int(ranks) if m.ndim == 2 else ranks
 
 
@@ -118,7 +98,7 @@ def _subset_ranks(a: StructureMatrix, subsets: np.ndarray) -> np.ndarray:
     """:func:`numerical_rank` of the rows of ``a`` that each row of ``subsets`` picks,
     from stacked SVDs in blocks of about 2^20 cells."""
     blocks = _in_blocks(subsets, a.r)
-    return np.concatenate([numerical_rank(a.entries[rows], a.rank_tol) for rows in blocks])
+    return np.concatenate([numerical_rank(a.entries[rows]) for rows in blocks])
 
 
 def min_rows_to_drop_rank(a: StructureMatrix) -> int:
@@ -171,11 +151,10 @@ def is_general_position(a: StructureMatrix) -> bool:
     return len(_independent_subsets(a)) == math.comb(a.n, a.r)
 
 
-def null_space_basis(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
+def null_space_basis(matrix) -> np.ndarray:
     """Orthonormal basis (as rows) of the kernel of ``matrix``."""
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    vt = np.linalg.svd(m)[2]
-    return SubspaceBasis(vt[numerical_rank(m, rank_tol) :], orthonormal=True)
+    return np.linalg.svd(m)[2][numerical_rank(m) :]
 
 
 def sample_independent_rows(

@@ -95,7 +95,7 @@ def test_criterion_02_replacement_breakpoint():
             if r == 1:
                 w = np.ones(1)
             else:
-                w = null_space_basis(a.entries[: r - 1]).vectors[0]
+                w = null_space_basis(a.entries[: r - 1])[0]
             gap = a.entries @ w
             support = np.flatnonzero(np.abs(gap) > 1e-9)
             assert len(support) == margin

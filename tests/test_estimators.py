@@ -20,7 +20,7 @@ from entrymean.estimators import (
     tukey_median,
     two_step_estimate,
 )
-from entrymean.estimators import _halfplane_depth
+from entrymean.estimators import TUKEY_SAMPLE_CAP, _halfplane_depth
 from entrymean.datagen import LatentSpec, StructureSpec, draw_latents, make_structure, synthesize
 
 from oracles import halfplane_depth_direct
@@ -116,6 +116,10 @@ def test_tukey_median_single_point_and_validation():
         tukey_median(Dataset(np.zeros((3, 3)) + np.eye(3)))
     with pytest.raises(ValueError):
         tukey_median(masked([[1.0, 2.0]], [[True, False]]))
+    points = np.random.default_rng(2).standard_normal((TUKEY_SAMPLE_CAP + 1, 2))
+    with pytest.raises(CapExceededError, match=f"N={TUKEY_SAMPLE_CAP + 1}"):
+        tukey_median(Dataset(points))
+    assert tukey_median(Dataset(points[:, :1])) == np.median(points[:, 0])
 
 
 def test_tukey_median_square_center():

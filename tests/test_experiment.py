@@ -340,6 +340,8 @@ def replacement_method(**options):
             lambda c: c.update(methods=[{"kind": "empirical_mean"}] * 2),
             "unique",
         ),
+        (lambda c: c.update(methods=[{"kind": "empirical_mean", "name": "mean,raw"}]), "comma"),
+        (lambda c: c.update(methods=[{"kind": "empirical_mean", "name": "mean\nraw"}]), "line break"),
         (lambda c: c.update(metrics=["l3"]), "metrics"),
         (lambda c: c.update(metrics=[]), "metrics"),
         (lambda c: c["data"].update(kind="parquet"), "kind"),

@@ -33,6 +33,7 @@ from entrymean.recovery import (
     replacement_candidates,
 )
 from entrymean.structure import (
+    RANK_TOL,
     StructureMatrix,
     is_general_position,
     numerical_rank,
@@ -142,7 +143,7 @@ def test_recover_table_matches_per_row_lstsq(seed, deficient):
         entries[:, 3] = entries[:, 0] - 2.0 * entries[:, 1]
     a = StructureMatrix(entries)
     values, replaced = masked_samples(a, 300, seed)
-    expected = impute_rows_direct(a.entries, values, a.rank_tol)
+    expected = impute_rows_direct(a.entries, values, RANK_TOL)
     statuses = [status for status, _ in expected]
     assert {"unchanged", "recovered", "unrecoverable"} <= set(statuses)
     n_visible = (~np.isnan(values)).sum(axis=1)
@@ -172,7 +173,7 @@ def test_recover_table_shares_svd_per_pattern_but_tests_rows_alone():
     values[1, 5] += 3.0  # replaced visible entry: this row alone fails the residual
     values[[2, 3, 6], :3] = np.nan  # one pattern: rows 3-5 visible, rank 1
     values[7, 0] = np.nan
-    expected = impute_rows_direct(a.entries, values, a.rank_tol)
+    expected = impute_rows_direct(a.entries, values, RANK_TOL)
     statuses = [status for status, _ in expected]
     assert statuses == ["recovered", "unrecoverable", "unrecoverable", "unrecoverable",
                         "unchanged", "recovered", "unrecoverable", "recovered"]
@@ -447,7 +448,7 @@ def test_iterative_svd_takes_the_span_most_complete_rows_share():
 # ------------------------------------- conditioning certificate and SVD route
 
 
-def weak_latent_table(scale, seed, n_rows=300, complete_rows=0, rank_tol=1e-10):
+def weak_latent_table(scale, seed, n_rows=300, complete_rows=0):
     """Samples of an 8 x 4 structure whose last latent reaches coordinates 0-5 at ``scale``.
 
     Rows from ``complete_rows`` on hide 1 to 4 random cells. A row hiding
@@ -461,7 +462,7 @@ def weak_latent_table(scale, seed, n_rows=300, complete_rows=0, rank_tol=1e-10):
     mask = np.zeros(values.shape, dtype=bool)
     for row in mask[complete_rows:]:
         row[rng.choice(8, rng.integers(1, 5), replace=False)] = True
-    return StructureMatrix(entries, rank_tol), Dataset(np.where(mask, np.nan, values), mask)
+    return StructureMatrix(entries), Dataset(np.where(mask, np.nan, values), mask)
 
 
 def singular_value_ratio(matrix):
@@ -496,18 +497,18 @@ def boundary_case(name):
         values = masked_samples(a, 300, seed=132)[0]
         lost = np.array([numerical_rank(a.entries[~np.isnan(x)]) < 3 for x in values])
         return a, values, lost, "unrecoverable"
-    # Rows that span under the default rank_tol but not under 1e-2.
-    a, ds = weak_latent_table(1e-3, seed=133, rank_tol=1e-2)
+    # Rows whose visible singular values fall below RANK_TOL but above rounding.
+    a, ds = weak_latent_table(1e-12, seed=133)
     ratios = visible_ratios(a, ds.mask)
-    return a, ds.values, (ratios > 1e-10) & (ratios < 1e-2), "unrecoverable"
+    return a, ds.values, (ratios > 1e-16) & (ratios < RANK_TOL), "unrecoverable"
 
 
 @pytest.mark.parametrize(
-    "case", ["spanning_uncertified", "exact_rank_loss", "rank_deficient", "large_rank_tol"]
+    "case", ["spanning_uncertified", "exact_rank_loss", "rank_deficient", "below_cutoff"]
 )
 def test_recover_table_certificate_boundary_matches_oracle(case):
     a, values, special, expect = boundary_case(case)
-    expected = impute_rows_direct(a.entries, values, a.rank_tol)
+    expected = impute_rows_direct(a.entries, values, RANK_TOL)
     statuses = np.array([status for status, _ in expected])
     assert {"recovered", "unrecoverable"} <= set(statuses)
     assert np.count_nonzero(special) >= 5
@@ -524,34 +525,42 @@ def test_recover_table_certificate_boundary_matches_oracle(case):
     )
 
 
-def test_recover_table_accepts_a_tiny_rank_tol():
-    a = StructureMatrix(random_general_position(8, 4, seed=136).entries, rank_tol=1e-300)
-    rng = np.random.default_rng(136)
-    clean = rng.standard_normal((100, 4)) @ a.entries.T
-    values = clean.copy()
-    for row in values:
-        row[rng.choice(8, rng.integers(1, 5), replace=False)] = np.nan
-    report = recover_table(Dataset(values, np.isnan(values)), a)
-    assert report.discarded_indices == []
-    np.testing.assert_allclose(
-        report.completed.values, clean, rtol=0, atol=1e-12 * np.abs(clean).max()
-    )
-
-
 def test_recover_table_tiny_rank_tol_discards_rows_with_too_few_cells():
-    # The zero-padded stack has rounding-level singular values that a tiny
-    # rank_tol counts as rank; 2 or 3 visible cells cannot pin down 4 latents.
+    # 2 or 3 visible cells cannot pin down 4 latents, whatever the rounding-level
+    # singular values of the zero-padded stack.
     entries = random_general_position(8, 4, seed=137).entries
-    a = StructureMatrix(entries, rank_tol=1e-300)
+    a = StructureMatrix(entries)
     rng = np.random.default_rng(137)
     patterns = [c for size in (2, 3, 4) for c in itertools.combinations(range(8), size)]
     values = rng.standard_normal((len(patterns) + 1, 4)) @ entries.T
     for row, seen in zip(values, patterns):
         row[np.setdiff1d(np.arange(8), seen)] = np.nan
     report = recover_table(Dataset(values, np.isnan(values)), a)
-    oracle = impute_rows_direct(entries, values, 1e-300)
+    oracle = impute_rows_direct(entries, values, RANK_TOL)
     discarded = [i for i, (status, _) in enumerate(oracle) if status == "unrecoverable"]
     assert discarded == [i for i, seen in enumerate(patterns) if len(seen) < 4]
+    assert report.discarded_indices == discarded
+
+
+@pytest.mark.parametrize("rank", [4, 3])
+def test_recover_table_discards_as_the_oracle_under_every_hiding_pattern(rank):
+    # Row norms spread over 1e-6 ... 1e6. Past its visible count a pattern's
+    # zero-padded stack has only rounding-level singular values, so the
+    # singular-value rule alone must discard the rows with too few visible cells.
+    entries = random_general_position(8, 4, seed=138).entries * np.logspace(-6, 6, 8)[:, None]
+    if rank == 3:
+        entries[:, 3] = entries[:, 0] - 2.0 * entries[:, 1]
+    a = StructureMatrix(entries)
+    assert a.rank == rank
+    patterns = [c for size in range(1, 9) for c in itertools.combinations(range(8), size)]
+    assert len(patterns) == 255
+    values = np.random.default_rng(138).standard_normal((len(patterns), 4)) @ entries.T
+    for row, hidden in zip(values, patterns):
+        row[list(hidden)] = np.nan
+    oracle = impute_rows_direct(entries, values, RANK_TOL)
+    discarded = [i for i, (status, _) in enumerate(oracle) if status == "unrecoverable"]
+    assert {i for i, hidden in enumerate(patterns) if 8 - len(hidden) < rank} <= set(discarded)
+    report = recover_table(Dataset(values, np.isnan(values)), a)
     assert report.discarded_indices == discarded
 
 
@@ -562,8 +571,8 @@ def certified_counts(monkeypatch, refuse=False):
     """
     certify, counts = recovery._certified_inverse, []
 
-    def spy(gram, rank_tol):
-        inverse, certified = certify(gram, rank_tol)
+    def spy(gram):
+        inverse, certified = certify(gram)
         if refuse:
             certified = np.zeros_like(certified)
         counts.append(int(certified.sum()))
@@ -674,7 +683,7 @@ def test_replacement_tie_at_half_margin_is_detectable():
     rows = [0, 1]
     from entrymean.structure import null_space_basis
 
-    w = null_space_basis(a.entries[rows]).vectors[0]
+    w = null_space_basis(a.entries[rows])[0]
     image_gap = a.entries @ w
     support = np.flatnonzero(np.abs(image_gap) > 1e-9)
     assert len(support) == 4  # n - (r - 1) for general position
