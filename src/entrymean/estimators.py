@@ -1,7 +1,6 @@
 """Location estimators and the recover-then-estimate pipeline."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -9,13 +8,15 @@ import numpy as np
 
 from .data import Dataset, _reduce_visible_columns
 from .errors import (
-    CapExceededError,
     CompletionNotConvergedError,
+    EstimatorCapExceededError,
     FullyHiddenCoordinateError,
+    HiddenCellsRefusedError,
     NoCleanSamplesError,
     whole_number,
 )
 from .recovery import (
+    COMPLETION_TOL,
     CompletionReport,
     decode_replacements,
     iterative_svd_complete,
@@ -39,13 +40,11 @@ TUKEY_SAMPLE_CAP = 14
 
 @dataclass(frozen=True)
 class RecoverySpec:
-    """How the first stage of a two-step estimator repairs the data; the one
-    owner of the recovery defaults and their checks."""
+    """How the first stage of a two-step estimator repairs the data: a method,
+    and the rank ``iterative_svd`` completes to; the one owner of their checks."""
 
     method: str
     rank: int | None = None
-    max_iter: int = 500
-    tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.method not in RECOVERY_METHODS:
@@ -54,11 +53,6 @@ class RecoverySpec:
             object.__setattr__(self, "rank", whole_number("rank", self.rank))
         if self.method == "iterative_svd" and (self.rank is None or self.rank < 1):
             raise ValueError("iterative_svd recovery needs a positive rank")
-        object.__setattr__(self, "max_iter", whole_number("max_iter", self.max_iter))
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError("tol must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -168,17 +162,20 @@ def tukey_median(ds: Dataset) -> np.ndarray:
     is maximized over the sample points and all intersections of lines
     through sample pairs, which is sufficient because the depth function is
     piecewise constant on the arrangement those lines induce. Ties go to the
-    lexicographically smallest candidate. Hidden entries are not accepted, and
-    more than ``TUKEY_SAMPLE_CAP`` samples in two dimensions are refused.
+    lexicographically smallest candidate. Hidden entries, more than
+    ``TUKEY_DIM_CAP`` dimensions and more than ``TUKEY_SAMPLE_CAP`` samples in
+    two dimensions are refused, as errors that an experiment records as ``NA``.
     """
     if ds.mask.any():
-        raise ValueError("tukey_median needs fully visible data")
+        raise HiddenCellsRefusedError("tukey_median needs fully visible data")
     if ds.dim > TUKEY_DIM_CAP:
-        raise CapExceededError(f"dim={ds.dim} exceeds the exact-depth cap {TUKEY_DIM_CAP}")
+        raise EstimatorCapExceededError(
+            f"dim={ds.dim} exceeds the exact-depth cap {TUKEY_DIM_CAP}"
+        )
     if ds.dim == 1:
         return np.array([np.median(ds.values[:, 0])])
     if ds.n_samples > TUKEY_SAMPLE_CAP:
-        raise CapExceededError(
+        raise EstimatorCapExceededError(
             f"N={ds.n_samples} exceeds the exact-depth sample cap {TUKEY_SAMPLE_CAP}"
         )
     points = ds.values
@@ -199,15 +196,15 @@ def recover(
 ) -> CompletionReport:
     """Repair the table by the spec's method, the first stage of a two-step estimator.
 
-    A rank-only completion that stops at ``max_iter`` short of ``tol`` raises
-    :class:`CompletionNotConvergedError` rather than return an unfinished table.
+    A rank-only completion that spends its fixed sweep cap short of its tolerance
+    raises :class:`CompletionNotConvergedError` rather than return an unfinished table.
     """
     if spec.method == "iterative_svd":
-        report = iterative_svd_complete(ds, spec.rank, spec.max_iter, spec.tol)
+        report = iterative_svd_complete(ds, spec.rank)
         if not report.converged:
             raise CompletionNotConvergedError(
                 f"rank-{spec.rank} completion did not converge in {report.iterations} sweeps"
-                f" (tol {spec.tol:g})"
+                f" (tol {COMPLETION_TOL:g})"
             )
         return report
     if structure is None:

@@ -113,18 +113,13 @@ def _require(condition: bool, message: str) -> None:
 
 
 def parse_recovery_spec(obj: dict) -> RecoverySpec:
-    """A :class:`RecoverySpec` from ``method`` and the optional ``rank``,
-    ``max_iter`` and ``tol`` fields; absent fields take its defaults."""
+    """A :class:`RecoverySpec` from ``method`` and the optional ``rank``; a retired
+    option is refused, so no config runs quietly on a value it did not ask for."""
     _require(isinstance(obj, dict) and "method" in obj, "recovery needs a 'method'")
-    _require(
-        "exponent" not in obj,
-        "exponent is no longer a recovery option: replacement decoding is deterministic",
-    )
-    options = {key: obj[key] for key in ("rank", "max_iter", "tol") if key in obj}
+    for key in ("exponent", "max_iter", "tol"):
+        _require(key not in obj, f"{key} is no longer a recovery option")
     try:
-        if "tol" in options:
-            options["tol"] = number("tol", options["tol"])
-        return RecoverySpec(obj["method"], **options)
+        return RecoverySpec(obj["method"], obj.get("rank"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 

@@ -59,6 +59,9 @@ RANGE_RESIDUAL_TOL = 1e-6
 # Most subsystem solves a replacement decoder takes on: random draws per sample
 # in recover_replacement_randomized, supports per table in decode_replacements.
 REPLACEMENT_SOLVE_CAP = 100_000
+# iterative_svd_complete's hard-impute: most sweeps, and the absolute stopping change.
+COMPLETION_SWEEP_CAP = 500
+COMPLETION_TOL = 1e-9
 _KEPT, _RECOVERED, _DISCARDED = 0, 1, 2
 # Rows decoded at once: the per-row temporaries of recover_table and
 # _consensus_span span about this many rows, whatever the table's length.
@@ -342,9 +345,7 @@ def _consensus_span(rows: np.ndarray, rank: int) -> np.ndarray | None:
     return None
 
 
-def iterative_svd_complete(
-    ds: Dataset, rank: int, max_iter: int = 500, tol: float = 1e-9
-) -> CompletionReport:
+def iterative_svd_complete(ds: Dataset, rank: int) -> CompletionReport:
     """Complete a table of rank ``rank`` whose structure is unknown.
 
     Samples with fewer than ``rank`` visible entries cannot pin down their row
@@ -357,7 +358,7 @@ def iterative_svd_complete(
     and hidden cells start at their coordinate's visible median for hard-impute
     sweeps: each projects the table to the nearest rank-``rank`` matrix and
     copies the projection back into the hidden cells only, until the largest
-    change there falls to ``tol``.
+    change there falls to ``COMPLETION_TOL``, in at most ``COMPLETION_SWEEP_CAP`` sweeps.
 
     A sweep takes the projection X V V' from the top ``rank`` eigenvectors V of
     the small Gram matrix X'X, evaluated on the samples with a hidden cell
@@ -367,10 +368,6 @@ def iterative_svd_complete(
     """
     if rank < 1:
         raise ValueError("rank must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError("tol must be finite and nonnegative")
     visible_counts = (~ds.mask).sum(axis=1)
     retained = np.flatnonzero(visible_counts >= rank)
     if retained.size == 0:
@@ -396,13 +393,13 @@ def iterative_svd_complete(
     changing = filled[rows]
     cells = np.flatnonzero(hidden[rows])
     iterations, converged = 0, False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, COMPLETION_SWEEP_CAP + 1):
         _, eigvecs = np.linalg.eigh(fixed_gram + changing.T @ changing)
         basis = eigvecs[:, -rank:]
         projected = ((changing @ basis) @ basis.T).take(cells)
         delta = float(np.max(np.abs(projected - changing.take(cells))))
         changing.put(cells, projected)
-        if delta <= tol:
+        if delta <= COMPLETION_TOL:
             converged = True
             break
     filled[rows] = changing

@@ -187,19 +187,24 @@ def test_recover_iterative_svd(tmp_path):
 
 
 def test_recover_iterative_svd_refuses_bad_tolerance(tmp_path, capsys):
+    # tol, max_iter and exponent are retired: refused by recover and estimate
+    # alike, whatever their value, rather than quietly ignored.
     data_path, _ = run_gen(tmp_path)
-    cfg = write_json(
-        tmp_path / "recover.json",
-        {
+    capsys.readouterr()
+    for key, value in (("tol", 1e-9), ("max_iter", 100), ("exponent", 2.0)):
+        recovery = {"method": "iterative_svd", "rank": 3, key: value}
+        recover_cfg = dict(recovery, data_csv=str(data_path), out=str(tmp_path / "svd"))
+        estimate_cfg = {
             "data_csv": str(data_path),
-            "method": "iterative_svd",
-            "rank": 3,
-            "tol": -1,
-            "out": str(tmp_path / "svd"),
-        },
-    )
-    assert main(["recover", "--config", cfg]) == 1
-    assert "config error: tol" in capsys.readouterr().err
+            "estimator": {"kind": "two_step", "recovery": recovery},
+        }
+        for command, cfg in (("recover", recover_cfg), ("estimate", estimate_cfg)):
+            path = write_json(tmp_path / f"{command}.json", cfg)
+            assert main([command, "--config", path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: {key} is no longer a recovery option\n"
+    assert not (tmp_path / "svd.recovered.csv").exists()
 
 
 def test_estimate_prints_json(tmp_path, capsys):
@@ -530,8 +535,7 @@ def test_infinite_exponent_is_a_config_error(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [
-        "config error: exponent is no longer a recovery option:"
-        " replacement decoding is deterministic"
+        "config error: exponent is no longer a recovery option"
     ]
 
 

@@ -136,6 +136,24 @@ def test_replacement_decoding_failure_becomes_na(tmp_path, monkeypatch, case):
     assert Path(csv_path).read_text().count(",NA\n") == 2 * 3  # budgets x trials
 
 
+@pytest.mark.parametrize("adversary", ["tail_hiding", "sample_shift"])
+def test_tukey_median_refusal_becomes_na(tmp_path, adversary):
+    # The shipped config's tables have hidden cells under tail_hiding and 16
+    # columns under both: tukey_median refuses them, and the run goes on.
+    shipped = load_json(Path(__file__).resolve().parents[1] / "configs" / "experiment.json")
+    shipped["adversary"] = adversary
+    with_tukey = copy.deepcopy(shipped)
+    with_tukey["methods"].append({"kind": "tukey_median"})
+    csv_path, _ = write_results(run_experiment(parse_config(with_tukey)), str(tmp_path / "t"))
+    lines = Path(csv_path).read_text().splitlines()
+    tukey = [line for line in lines if line.startswith("tukey_median,")]
+    assert len(tukey) == 3 * 3 * 2  # budgets x trials x metrics
+    assert all(line.endswith(",NA") for line in tukey)
+    plain_path, _ = write_results(run_experiment(parse_config(shipped)), str(tmp_path / "p"))
+    others = [line for line in lines if not line.startswith("tukey_median,")]
+    assert others == Path(plain_path).read_text().splitlines()
+
+
 def test_replacement_decoding_beats_the_median_under_sample_shift():
     # Every victim of the shipped config's sample shift has all 16 cells moved,
     # past the decoding radius 2 of its structure, so the decoder drops it.
@@ -345,16 +363,12 @@ def replacement_method(**options):
         (lambda c: c.update(metrics=["l3"]), "metrics"),
         (lambda c: c.update(metrics=[]), "metrics"),
         (lambda c: c["data"].update(kind="parquet"), "kind"),
-        (lambda c: c.update(methods=[svd_method(max_iter=0)]), "max_iter"),
-        (lambda c: c.update(methods=[svd_method(tol=-1)]), "tol"),
-        (lambda c: c.update(methods=[svd_method(tol=float("nan"))]), "tol"),
-        (lambda c: c.update(methods=[svd_method(tol="loose")]), "float"),
+        # Retired recovery options are refused whatever their value, not ignored.
+        (lambda c: c.update(methods=[svd_method(max_iter=500)]), "max_iter"),
+        (lambda c: c.update(methods=[svd_method(tol=1e-9)]), "tol"),
+        (lambda c: c.update(methods=[replacement_method(tol=1e-9)]), "tol"),
         (lambda c: c.update(methods=[svd_method(rank=2.5)]), "rank"),
         (lambda c: c.update(methods=[replacement_method(exponent=float("inf"))]), "exponent"),
-        (
-            lambda c: c.update(methods=[svd_method(max_iter=1.9)]),
-            "max_iter must be a whole number, got 1.9",
-        ),
         (
             lambda c: c.update(methods=[replacement_method(exponent=2.0)]),
             "exponent is no longer a recovery option",
@@ -385,7 +399,6 @@ def replacement_method(**options):
         ),
         (lambda c: c["data"]["latent"].update(mean=[False, 0, 0]), "mean must be a float, got False"),
         (lambda c: c["data"]["latent"].update(scale=True), "scale must be a float, got True"),
-        (lambda c: c.update(methods=[svd_method(tol=False)]), "tol must be a float, got False"),
         (
             lambda c: c.update(data={"kind": "csv", "path": "x.csv", "standardize": "false"}),
             "standardize must be true or false, got 'false'",

@@ -290,18 +290,12 @@ def degenerate_complete_rows_table():
     return Dataset(np.where(ds.mask, np.nan, values), ds.mask)
 
 
-def test_iterative_svd_reports_non_convergence():
+def test_iterative_svd_reports_non_convergence(monkeypatch):
     ds = every_row_hidden_table(30, 6, 2, seed=4, mask_fraction=0.1)
-    report = iterative_svd_complete(ds, rank=2, max_iter=1)
+    monkeypatch.setattr(recovery, "COMPLETION_SWEEP_CAP", 1)
+    report = iterative_svd_complete(ds, rank=2)
     assert report.iterations == 1
     assert not report.converged
-
-
-def test_iterative_svd_refuses_bad_tolerance():
-    ds, _ = low_rank_dataset(20, 6, 2, seed=0, mask_fraction=0.1)
-    for tol in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol"):
-            iterative_svd_complete(ds, rank=2, tol=tol)
 
 
 def criterion_7_tables(budget):
@@ -341,16 +335,20 @@ def scale_spread_table(every_row_hidden=False):
     ],
     ids=["criterion_7_budget_0.2", "one_sweep", "scale_spread_1e6", "converging"],
 )
-def test_iterative_svd_matches_full_svd_reference(make_table, rank, max_iter, scaled_tol):
+def test_iterative_svd_matches_full_svd_reference(
+    make_table, rank, max_iter, scaled_tol, monkeypatch
+):
     ds = make_table()
     # The scale-spread table starts at its exact completion, whose largest
     # cells (~5e6) are ~1e-9 apart in floating point: at an absolute tol of
-    # 1e-9 the stopping sweep would be decided by rounding alone.
+    # 1e-9 the oracle's stopping sweep would be decided by rounding alone.
+    # The package decodes against the span in 0 sweeps and never reads its tol.
     tol = 1e-9 * (np.nanmax(np.abs(ds.values)) if scaled_tol else 1.0)
     table, dropped, iterations, converged = warm_complete_direct(
         ds.values, ds.mask, rank, max_iter, tol
     )
-    report = iterative_svd_complete(ds, rank, max_iter, tol)
+    monkeypatch.setattr(recovery, "COMPLETION_SWEEP_CAP", max_iter)
+    report = iterative_svd_complete(ds, rank)
     assert report.discarded_indices == dropped
     # Decoded against the span, with no sweep where the oracle's first confirms it.
     assert (report.iterations, report.converged) == (iterations - 1, converged) == (0, True)
@@ -374,10 +372,13 @@ def test_iterative_svd_matches_full_svd_reference(make_table, rank, max_iter, sc
         "degenerate_complete_rows",
     ],
 )
-def test_iterative_svd_median_start_matches_full_svd_reference(make_table, rank, max_iter):
+def test_iterative_svd_median_start_matches_full_svd_reference(
+    make_table, rank, max_iter, monkeypatch
+):
     ds = make_table()
     table, iterations, converged = hard_impute_direct(ds.values, ds.mask, rank, max_iter, 1e-9)
-    report = iterative_svd_complete(ds, rank, max_iter)
+    monkeypatch.setattr(recovery, "COMPLETION_SWEEP_CAP", max_iter)
+    report = iterative_svd_complete(ds, rank)
     assert (report.iterations, report.converged) == (iterations, converged)
     np.testing.assert_allclose(
         report.completed.values, table, rtol=0, atol=1e-10 * np.abs(table).max()
@@ -409,7 +410,7 @@ def shifted_complete_rows_table(fraction):
     return Dataset(np.where(ds.mask, np.nan, table), ds.mask), values, shifted
 
 
-def test_iterative_svd_takes_the_span_most_complete_rows_share():
+def test_iterative_svd_takes_the_span_most_complete_rows_share(monkeypatch):
     # The shifted rows lift the first candidate, all complete rows, to rank 3;
     # a block of clean rows then proposes the span they are discarded against.
     ds, clean, shifted = shifted_complete_rows_table(0.2)
@@ -430,7 +431,8 @@ def test_iterative_svd_takes_the_span_most_complete_rows_share():
     # median-start sweeps, and a fully visible table comes back unchanged.
     ds, _, _ = shifted_complete_rows_table(0.5)
     table, iterations, converged = hard_impute_direct(ds.values, ds.mask, 2, 20, 1e-9)
-    report = iterative_svd_complete(ds, rank=2, max_iter=20)
+    monkeypatch.setattr(recovery, "COMPLETION_SWEEP_CAP", 20)
+    report = iterative_svd_complete(ds, rank=2)
     assert report.discarded_indices == []
     assert (report.iterations, report.converged) == (iterations, converged)
     np.testing.assert_allclose(
