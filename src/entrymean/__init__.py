@@ -50,7 +50,6 @@ from .recovery import (
     RecoveryOutcome,
     RecoveryStatus,
     build_parity_check,
-    impute_from_structure,
     iterative_svd_complete,
     orthogonal_matching_pursuit,
     recover_by_sparse_decoding,

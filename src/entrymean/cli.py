@@ -41,6 +41,7 @@ from .experiment import (
     run_experiment,
     write_results,
 )
+from .recovery import RecoveryStatus
 from .structure import load_structure_csv, save_structure_csv
 
 
@@ -95,14 +96,16 @@ def cmd_recover(args) -> int:
     cfg = load_json(args.config)
     ds = load_dataset_csv(_need(cfg, "data_csv"))
     prefix = _out_prefix(cfg, args)
-    spec = parse_recovery_spec(cfg)
+    files = ("data_csv", "structure_csv", "out")  # every other key is the recovery spec's
+    spec = parse_recovery_spec({k: v for k, v in cfg.items() if k not in files})
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
     report = estimators.recover(ds, spec, a)
     save_dataset_csv(report.completed, f"{prefix}.recovered.csv")
     report.save_json(f"{prefix}.report.json")
+    counts = np.bincount(report.status, minlength=len(RecoveryStatus))
     print(
-        f"wrote {prefix}.recovered.csv and {prefix}.report.json "
-        f"({len(report.recovered_indices)} recovered, {len(report.discarded_indices)} discarded)"
+        f"wrote {prefix}.recovered.csv and {prefix}.report.json ({counts[RecoveryStatus.RECOVERED]}"
+        f" recovered, {counts[RecoveryStatus.UNRECOVERABLE]} discarded)"
     )
     return 0
 

@@ -49,6 +49,8 @@ class RecoverySpec:
     def __post_init__(self) -> None:
         if self.method not in RECOVERY_METHODS:
             raise ValueError(f"method must be one of {RECOVERY_METHODS}, got {self.method!r}")
+        if self.rank is not None and self.method != "iterative_svd":
+            raise ValueError("rank is for iterative_svd only")
         if self.rank is not None:
             object.__setattr__(self, "rank", whole_number("rank", self.rank))
         if self.method == "iterative_svd" and (self.rank is None or self.rank < 1):

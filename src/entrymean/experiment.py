@@ -114,10 +114,12 @@ def _require(condition: bool, message: str) -> None:
 
 def parse_recovery_spec(obj: dict) -> RecoverySpec:
     """A :class:`RecoverySpec` from ``method`` and the optional ``rank``; a retired
-    option is refused, so no config runs quietly on a value it did not ask for."""
+    or unknown key is refused, so no config runs quietly on a value it did not ask for."""
     _require(isinstance(obj, dict) and "method" in obj, "recovery needs a 'method'")
     for key in ("exponent", "max_iter", "tol"):
         _require(key not in obj, f"{key} is no longer a recovery option")
+    for key in obj:
+        _require(key in ("method", "rank"), f"unknown recovery key {key!r}")
     try:
         return RecoverySpec(obj["method"], obj.get("rank"))
     except (ValueError, TypeError) as exc:
@@ -127,6 +129,9 @@ def parse_recovery_spec(obj: dict) -> RecoverySpec:
 def parse_estimator_spec(obj: dict) -> EstimatorSpec:
     _require(isinstance(obj, dict), "each method must be an object")
     _require("kind" in obj, "method needs a 'kind'")
+    for key in obj:
+        _require(key in ("kind", "recovery", "inner", "name"), f"unknown estimator key {key!r}")
+    _require(obj["kind"] == "two_step" or "inner" not in obj, "inner is for two_step only")
     rec = obj.get("recovery")
     recovery = None if rec is None else parse_recovery_spec(rec)
     try:

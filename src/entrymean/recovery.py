@@ -26,6 +26,10 @@ one sample check and return a sample that passes :func:`recover_table`'s range
 test unchanged; the Hamming decoders score r-row subsets by stacked solves. An
 entry matches when it is within ``ENTRY_MATCH_TOL`` max(1, |x|_inf), so no rule
 depends on the sample's scale.
+
+Every route reports what became of a sample as a :class:`RecoveryStatus`: the
+table routes one int8 code per input row in ``CompletionReport.status``, the
+one-sample decoders the status of their :class:`RecoveryOutcome`.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from itertools import chain, combinations
 
 import numpy as np
@@ -62,16 +66,17 @@ REPLACEMENT_SOLVE_CAP = 100_000
 # iterative_svd_complete's hard-impute: most sweeps, and the absolute stopping change.
 COMPLETION_SWEEP_CAP = 500
 COMPLETION_TOL = 1e-9
-_KEPT, _RECOVERED, _DISCARDED = 0, 1, 2
 # Rows decoded at once: the per-row temporaries of recover_table and
 # _consensus_span span about this many rows, whatever the table's length.
 _ROW_BLOCK = 1024
 
 
-class RecoveryStatus(Enum):
-    RECOVERED = "recovered"
-    UNCHANGED = "unchanged"
-    UNRECOVERABLE = "unrecoverable"
+class RecoveryStatus(IntEnum):
+    """What became of a sample: kept as it was, repaired, or discarded as lost."""
+
+    UNCHANGED = 0
+    RECOVERED = 1
+    UNRECOVERABLE = 2
 
 
 @dataclass
@@ -85,21 +90,19 @@ class RecoveryOutcome:
 class CompletionReport:
     """Outcome of a whole-table completion.
 
-    ``completed`` keeps the retained samples in their original order;
-    ``recovered_indices`` and ``discarded_indices`` refer to positions in the
-    input dataset. Samples kept as they were appear in neither list.
+    ``status`` holds one :class:`RecoveryStatus` code (int8) per input row, and
+    ``completed`` the rows not ``UNRECOVERABLE``, in their original order.
     """
 
     completed: Dataset
-    recovered_indices: list[int]
-    discarded_indices: list[int]
+    status: np.ndarray
     iterations: int
     converged: bool
 
     def to_dict(self) -> dict:
         return {
-            "recovered_indices": list(self.recovered_indices),
-            "discarded_indices": list(self.discarded_indices),
+            "recovered_indices": np.flatnonzero(self.status == RecoveryStatus.RECOVERED).tolist(),
+            "discarded_indices": np.flatnonzero(self.status == RecoveryStatus.UNRECOVERABLE).tolist(),
             "iterations": self.iterations,
             "converged": self.converged,
         }
@@ -108,20 +111,6 @@ class CompletionReport:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def impute_from_structure(x: np.ndarray, a: StructureMatrix) -> RecoveryOutcome:
-    """Repair one sample ``x`` (NaN marks a hidden entry) by :func:`recover_table` at radius 0."""
-    x = np.asarray(x, dtype=float).ravel()
-    hidden = np.isnan(x)
-    try:
-        report = recover_table(Dataset(x[None, :], hidden[None, :]), a)
-    except AllSamplesDiscardedError:
-        return RecoveryOutcome(RecoveryStatus.UNRECOVERABLE)
-    sample = report.completed.values[0]
-    if report.recovered_indices:
-        return RecoveryOutcome(RecoveryStatus.RECOVERED, sample, int(np.count_nonzero(hidden)))
-    return RecoveryOutcome(RecoveryStatus.UNCHANGED, sample, 0)
 
 
 def _certified_inverse(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,10 +259,11 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     hidden = ds.mask.any(axis=1)
     blocks = _fit_by_pattern(a, ds, np.flatnonzero(hidden))  # factors formed before the copy
     values = ds.values.copy()
-    status = np.where(hidden, _DISCARDED, _KEPT)
+    status = np.full(ds.n_samples, RecoveryStatus.UNCHANGED, dtype=np.int8)
+    status[hidden] = RecoveryStatus.UNRECOVERABLE
     for rows, samples, fits in blocks:
         values[rows[fits]] = samples[fits]
-        status[rows[fits]] = _RECOVERED
+        status[rows[fits]] = RecoveryStatus.RECOVERED
     # Whole blocks are range-tested, hidden cells zeroed, so each product has
     # the rows of one call over the whole table; only fully visible rows count.
     in_range = np.zeros(ds.n_samples, dtype=bool)
@@ -289,15 +279,14 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
         e, *_ = np.linalg.lstsq(columns, syndrome.T, rcond=None)
         fits = np.linalg.norm(syndrome - (columns @ e).T, axis=1) <= bound
         values[np.ix_(open_rows[fits], support)] -= e[:, fits].T
-        status[open_rows[fits]] = _RECOVERED
+        status[open_rows[fits]] = RecoveryStatus.RECOVERED
         open_rows, syndrome, bound = open_rows[~fits], syndrome[~fits], bound[~fits]
-    status[open_rows] = _DISCARDED
-    keep = status != _DISCARDED
+    status[open_rows] = RecoveryStatus.UNRECOVERABLE
+    keep = status != RecoveryStatus.UNRECOVERABLE
     if not keep.any():
         raise AllSamplesDiscardedError("recovery discarded every sample")
     completed = Dataset(values if keep.all() else _kept_rows(values, keep))
-    recovered, discarded = np.flatnonzero(status == _RECOVERED), np.flatnonzero(~keep)
-    return CompletionReport(completed, recovered.tolist(), discarded.tolist(), 0, True)
+    return CompletionReport(completed, status, 0, True)
 
 
 def _kept_rows(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -377,17 +366,18 @@ def iterative_svd_complete(ds: Dataset, rank: int) -> CompletionReport:
     span = _consensus_span(ds.values[~ds.mask.any(axis=1)], rank)
     if span is not None:
         return recover_table(ds, StructureMatrix(span))
-    discarded = np.flatnonzero(visible_counts < rank).tolist()
-    if discarded:
+    status = np.full(ds.n_samples, RecoveryStatus.UNCHANGED, dtype=np.int8)
+    status[visible_counts < rank] = RecoveryStatus.UNRECOVERABLE
+    if retained.size < ds.n_samples:
         ds = Dataset(ds.values[retained], ds.mask[retained])
     values, hidden = ds.values, ds.mask
     if not hidden.any():
-        return CompletionReport(Dataset(values), [], discarded, 0, True)
+        return CompletionReport(Dataset(values), status, 0, True)
     if np.any((~hidden).sum(axis=0) == 0):
         raise CompletionInfeasibleError("a coordinate is hidden in every retained sample")
     rows = np.flatnonzero(hidden.any(axis=1))
     filled = np.where(hidden, _reduce_visible_columns(values, hidden, np.median), values)
-    recovered = retained[rows].tolist()
+    status[retained[rows]] = RecoveryStatus.RECOVERED
     fixed = np.delete(filled, rows, axis=0)
     fixed_gram = fixed.T @ fixed
     changing = filled[rows]
@@ -403,7 +393,7 @@ def iterative_svd_complete(ds: Dataset, rank: int) -> CompletionReport:
             converged = True
             break
     filled[rows] = changing
-    return CompletionReport(Dataset(filled), recovered, discarded, iterations, converged)
+    return CompletionReport(Dataset(filled), status, iterations, converged)
 
 
 def decode_replacements(ds: Dataset, a: StructureMatrix) -> CompletionReport:

@@ -24,6 +24,7 @@ from entrymean.corruption import (
     plan_unrecoverable_hiding,
 )
 from entrymean.data import Dataset
+from entrymean.errors import AllSamplesDiscardedError
 from entrymean.experiment import parse_config, run_experiment
 from entrymean.metrics import (
     DiscreteDistribution,
@@ -34,14 +35,15 @@ from entrymean.metrics import (
 )
 from entrymean.recovery import (
     RecoveryStatus,
-    impute_from_structure,
     recover_by_sparse_decoding,
     recover_replacement_exhaustive,
     recover_replacement_randomized,
+    recover_table,
     replacement_candidates,
 )
 from entrymean.structure import StructureMatrix, min_rows_to_drop_rank, null_space_basis
 
+from test_recovery import one_row
 from test_structure import random_general_position
 
 
@@ -56,15 +58,16 @@ def test_criterion_01_missing_value_breakpoint():
         for hidden in itertools.combinations(range(8), k):
             masked = x.copy()
             masked[list(hidden)] = np.nan
-            outcome = impute_from_structure(masked, a)
-            assert outcome.status is not RecoveryStatus.UNRECOVERABLE
-            worst = max(worst, np.abs(outcome.sample - x).max())
+            report = recover_table(one_row(masked), a)
+            assert report.status[0] != RecoveryStatus.UNRECOVERABLE
+            worst = max(worst, np.abs(report.completed.values[0] - x).max())
     assert worst <= 1e-8
     for k in range(5, 9):
         for hidden in itertools.combinations(range(8), k):
             masked = x.copy()
             masked[list(hidden)] = np.nan
-            assert impute_from_structure(masked, a).status is RecoveryStatus.UNRECOVERABLE
+            with pytest.raises(AllSamplesDiscardedError):  # the one row is unrecoverable
+                recover_table(one_row(masked), a)
     elapsed = time.perf_counter() - start
     print(f"criterion 1: worst recovery error {worst:.2e}, {elapsed:.1f}s")
     assert elapsed < 10.0

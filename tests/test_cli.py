@@ -207,6 +207,52 @@ def test_recover_iterative_svd_refuses_bad_tolerance(tmp_path, capsys):
     assert not (tmp_path / "svd.recovered.csv").exists()
 
 
+def test_recover_and_estimate_refuse_keys_they_do_not_read(tmp_path, capsys):
+    # recover reads data_csv, method, rank, structure_csv and out; estimate's
+    # estimator and recovery objects read their own keys. Any other is refused.
+    data_path, structure_path = run_gen(tmp_path)
+    capsys.readouterr()
+    files = {"data_csv": str(data_path), "structure_csv": str(structure_path)}
+    recover = dict(files, out=str(tmp_path / "fixed"))
+    cases = [
+        (
+            "recover",
+            dict(recover, method="iterative_svd", rank=3, max_iters=5000),
+            "unknown recovery key 'max_iters'",
+        ),
+        ("recover", dict(recover, method="known_structure", seed=1), "unknown recovery key 'seed'"),
+        (
+            "recover",
+            dict(recover, method="known_structure", rank=3),
+            "rank is for iterative_svd only",
+        ),
+        (
+            "estimate",
+            dict(files, estimator={"kind": "empirical_mean", "inner": "tukey_median"}),
+            "inner is for two_step only",
+        ),
+        (
+            "estimate",
+            dict(files, estimator={"kind": "empirical_mean", "recovery_method": "x"}),
+            "unknown estimator key 'recovery_method'",
+        ),
+        (
+            "estimate",
+            dict(
+                files,
+                estimator={"kind": "two_step", "recovery": {"method": "replacement", "rank": 3}},
+            ),
+            "rank is for iterative_svd only",
+        ),
+    ]
+    for command, cfg, message in cases:
+        path = write_json(tmp_path / f"{command}.json", cfg)
+        assert main([command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+    assert not (tmp_path / "fixed.recovered.csv").exists()
+
+
 def test_estimate_prints_json(tmp_path, capsys):
     data_path, _ = run_gen(tmp_path)
     cfg = write_json(

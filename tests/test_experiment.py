@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,14 @@ from entrymean.experiment import (
     load_config,
     load_json,
     parse_config,
+    parse_estimator_spec,
+    parse_recovery_spec,
     parse_structure_spec,
     read_result_rows,
     run_experiment,
     write_results,
 )
+from entrymean.recovery import RecoveryStatus
 from entrymean.structure import save_structure_csv
 
 BASE_CONFIG = {
@@ -194,8 +198,9 @@ def test_known_structure_discards_every_sample_shift_victim(monkeypatch):
     victims = [np.unique(plan.sample).tolist() for plan in plans]
     assert len(victims) == 9 and all(victims)
     for method_reports in reports.values():
-        assert [r.discarded_indices for r in method_reports] == victims
-        assert all(r.recovered_indices == [] for r in method_reports)
+        discarded = [np.flatnonzero(r.status == RecoveryStatus.UNRECOVERABLE) for r in method_reports]
+        assert [d.tolist() for d in discarded] == victims
+        assert not any((r.status == RecoveryStatus.RECOVERED).any() for r in method_reports)
     values = {}
     for row in result.rows:
         values.setdefault((row.method, row.metric), []).append(row.value)
@@ -368,6 +373,13 @@ def replacement_method(**options):
         (lambda c: c.update(methods=[svd_method(tol=1e-9)]), "tol"),
         (lambda c: c.update(methods=[replacement_method(tol=1e-9)]), "tol"),
         (lambda c: c.update(methods=[svd_method(rank=2.5)]), "rank"),
+        # A key nothing reads is refused, not dropped.
+        (lambda c: c.update(methods=[svd_method(rnak=2)]), "unknown recovery key 'rnak'"),
+        (lambda c: c.update(methods=[replacement_method(rank=3)]), "rank is for iterative_svd only"),
+        (
+            lambda c: c.update(methods=[{"kind": "empirical_mean", "nmae": "x"}]),
+            "unknown estimator key 'nmae'",
+        ),
         (lambda c: c.update(methods=[replacement_method(exponent=float("inf"))]), "exponent"),
         (
             lambda c: c.update(methods=[replacement_method(exponent=2.0)]),
@@ -414,6 +426,49 @@ def test_parse_config_rejects_bad_fields(mutate, message):
     mutate(cfg_obj)
     with pytest.raises(ConfigError, match=message):
         parse_config(cfg_obj)
+
+
+@pytest.mark.parametrize(
+    "parse, obj, message",
+    [
+        (
+            parse_recovery_spec,
+            {"method": "iterative_svd", "rank": 8, "max_iters": 5000},
+            "unknown recovery key 'max_iters'",
+        ),
+        (
+            parse_recovery_spec,
+            {"method": "known_structure", "rank": 3},
+            "rank is for iterative_svd only",
+        ),
+        (
+            parse_recovery_spec,
+            {"method": "replacement", "rank": 3},
+            "rank is for iterative_svd only",
+        ),
+        (
+            parse_estimator_spec,
+            {"kind": "empirical_mean", "inner": "tukey_median", "recovery_method": "x"},
+            "unknown estimator key 'recovery_method'",
+        ),
+        (
+            parse_estimator_spec,
+            {"kind": "empirical_mean", "inner": "tukey_median"},
+            "inner is for two_step only",
+        ),
+    ],
+    ids=[
+        "misspelt_recovery_option",
+        "rank_on_known_structure",
+        "rank_on_replacement",
+        "unknown_estimator_key",
+        "inner_on_a_plain_estimator",
+    ],
+)
+def test_config_objects_refuse_keys_they_do_not_read(parse, obj, message):
+    # A key nothing reads would leave the run on a default the config did not ask for.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse(obj)
 
 
 def test_integer_fields_keep_their_exact_value():

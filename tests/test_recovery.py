@@ -23,7 +23,6 @@ from entrymean.errors import (
 from entrymean.recovery import (
     RecoveryStatus,
     build_parity_check,
-    impute_from_structure,
     iterative_svd_complete,
     orthogonal_matching_pursuit,
     recover_by_sparse_decoding,
@@ -59,22 +58,36 @@ def hidden_copy(x, coords):
 # ---------------------------------------------------------------- imputation
 
 
+def one_row(x):
+    """The sample ``x`` (NaN marks a hidden entry) as a one-row table."""
+    x = np.asarray(x, dtype=float)
+    return Dataset(x[None, :], np.isnan(x)[None, :])
+
+
+def recovered_rows(report):
+    """Positions of the input rows that ``report`` marks ``RECOVERED``."""
+    return np.flatnonzero(report.status == RecoveryStatus.RECOVERED).tolist()
+
+
+def discarded_rows(report):
+    """Positions of the input rows that ``report`` marks ``UNRECOVERABLE``."""
+    return np.flatnonzero(report.status == RecoveryStatus.UNRECOVERABLE).tolist()
+
+
 def test_impute_unchanged_when_nothing_hidden():
     a = random_general_position(6, 3, seed=0)
     x = a.entries @ np.array([1.0, -2.0, 0.5])
-    outcome = impute_from_structure(x, a)
-    assert outcome.status is RecoveryStatus.UNCHANGED
-    np.testing.assert_array_equal(outcome.sample, x)
-    assert outcome.residual_hamming == 0
+    report = recover_table(one_row(x), a)
+    assert report.status.tolist() == [RecoveryStatus.UNCHANGED]
+    np.testing.assert_array_equal(report.completed.values[0], x)
 
 
 def test_impute_refuses_fully_visible_sample_outside_range():
     a = random_general_position(6, 3, seed=0)
     x = a.entries @ np.array([1.0, -2.0, 0.5])
     x[4] += 1e-3  # nothing hidden, nothing to solve: the range test alone refuses it
-    outcome = impute_from_structure(x, a)
-    assert outcome.status is RecoveryStatus.UNRECOVERABLE
-    assert outcome.sample is None
+    with pytest.raises(AllSamplesDiscardedError):
+        recover_table(one_row(x), a)
 
 
 def test_impute_recovers_exactly_below_margin():
@@ -82,18 +95,16 @@ def test_impute_recovers_exactly_below_margin():
     z = np.array([0.3, 1.7, -0.9])
     x = a.entries @ z
     for coords in [(0,), (1, 4), (0, 2, 5)]:  # up to n - r = 3 hidden entries
-        outcome = impute_from_structure(hidden_copy(x, coords), a)
-        assert outcome.status is RecoveryStatus.RECOVERED
-        np.testing.assert_allclose(outcome.sample, x, atol=1e-9)
-        assert outcome.residual_hamming == len(coords)
+        report = recover_table(one_row(hidden_copy(x, coords)), a)
+        assert report.status.tolist() == [RecoveryStatus.RECOVERED]
+        np.testing.assert_allclose(report.completed.values[0], x, atol=1e-9)
 
 
 def test_impute_unrecoverable_when_rank_drops():
     a = random_general_position(6, 3, seed=2)
     x = a.entries @ np.ones(3)
-    outcome = impute_from_structure(hidden_copy(x, (0, 1, 2, 3)), a)
-    assert outcome.status is RecoveryStatus.UNRECOVERABLE
-    assert outcome.sample is None
+    with pytest.raises(AllSamplesDiscardedError):
+        recover_table(one_row(hidden_copy(x, (0, 1, 2, 3))), a)
 
 
 def test_impute_flags_inconsistent_visible_entries():
@@ -101,8 +112,8 @@ def test_impute_flags_inconsistent_visible_entries():
     x = a.entries @ np.ones(3)
     corrupted = hidden_copy(x, (5,))
     corrupted[0] += 10.0  # replacement, not hiding: the visible rows disagree
-    outcome = impute_from_structure(corrupted, a)
-    assert outcome.status is RecoveryStatus.UNRECOVERABLE
+    with pytest.raises(AllSamplesDiscardedError):
+        recover_table(one_row(corrupted), a)
 
 
 def test_impute_respects_block_structure():
@@ -113,10 +124,10 @@ def test_impute_respects_block_structure():
     entries[4:, 2:] = rng.standard_normal((4, 2))
     a = StructureMatrix(entries)
     x = entries @ rng.standard_normal(4)
-    fine = impute_from_structure(hidden_copy(x, (0, 1)), a)
-    assert fine.status is RecoveryStatus.RECOVERED
-    dead = impute_from_structure(hidden_copy(x, (0, 1, 2)), a)
-    assert dead.status is RecoveryStatus.UNRECOVERABLE
+    fine = recover_table(one_row(hidden_copy(x, (0, 1))), a)
+    assert fine.status.tolist() == [RecoveryStatus.RECOVERED]
+    with pytest.raises(AllSamplesDiscardedError):
+        recover_table(one_row(hidden_copy(x, (0, 1, 2))), a)
 
 
 def masked_samples(a, n_samples, seed):
@@ -153,8 +164,8 @@ def test_recover_table_matches_per_row_lstsq(seed, deficient):
     assert any(n_visible[i] > a.r for i in caught)
 
     report = recover_table(Dataset(values, np.isnan(values)), a)
-    assert report.recovered_indices == [i for i, s in enumerate(statuses) if s == "recovered"]
-    assert report.discarded_indices == [i for i, s in enumerate(statuses) if s == "unrecoverable"]
+    assert recovered_rows(report) == [i for i, s in enumerate(statuses) if s == "recovered"]
+    assert discarded_rows(report) == [i for i, s in enumerate(statuses) if s == "unrecoverable"]
     assert (report.iterations, report.converged) == (0, True)
     kept = np.vstack([sample for status, sample in expected if status != "unrecoverable"])
     np.testing.assert_allclose(
@@ -179,8 +190,8 @@ def test_recover_table_shares_svd_per_pattern_but_tests_rows_alone():
                         "unchanged", "recovered", "unrecoverable", "recovered"]
 
     report = recover_table(Dataset(values, np.isnan(values)), a)
-    assert report.recovered_indices == [0, 5, 7]
-    assert report.discarded_indices == [1, 2, 3, 6]
+    assert recovered_rows(report) == [0, 5, 7]
+    assert discarded_rows(report) == [1, 2, 3, 6]
     kept = np.vstack([sample for status, sample in expected if status != "unrecoverable"])
     np.testing.assert_allclose(
         report.completed.values, kept, rtol=0, atol=1e-12 * np.abs(kept).max()
@@ -192,7 +203,7 @@ def test_recover_table_range_tests_rows_without_hidden_cells():
     values = np.random.default_rng(126).standard_normal((5, 3)) @ a.entries.T
     values[2, 1] += 1.0  # nothing is hidden, but the row has left range(A)
     report = recover_table(Dataset(values), a)
-    assert (report.recovered_indices, report.discarded_indices) == ([], [2])
+    assert (recovered_rows(report), discarded_rows(report)) == ([], [2])
     assert report.completed.values.tobytes() == np.delete(values, 2, axis=0).tobytes()
 
 
@@ -222,7 +233,7 @@ def test_iterative_svd_no_hidden_cells_is_identity():
     ds, values = low_rank_dataset(20, 6, 2, seed=0)
     report = iterative_svd_complete(ds, rank=2)
     assert report.iterations == 0 and report.converged
-    assert report.recovered_indices == [] and report.discarded_indices == []
+    assert recovered_rows(report) == [] and discarded_rows(report) == []
     np.testing.assert_array_equal(report.completed.values, values)
 
 
@@ -230,10 +241,10 @@ def test_iterative_svd_restores_low_rank_table():
     ds, values = low_rank_dataset(60, 8, 2, seed=1, mask_fraction=0.08)
     report = iterative_svd_complete(ds, rank=2)
     assert report.converged
-    kept = [i for i in range(60) if i not in report.discarded_indices]
+    kept = [i for i in range(60) if i not in discarded_rows(report)]
     np.testing.assert_allclose(report.completed.values, values[kept], atol=1e-5)
     assert not report.completed.mask.any()
-    touched = sorted(report.recovered_indices + report.discarded_indices)
+    touched = np.flatnonzero(report.status != RecoveryStatus.UNCHANGED).tolist()
     assert touched == sorted(int(i) for i in np.flatnonzero(ds.mask.any(axis=1)))
 
 
@@ -243,7 +254,7 @@ def test_iterative_svd_discards_underdetermined_samples():
     mask[4, :3] = True  # two visible entries < rank 3
     starved = Dataset(np.where(mask, np.nan, ds.values), mask)
     report = iterative_svd_complete(starved, rank=3)
-    assert report.discarded_indices == [4]
+    assert discarded_rows(report) == [4]
     assert report.completed.n_samples == 9
 
 
@@ -256,8 +267,8 @@ def test_iterative_svd_discards_rows_the_basis_cannot_pin():
     mask[3, 2:] = True
     ds = Dataset(np.where(mask, np.nan, values), mask)
     report = iterative_svd_complete(ds, rank=2)
-    assert report.discarded_indices == recover_table(ds, a).discarded_indices == [3]
-    assert (report.recovered_indices, report.iterations, report.converged) == ([], 0, True)
+    assert discarded_rows(report) == discarded_rows(recover_table(ds, a)) == [3]
+    assert (recovered_rows(report), report.iterations, report.converged) == ([], 0, True)
     np.testing.assert_array_equal(report.completed.values, np.delete(values, 3, axis=0))
 
 
@@ -349,7 +360,7 @@ def test_iterative_svd_matches_full_svd_reference(
     )
     monkeypatch.setattr(recovery, "COMPLETION_SWEEP_CAP", max_iter)
     report = iterative_svd_complete(ds, rank)
-    assert report.discarded_indices == dropped
+    assert discarded_rows(report) == dropped
     # Decoded against the span, with no sweep where the oracle's first confirms it.
     assert (report.iterations, report.converged) == (iterations - 1, converged) == (0, True)
     np.testing.assert_allclose(
@@ -390,8 +401,8 @@ def test_iterative_svd_exact_on_criterion_7_tables(budget):
     a, clean, ds = criterion_7_tables(budget)
     report = iterative_svd_complete(ds, rank=8)
     assert report.converged
-    assert report.discarded_indices == recover_table(ds, a).discarded_indices
-    kept = np.setdiff1d(np.arange(ds.n_samples), report.discarded_indices)
+    assert discarded_rows(report) == discarded_rows(recover_table(ds, a))
+    kept = np.setdiff1d(np.arange(ds.n_samples), discarded_rows(report))
     np.testing.assert_allclose(
         report.completed.values,
         clean.values[kept],
@@ -415,8 +426,8 @@ def test_iterative_svd_takes_the_span_most_complete_rows_share(monkeypatch):
     # a block of clean rows then proposes the span they are discarded against.
     ds, clean, shifted = shifted_complete_rows_table(0.2)
     report = iterative_svd_complete(ds, rank=2)
-    assert report.discarded_indices == shifted.tolist()
-    assert report.recovered_indices == np.flatnonzero(ds.mask.any(axis=1)).tolist()
+    assert discarded_rows(report) == shifted.tolist()
+    assert recovered_rows(report) == np.flatnonzero(ds.mask.any(axis=1)).tolist()
     assert (report.iterations, report.converged) == (0, True)
     np.testing.assert_allclose(
         report.completed.values,
@@ -433,7 +444,7 @@ def test_iterative_svd_takes_the_span_most_complete_rows_share(monkeypatch):
     table, iterations, converged = hard_impute_direct(ds.values, ds.mask, 2, 20, 1e-9)
     monkeypatch.setattr(recovery, "COMPLETION_SWEEP_CAP", 20)
     report = iterative_svd_complete(ds, rank=2)
-    assert report.discarded_indices == []
+    assert discarded_rows(report) == []
     assert (report.iterations, report.converged) == (iterations, converged)
     np.testing.assert_allclose(
         report.completed.values, table, rtol=0, atol=1e-10 * np.abs(table).max()
@@ -517,8 +528,8 @@ def test_recover_table_certificate_boundary_matches_oracle(case):
     assert (statuses[special] == expect).all()
 
     report = recover_table(Dataset(values, np.isnan(values)), a)
-    assert report.recovered_indices == np.flatnonzero(statuses == "recovered").tolist()
-    assert report.discarded_indices == np.flatnonzero(statuses == "unrecoverable").tolist()
+    assert recovered_rows(report) == np.flatnonzero(statuses == "recovered").tolist()
+    assert discarded_rows(report) == np.flatnonzero(statuses == "unrecoverable").tolist()
     kept = np.vstack([sample for status, sample in expected if status != "unrecoverable"])
     # The weakly spanning rows are solved to about cond * eps by either side.
     tol = 1e-7 if case == "spanning_uncertified" else 1e-12
@@ -541,7 +552,7 @@ def test_recover_table_tiny_rank_tol_discards_rows_with_too_few_cells():
     oracle = impute_rows_direct(entries, values, RANK_TOL)
     discarded = [i for i, (status, _) in enumerate(oracle) if status == "unrecoverable"]
     assert discarded == [i for i, seen in enumerate(patterns) if len(seen) < 4]
-    assert report.discarded_indices == discarded
+    assert discarded_rows(report) == discarded
 
 
 @pytest.mark.parametrize("rank", [4, 3])
@@ -563,7 +574,7 @@ def test_recover_table_discards_as_the_oracle_under_every_hiding_pattern(rank):
     discarded = [i for i, (status, _) in enumerate(oracle) if status == "unrecoverable"]
     assert {i for i, hidden in enumerate(patterns) if 8 - len(hidden) < rank} <= set(discarded)
     report = recover_table(Dataset(values, np.isnan(values)), a)
-    assert report.discarded_indices == discarded
+    assert discarded_rows(report) == discarded
 
 
 def certified_counts(monkeypatch, refuse=False):
@@ -600,8 +611,8 @@ def test_recover_table_routes_agree(make_table, monkeypatch):
     assert sum(counts) > 0
     certified_counts(monkeypatch, refuse=True)
     reference = recover_table(ds, a)
-    assert certified.recovered_indices == reference.recovered_indices
-    assert certified.discarded_indices == reference.discarded_indices
+    assert recovered_rows(certified) == recovered_rows(reference)
+    assert discarded_rows(certified) == discarded_rows(reference)
     np.testing.assert_allclose(
         certified.completed.values,
         reference.completed.values,
@@ -630,7 +641,7 @@ def test_iterative_svd_warm_start_routes_agree(make_table, rank, monkeypatch):
     certified_counts(monkeypatch, refuse=True)
     reports.append(iterative_svd_complete(ds, rank))
     for report in reports:
-        assert report.discarded_indices == dropped
+        assert discarded_rows(report) == dropped
         # Decoded against the span, with no sweep where the oracle's first confirms it.
         assert (report.iterations, report.converged) == (iterations - 1, converged) == (0, True)
         np.testing.assert_allclose(
@@ -761,7 +772,7 @@ def test_replacement_randomized_matches_direct_oracle():
         status, sample, residual = randomized_replacement_direct(
             a.entries, x, exponent, np.random.default_rng(case)
         )
-        assert got.status.value == status
+        assert got.status.name.lower() == status
         assert got.residual_hamming == residual
         np.testing.assert_allclose(got.sample, sample, rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
         statuses.add(status)
@@ -800,12 +811,14 @@ def test_single_sample_decoders_share_the_clean_sample_rule():
         "exhaustive": lambda s: recover_replacement_exhaustive(a, s),
         "randomized": lambda s: recover_replacement_randomized(a, s, rng=np.random.default_rng(0)),
         "sparse": lambda s: recover_by_sparse_decoding(a, s, 1, 5, np.random.default_rng(0)),
-        "impute": lambda s: impute_from_structure(s, a),
     }
     for name, decode in decoders.items():
         outcome = decode(x)
         assert outcome.status is RecoveryStatus.UNCHANGED, name
         np.testing.assert_array_equal(outcome.sample, x, err_msg=name)
+    report = recover_table(Dataset(x[None, :]), a)
+    assert report.status.tolist() == [RecoveryStatus.UNCHANGED]
+    np.testing.assert_array_equal(report.completed.values[0], x)
 
 
 def test_replacement_rejects_hidden_entries_and_caps():
@@ -843,8 +856,8 @@ def test_decode_replacements_matches_direct_oracle(structure):
     expected = [decode_within_radius_direct(a.entries, x, radius) for x in rows]
     refused = [i for i, e in enumerate(expected) if e is None]
     assert refused == [i for i, k in enumerate(counts) if k > radius]
-    assert report.discarded_indices == refused
-    assert report.recovered_indices == [i for i, k in enumerate(counts) if 0 < k <= radius]
+    assert discarded_rows(report) == refused
+    assert recovered_rows(report) == [i for i, k in enumerate(counts) if 0 < k <= radius]
     decoded = np.array([e for e in expected if e is not None])
     np.testing.assert_allclose(report.completed.values, decoded, rtol=0, atol=1e-9)
     np.testing.assert_allclose(decoded, np.delete(clean, refused, axis=0), rtol=0, atol=1e-9)
@@ -857,9 +870,97 @@ def test_decode_replacements_discards_sample_shift_victims():
     report = recovery.decode_replacements(apply_plan(ds, plan), a)
     victims = sorted(set(plan.sample.tolist()))
     assert len(victims) == 6
-    assert report.discarded_indices == victims
-    assert report.recovered_indices == []
+    assert discarded_rows(report) == victims
+    assert recovered_rows(report) == []
     np.testing.assert_array_equal(report.completed.values, np.delete(ds.values, victims, axis=0))
+
+
+def starved(ds, rows):
+    """``ds`` with every cell of ``rows`` but the first hidden: fewer visible cells than rank 2."""
+    mask = ds.mask.copy()
+    mask[rows, 1:] = True
+    return Dataset(np.where(mask, np.nan, ds.values), mask)
+
+
+def table_route_recover_table():
+    a = random_general_position(8, 4, seed=110)
+    values, _ = masked_samples(a, 16, 0)
+    ds = Dataset(values, np.isnan(values))
+    return ds, recover_table(ds, a)
+
+
+def table_route_decode_replacements():
+    a = random_general_position(8, 3, seed=150)  # margin 6, radius 2
+    ds = synthesize(a, np.random.default_rng(150).standard_normal((20, 3)))
+    plan = plan_sample_shift(ds, 0.1)  # every cell of 2 victims moves by 10
+    values = apply_plan(ds, plan).values
+    clean = np.setdiff1d(np.arange(ds.n_samples), plan.sample)
+    values[clean[0], 4] += 3.0
+    values[clean[1], [1, 6]] -= 2.0
+    ds = Dataset(values)
+    return ds, recovery.decode_replacements(ds, a)
+
+
+def table_route_span():
+    ds, _, _ = shifted_complete_rows_table(0.2)
+    return ds, iterative_svd_complete(ds, rank=2)
+
+
+def table_route_hard_impute():
+    ds, _, _ = shifted_complete_rows_table(0.5)
+    ds = starved(ds, [0, 4])  # rows with a hidden cell, so the complete rows stay split
+    return ds, iterative_svd_complete(ds, rank=2)
+
+
+def table_route_hard_impute_fully_visible():
+    _, clean = low_rank_dataset(60, 8, 2, seed=1)
+    clean[:30] += 10.0  # no span holds more than half the complete rows
+    ds = starved(Dataset(clean), [50, 55])
+    return ds, iterative_svd_complete(ds, rank=2)
+
+
+@pytest.mark.parametrize(
+    "route, recovered, discarded, iterations, converged",
+    [
+        (table_route_recover_table, [1, 6, 7, 11, 14], [0, 2, 3, 4, 5, 9, 12, 13, 15], 0, True),
+        (table_route_decode_replacements, [0, 1], [2, 10], 0, True),
+        (
+            table_route_span,
+            [0, 4, 5, 7, 9, 11, 12, 14, 15, 16, 18, 19, 20, 21, 22, 23, 24, 27, 28, 34, 35, 40,
+             43, 45, 50, 52, 53, 58],
+            [1, 2, 3, 6, 8, 10, 13],
+            0,
+            True,
+        ),
+        (
+            table_route_hard_impute,
+            [5, 7, 9, 11, 12, 14, 15, 16, 18, 19, 20, 21, 22, 23, 24, 27, 28, 34, 35, 40, 43, 45,
+             50, 52, 53, 58],
+            [0, 4],
+            20,
+            False,
+        ),
+        (table_route_hard_impute_fully_visible, [], [50, 55], 0, True),
+    ],
+    ids=["recover_table", "decode_replacements", "svd_span", "svd_hard_impute", "svd_fully_visible"],
+)
+def test_every_table_route_reports_one_status_per_row(
+    route, recovered, discarded, iterations, converged, monkeypatch
+):
+    monkeypatch.setattr(recovery, "COMPLETION_SWEEP_CAP", 20)  # hard-impute needs 100 sweeps here
+    ds, report = route()
+    assert report.status.shape == (ds.n_samples,) and report.status.dtype == np.int8
+    kept = np.flatnonzero(report.status != RecoveryStatus.UNRECOVERABLE)
+    assert report.completed.n_samples == kept.size
+    unchanged = report.status[kept] == RecoveryStatus.UNCHANGED
+    assert unchanged.any()
+    assert report.completed.values[unchanged].tobytes() == ds.values[kept[unchanged]].tobytes()
+    assert report.to_dict() == {
+        "recovered_indices": recovered,
+        "discarded_indices": discarded,
+        "iterations": iterations,
+        "converged": converged,
+    }
 
 
 def test_decode_replacements_refuses_hidden_cells_and_caps(monkeypatch):
@@ -1021,9 +1122,9 @@ def test_row_blocks_do_not_change_the_decode(decode, make_table, refuse, block, 
     monkeypatch.setattr(recovery, "_ROW_BLOCK", block)
     blocked = decode(a, ds)
     assert blocked.completed.values.tobytes() == whole.completed.values.tobytes()
-    assert blocked.recovered_indices == whole.recovered_indices
-    assert blocked.discarded_indices == whole.discarded_indices
-    assert whole.recovered_indices
+    assert recovered_rows(blocked) == recovered_rows(whole)
+    assert discarded_rows(blocked) == discarded_rows(whole)
+    assert recovered_rows(whole)
 
 
 @pytest.mark.parametrize("block", [2, 5, 10**9])
