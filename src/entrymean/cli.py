@@ -26,6 +26,7 @@ from .errors import (
     EstimatorFailure,
     MetricFailure,
     boolean,
+    known_keys,
     number,
     numbers,
     whole_number,
@@ -64,6 +65,7 @@ def _seed(cfg: dict, args, default=0) -> int:
 
 def cmd_gen(args) -> int:
     cfg = load_json(args.config)
+    known_keys("gen", cfg, ("seed", "n_samples", "structure", "latent", "out"))
     seed = _seed(cfg, args)
     data = parse_synthetic_data(cfg, seed)
     a = make_structure(data.structure)
@@ -77,6 +79,9 @@ def cmd_gen(args) -> int:
 
 def cmd_corrupt(args) -> int:
     cfg = load_json(args.config)
+    known_keys(
+        "corrupt", cfg, ("seed", "data_csv", "adversary", "budget", "structure_csv", "shift", "out")
+    )
     seed = _seed(cfg, args)
     ds = load_dataset_csv(_need(cfg, "data_csv"))
     adversary = _need(cfg, "adversary")
@@ -112,6 +117,7 @@ def cmd_recover(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = load_json(args.config)
+    known_keys("estimate", cfg, ("data_csv", "standardize", "estimator", "structure_csv", "out"))
     ds = ingest_csv(_need(cfg, "data_csv"), boolean("standardize", cfg.get("standardize", False)))
     spec = parse_estimator_spec(_need(cfg, "estimator"))
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
@@ -130,6 +136,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_metric(args) -> int:
     cfg = load_json(args.config)
+    known_keys(
+        "metric", cfg, ("kind", "left_csv", "right_csv", "estimate", "reference", "covariance_csv")
+    )
     kind = _need(cfg, "kind")
     if kind in ("tv", "entrywise_avg", "entrywise_max"):
         left = metrics.load_distribution_csv(_need(cfg, "left_csv"))

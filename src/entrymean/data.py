@@ -5,19 +5,13 @@ This module is the one reader of numeric CSV tables: datasets, and through
 line or a ``#`` comment is refused. The reader takes two routes. A plain
 file (decimal numbers, empty cells for hidden entries, LF or CRLF line ends)
 is read in blocks of whole lines: the hidden mask comes from where the empty
-fields sit, and ``np.loadtxt`` parses the block's visible cells, their
-points dropped, as one line of int64 significands and exponents. Each value
-is the significand times 10**-s, s its digits after the point less its
-exponent, formed in bulk in ``np.longdouble`` and rounded to a double. That
-longdouble is within half a unit in its last place of the exact value, so
-unless it is itself a rounding boundary of doubles, the double is the
-correctly rounded one that ``float`` gives. Boundaries, cells with ``nan``
-or ``inf``, more than 18 significant digits or |s| > 27, and every cell
-where longdouble has fewer than 64 significand bits are read by ``float``
-from their own bytes. See :func:`_parse_block`. Anything else (quotes,
-spaces, blank lines, ragged rows, a cell that does not parse) makes the
-whole file go through a per-cell ``csv.reader`` loop, which also raises the
-errors. Both routes give the same table, bit for bit.
+fields sit, and one float ``np.loadtxt`` parses each block, a ``0`` written
+into every empty field. numpy's parse of a field is ``float``'s, so the
+values are the correctly rounded ones. See :func:`_parse_block`. Anything
+else (quotes, spaces, underscores, blank lines, ragged rows, a cell that
+does not parse) makes the whole file go through a per-cell ``csv.reader``
+loop, which also raises the errors. Both routes give the same table, bit
+for bit.
 
 The CSV writer gives the bytes of ``csv.writer`` with every visible cell as
 ``'%.17g' % v``, without a Python call for most cells. With k the decimal
@@ -34,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +59,8 @@ class Dataset:
                 f"mask shape {mask.shape} does not match values shape {values.shape}"
             )
         values[mask] = np.nan
-        if not (np.isfinite(values) | mask).all():
+        # Hidden cells are NaN now, so this counts the finite visible cells.
+        if np.count_nonzero(np.isfinite(values)) != values.size - np.count_nonzero(mask):
             raise ValueError("visible entries must be finite")
         self.values = values
         self.mask = mask
@@ -151,35 +147,21 @@ _BLOCK_BYTES = 1 << 17
 # block reader and ``float`` agree; a space, quote, '#', '_' or non-ASCII byte
 # sends the file to the per-cell reader.
 _PLAIN = b"0123456789+-.eEnNaAiIfFtTyY,\r\n"
-_COMMA, _LF, _CR, _ZERO, _NINE, _PLUS, _E = b",\n\r09+e"
-# A significand of at most 18 digits, leading zeros aside, fits an int64.
-_SIG_DIGITS = 18
-_LEAD = np.arange(8)  # how far past the 18th digit leading zeros are looked for
+_COMMA, _LF, _CR, _ZERO = b",\n\r0"
 
 
 def _parse_block(block: bytes, width: int | None):
     """Values and hidden mask of whole lines, or None where the block is not plain.
 
     Plain means: only ``_PLAIN`` bytes, every CR followed by LF, no blank
-    line, and ``width`` fields on every line (the first line's count when
-    ``width`` is None). The mask comes from the field boundaries: a field is
-    hidden when it is empty, so a visible ``nan`` stays visible and
-    :class:`Dataset` refuses it.
-
-    One ``np.delete`` drops the LF of each CRLF, every point, and each
-    empty or re-read field with its end; the line ends and exponent markers
-    left become commas, so ``np.loadtxt`` reads the block as one line of
-    int64 significands, each followed by its exponent if it has one. A value
-    is then |sig| * 10**-s, with s the field's count of digits after its
-    point less its exponent, formed in ``np.longdouble`` (one rounding, of
-    exact operands) and rounded to a double, with the sign of the field's
-    first byte, so ``-0`` stays -0.0. ``float`` of the field's own bytes
-    gives the value where :func:`_on_boundary` cannot certify that rounding,
-    and in every field that is re-read: with a letter other than one
-    exponent marker (``nan``, ``inf``), more than 18 significant digits, or
-    |s| > 27. A field that ``float`` or the int parse refuses, with two
-    points, a sign after its point or a point in its exponent, makes the
-    block not plain.
+    line, ``width`` fields on every line (the first line's count when
+    ``width`` is None), and every field empty or a number. The mask comes
+    from the field boundaries: a field is hidden when it is empty, so a
+    visible ``nan`` stays visible and :class:`Dataset` refuses it. Each empty
+    field then gets a ``0`` and one float ``np.loadtxt`` parses the block.
+    numpy converts a field with ``PyOS_string_to_double``, the correctly
+    rounded conversion ``float`` uses, so on these bytes the two give the
+    same bits; a field it refuses makes the block not plain.
     """
     if not block.endswith(b"\n"):
         block += b"\n"  # the last line of a file without a final newline
@@ -206,93 +188,14 @@ def _parse_block(block: bytes, width: int | None):
         width = int(np.argmax(ends_line)) + 1
     if ends.size != n_rows * width or not ends_line[width - 1 :: width].all():
         return None
-    starts = np.r_[0, ends[:-1] + 1 + (buf[ends[:-1]] == _CR)]
-    # Letters: an exponent's 'e' or 'E' ends the significand's digits; any
-    # other letter, or a second one, sends the field to ``float``.
-    letters = np.flatnonzero(buf > _NINE)
-    holder = np.searchsorted(ends, letters)
-    exponent = (buf[letters] | 0x20) == _E
-    reread = np.zeros(ends.size, dtype=bool)
-    reread[holder[~exponent]] = True
-    reread[holder[1:][holder[1:] == holder[:-1]]] = True
-    digits_end = ends.copy()
-    digits_end[holder[exponent]] = letters[exponent]
-    points = np.flatnonzero(buf == _POINT)
-    field = np.searchsorted(ends, points)
-    after = buf[points + 1]
-    if np.any(field[1:] == field[:-1]) or np.any((after == _MINUS) | (after == _PLUS)):
-        return None  # two points in one field, or ".-5", which is no number
-    fraction = digits_end[field] - points - 1
-    if np.any(fraction < 0):
-        return None  # a point in the exponent
-    scale = np.zeros(ends.size)  # the value is sig / 10**scale; a float, so no exponent wraps
-    scale[field] = fraction
-    pointed = np.zeros(ends.size, dtype=bool)
-    pointed[field] = True
-    first = buf[starts]
-    negative = first == _MINUS
-    signed = negative | (first == _PLUS)
-    digits = digits_end - starts - signed - pointed
-    # Past 18 digits, the leading bytes must be zeros, or the point between them.
-    long = np.flatnonzero(digits > _SIG_DIGITS)
-    need = (digits[long] - _SIG_DIGITS + pointed[long])[:, None]
-    lead = buf[np.minimum((starts + signed)[long, None] + _LEAD, buf.size - 1)]
-    lead = (lead != _ZERO) & (lead != _POINT) & (_LEAD < need)
-    reread[long] |= np.any(lead, axis=1) | (need[:, 0] > _LEAD.size)
-    skip = empty | reread
-    if np.any((digits == 0) & ~skip):
-        return None  # a field with no digit, such as "-" or "."
-    powered = (digits_end < ends) & ~skip
-    size = ends[reread] - starts[reread]
-    inside = np.repeat(starts[reread] - np.cumsum(size) + size, size) + np.arange(size.sum())
-    line = np.delete(buf, np.r_[cr + 1, points, ends[skip], inside])
-    line[(line == _LF) | (line == _CR) | (line > _NINE)] = _COMMA  # an exponent is a number of its own
-    sig = np.zeros(ends.size, dtype=np.int64)
-    if line.size:
-        try:
-            numbers = np.loadtxt([line[:-1].tobytes()], delimiter=",", dtype=np.int64, comments=None, ndmin=1)
-        except ValueError:
-            return None
-        count = 1 + powered[~skip]
-        at = np.cumsum(count) - count
-        sig[~skip] = numbers[at]
-        scale[powered] -= numbers[at[count > 1] + 1]
-    power = _POW10[np.minimum(np.abs(scale), _POW10.size - 1).astype(np.intp)]
-    q = np.abs(sig) / power
-    up = np.flatnonzero(scale < 0)
-    q[up] = np.abs(sig[up]) * power[up]
-    values = q.astype(float)
-    reread |= (np.abs(scale) >= _POW10.size) | (not _CERTIFIES) | _on_boundary(q, values)
-    values = np.where(negative, -values, values)
-    redo = np.flatnonzero(reread & ~empty)
+    filled = np.insert(buf, ends[empty], _ZERO).tobytes()
     try:
-        values[redo] = _python_floats(block, starts[redo], ends[redo])
+        values = np.loadtxt(
+            io.BytesIO(filled), dtype=float, delimiter=",", comments=None, encoding="latin1"
+        )
     except ValueError:
         return None
     return values.reshape(n_rows, width), empty.reshape(n_rows, width)
-
-
-def _python_floats(block: bytes, starts: np.ndarray, ends: np.ndarray) -> list[float]:
-    """The fallback: ``float`` of each field ``block[start:end]``, by Python's correctly rounded reader."""
-    return [float(block[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
-
-
-def _on_boundary(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Where ``q`` may round to another double than the exact quotient it stands for.
-
-    ``q`` is a correctly rounded longdouble quotient of exact operands, so the
-    exact value lies within half a unit in ``q``'s last place. The rounding
-    boundaries of doubles, halfway between neighbours, are longdoubles too;
-    unless ``q`` is one, the exact value lies strictly on ``q``'s side of it
-    and rounds to the same double ``d = float(q) >= 0``. ``q`` is a boundary
-    where it lies halfway between ``d`` and ``d``'s neighbour on ``q``'s side,
-    the nearer one below a power of two. The offset ``q - d`` is exact with a
-    64-bit significand; a wider one rounds it to a double, which can only
-    flag more cells.
-    """
-    off = np.subtract(q, d, out=np.empty(d.shape))
-    neighbour = np.nextafter(d, np.copysign(np.inf, off))
-    return np.abs(off + off) == np.abs(neighbour - d)
 
 
 def _load_by_cell(path) -> tuple[np.ndarray, np.ndarray]:
@@ -393,9 +296,9 @@ _DELTA = 2.0**-7
 # Needs a longdouble significand of 64 bits (x87 extended) or more (binary128);
 # where longdouble is a plain double every cell takes the fallback.
 _CERTIFIES = np.finfo(np.longdouble).nmant >= 63
-# 10**p = 5**p * 2**p with 5**p < 2**63, so each power is exact in a 64-bit
-# significand: the writer uses p <= 20, the reader |s| <= 27.
-_POW10 = np.ldexp(np.array([5**p for p in range(28)]).astype(np.longdouble), np.arange(28))
+# 10**p = 5**p * 2**p with 5**p < 2**63, so each power the writer uses,
+# p <= 20, is exact in a 64-bit significand.
+_POW10 = np.ldexp(np.array([5**p for p in range(21)]).astype(np.longdouble), np.arange(21))
 _MINUS, _POINT = b"-."
 
 

@@ -45,6 +45,14 @@ def boolean(name: str, value) -> bool:
     raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
+def known_keys(name: str, obj: dict, keys) -> None:
+    """A ConfigError ``unknown <name> key 'x'`` for the first key of ``obj`` not
+    in ``keys``, so a misspelt option is refused rather than left at its default."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown {name} key {key!r}")
+
+
 class CapExceededError(ValueError):
     """An exhaustive routine was asked to exceed its size or work cap."""
 

@@ -30,6 +30,7 @@ from .errors import (
     EstimatorFailure,
     MetricFailure,
     boolean,
+    known_keys,
     number,
     numbers,
     whole_number,
@@ -118,8 +119,7 @@ def parse_recovery_spec(obj: dict) -> RecoverySpec:
     _require(isinstance(obj, dict) and "method" in obj, "recovery needs a 'method'")
     for key in ("exponent", "max_iter", "tol"):
         _require(key not in obj, f"{key} is no longer a recovery option")
-    for key in obj:
-        _require(key in ("method", "rank"), f"unknown recovery key {key!r}")
+    known_keys("recovery", obj, ("method", "rank"))
     try:
         return RecoverySpec(obj["method"], obj.get("rank"))
     except (ValueError, TypeError) as exc:
@@ -129,8 +129,7 @@ def parse_recovery_spec(obj: dict) -> RecoverySpec:
 def parse_estimator_spec(obj: dict) -> EstimatorSpec:
     _require(isinstance(obj, dict), "each method must be an object")
     _require("kind" in obj, "method needs a 'kind'")
-    for key in obj:
-        _require(key in ("kind", "recovery", "inner", "name"), f"unknown estimator key {key!r}")
+    known_keys("estimator", obj, ("kind", "recovery", "inner", "name"))
     _require(obj["kind"] == "two_step" or "inner" not in obj, "inner is for two_step only")
     rec = obj.get("recovery")
     recovery = None if rec is None else parse_recovery_spec(rec)
@@ -147,6 +146,7 @@ def parse_estimator_spec(obj: dict) -> EstimatorSpec:
 
 def parse_structure_spec(obj: dict, default_seed: int | None = None) -> StructureSpec:
     _require(isinstance(obj, dict) and "kind" in obj, "structure needs a 'kind'")
+    known_keys("structure", obj, ("kind", "n", "r", "blocks", "entries", "seed"))
     try:
         return StructureSpec(
             kind=obj["kind"],
@@ -162,6 +162,7 @@ def parse_structure_spec(obj: dict, default_seed: int | None = None) -> Structur
 
 def parse_latent_spec(obj: dict) -> LatentSpec:
     _require(isinstance(obj, dict) and "kind" in obj, "latent needs a 'kind'")
+    known_keys("latent", obj, ("kind", "dim", "mean", "scale"))
     try:
         return LatentSpec(
             kind=obj["kind"],
@@ -192,6 +193,11 @@ def parse_synthetic_data(obj: dict, seed: int) -> DataConfig:
 
 def parse_config(obj: dict) -> ExperimentConfig:
     _require(isinstance(obj, dict), "config must be a JSON object")
+    known_keys(
+        "experiment",
+        obj,
+        ("seed", "trials", "adversary", "budgets", "data", "methods", "metrics", "shift", "out"),
+    )
     seed = whole_number("seed", obj.get("seed", 0))
     _require(seed >= 0, "seed must be nonnegative")
     trials = whole_number("trials", obj.get("trials", 1))
@@ -208,8 +214,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
     data_obj = obj.get("data")
     _require(isinstance(data_obj, dict) and "kind" in data_obj, "data needs a 'kind'")
     if data_obj["kind"] == "synthetic":
+        known_keys("data", data_obj, ("kind", "structure", "latent", "n_samples"))
         data = parse_synthetic_data(data_obj, seed)
     elif data_obj["kind"] == "csv":
+        known_keys("data", data_obj, ("kind", "path", "standardize", "structure_path"))
         _require("path" in data_obj, "csv data needs a 'path'")
         data = DataConfig(
             kind="csv",

@@ -18,6 +18,9 @@ from entrymean.structure import load_structure_csv
 from test_recovery import scale_spread_table
 
 
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj, indent=2) + "\n")
     return str(path)
@@ -251,6 +254,69 @@ def test_recover_and_estimate_refuse_keys_they_do_not_read(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"config error: {message}\n")
     assert not (tmp_path / "fixed.recovered.csv").exists()
+
+
+def test_every_config_object_refuses_keys_it_does_not_read(tmp_path, capsys):
+    # Misspellings that used to be dropped: the experiment ran the shipped 3
+    # trials on 500 samples with the shipped structure seed, and estimate
+    # printed the unstandardized mean.
+    data_path, _ = run_gen(tmp_path)
+    capsys.readouterr()
+    shipped = json.loads((CONFIGS / "experiment.json").read_text())
+    out = str(tmp_path / "refused")
+    shipped["out"] = out
+
+    def experiment(mutate):
+        cfg = json.loads(json.dumps(shipped))
+        mutate(cfg)
+        return cfg
+
+    estimator = {"kind": "empirical_mean"}
+    cases = [
+        ("experiment", experiment(lambda c: c.update(trails=5)), "unknown experiment key 'trails'"),
+        (
+            "experiment",
+            experiment(lambda c: c["data"].update(n_sample=9)),
+            "unknown data key 'n_sample'",
+        ),
+        (
+            "experiment",
+            experiment(lambda c: c["data"]["structure"].update(sed=3)),
+            "unknown structure key 'sed'",
+        ),
+        (
+            "estimate",
+            {"data_csv": str(data_path), "estimator": estimator, "standardise": True},
+            "unknown estimate key 'standardise'",
+        ),
+        (
+            "experiment",
+            experiment(lambda c: c["data"]["latent"].update(sclae=2)),
+            "unknown latent key 'sclae'",
+        ),
+        (
+            "experiment",
+            experiment(lambda c: c.update(data=dict(kind="csv", path=str(data_path), n_samples=1))),
+            "unknown data key 'n_samples'",
+        ),
+        ("gen", dict(GEN_CONFIG, out=out, n_sample=9), "unknown gen key 'n_sample'"),
+        (
+            "corrupt",
+            dict(data_csv=str(data_path), adversary="tail_hiding", budget=0.1, budgte=0.5, out=out),
+            "unknown corrupt key 'budgte'",
+        ),
+        (
+            "metric",
+            dict(kind="l2", estimate=[1, 0], refrence=[0, 0]),
+            "unknown metric key 'refrence'",
+        ),
+    ]
+    for command, cfg, message in cases:
+        path = write_json(tmp_path / f"{command}.json", cfg)
+        assert main([command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+    assert not list(tmp_path.glob("refused.*"))
 
 
 def test_estimate_prints_json(tmp_path, capsys):

@@ -25,6 +25,8 @@ def test_dataset_rejects_nonfinite_visible_entries():
         Dataset(np.array([[np.inf, 1.0]]))
     with pytest.raises(ValueError):
         Dataset(np.array([[1.0]]), np.array([[True, False]]))
+    with pytest.raises(ValueError, match="visible entries must be finite"):
+        Dataset(np.array([[1.0, 2.0], [-np.inf, 3.0]]), np.array([[True, False], [False, True]]))
 
 
 def test_dataset_copy_is_independent():
@@ -300,7 +302,7 @@ def test_csv_reader_finds_ragged_rows_in_later_blocks(tmp_path, monkeypatch):
         (b"1,1e5n\n", False),
         (b"1,1e+\n", False),
         (b"1,-e5\n", False),
-        (b"1,1e99999999999999999999\n", False),  # an exponent beyond int64
+        (b"1,1e99999999999999999999\n", True),  # an overflowing exponent: inf, refused
     ],
 )
 def test_csv_reader_matches_direct_on_hand_written_files(tmp_path, monkeypatch, text, block_path):
@@ -320,18 +322,6 @@ def test_csv_reader_matches_direct_on_number_like_cells(tmp_path, monkeypatch):
     for cell in cells:
         path.write_text(f"{cell},1\n")
         read_like_direct(path, monkeypatch)
-
-
-def read_fallback_counter(monkeypatch):
-    """Count the cells the reader hands to ``float``."""
-    python_floats, counts = data_module._python_floats, []
-
-    def counted(block, starts, ends):
-        counts.append(starts.size)
-        return python_floats(block, starts, ends)
-
-    monkeypatch.setattr(data_module, "_python_floats", counted)
-    return counts
 
 
 def write_cells(path, cells, width=4):
@@ -421,24 +411,35 @@ def test_csv_reader_signs_points_and_long_cells(tmp_path, monkeypatch):
 
 
 def test_csv_reader_without_certificate_falls_back_everywhere(tmp_path, monkeypatch):
-    # As on a platform whose longdouble is a plain double.
+    # As on a platform whose longdouble is a plain double: the writer formats
+    # every visible cell with Python's %.17g, and the reader, which needs no
+    # certificate, still reads every table on its block route.
+    monkeypatch.setattr(data_module, "_CERTIFIES", False)
     rng = np.random.default_rng(22)
     values = rng.standard_normal((500, 16)) * 10.0 ** rng.integers(-6, 19, (500, 1))
     mask = rng.random(values.shape) < 0.1
-    path = tmp_path / "plain.csv"
-    save_dataset_csv(Dataset(values, mask), path)
-    monkeypatch.setattr(data_module, "_CERTIFIES", False)
-    counts = read_fallback_counter(monkeypatch)
-    assert read_like_direct(path, monkeypatch) == 0
+    plain = tmp_path / "plain.csv"
+    counts = fallback_counter(monkeypatch)
+    save_dataset_csv(Dataset(values, mask), plain)
     assert sum(counts) == np.count_nonzero(~mask)
+    awkward = tmp_path / "awkward.csv"
+    save_dataset_csv(_awkward_table(np.random.default_rng(25), 300, 16), awkward)
+    assert read_like_direct(plain, monkeypatch) == 0
+    assert read_like_direct(awkward, monkeypatch) == 0
 
 
 @pytest.mark.skipif(not data_module._CERTIFIES, reason="np.longdouble is a plain double here")
 def test_csv_reader_certifies_most_gaussian_cells(tmp_path, monkeypatch):
-    values = np.random.default_rng(23).standard_normal((4000, 16))
+    # The writer certifies most Gaussian cells; the reader reads the table back
+    # bit for bit without falling back to its per-cell reader.
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal((4000, 16))
     path = tmp_path / "gaussian.csv"
-    save_dataset_csv(Dataset(values), path)
-    counts = read_fallback_counter(monkeypatch)
-    back = load_dataset_csv(path)
-    assert np.array_equal(back.values, values)
+    mask = rng.random(values.shape) < 0.1
+    counts = fallback_counter(monkeypatch)
+    save_dataset_csv(Dataset(values, mask), path)
     assert sum(counts) <= 0.02 * values.size
+    assert read_like_direct(path, monkeypatch) == 0
+    back = load_dataset_csv(path)
+    np.testing.assert_array_equal(back.mask, mask)
+    assert np.array_equal(back.values[~mask], values[~mask])
