@@ -2,9 +2,9 @@
 
 Every subcommand is driven by a JSON config file (see the ``configs/``
 directory in the repository for a worked example of each schema). ``--out``
-overrides the config's output prefix, and ``--seed`` its seed in the three
-commands that draw random numbers (``gen``, ``corrupt`` and ``experiment``),
-so shell pipelines can reuse one config with different outputs.
+overrides the config's output prefix in the commands that write files (all
+but ``metric``), and ``--seed`` its seed in the three that draw random numbers
+(``gen``, ``corrupt``, ``experiment``); a command refuses either where unused.
 
 Exit codes: 0 on success, 1 for configuration problems and for inputs an
 estimator, recovery routine or metric cannot handle, 2 for I/O problems.
@@ -60,7 +60,10 @@ def _out_prefix(cfg: dict, args) -> str:
 
 
 def _seed(cfg: dict, args, default=0) -> int:
-    return args.seed if args.seed is not None else whole_number("seed", cfg.get("seed", default))
+    seed = args.seed if args.seed is not None else whole_number("seed", cfg.get("seed", default))
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    return seed
 
 
 def cmd_gen(args) -> int:
@@ -189,7 +192,8 @@ _SEEDED = ("gen", "corrupt", "experiment")
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; ``--seed`` only where a seed is used."""
+    """The argument parser, built once per process; ``--seed`` only where a seed
+    is used, and ``--out`` only where files are written."""
     parser = argparse.ArgumentParser(
         prog="entrymean",
         description="Structured mean estimation under cell-level corruption.",
@@ -200,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         if name in _SEEDED:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the output prefix")
+        if name != "metric":
+            p.add_argument("--out", default=None, help="override the output prefix")
         if name == "experiment":
             p.add_argument(
                 "--threads", type=int, default=1, help="for compatibility; trials run serially"

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _reduce_visible_columns
 from .errors import ConfigError
 from .structure import StructureMatrix
 
@@ -229,11 +229,9 @@ def plan_concentrated_hiding(ds: Dataset, alpha: float) -> CorruptionPlan:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    variances = np.full(ds.dim, -np.inf)
-    for j in range(ds.dim):
-        col = ds.values[~ds.mask[:, j], j]
-        if col.size:
-            variances[j] = float(np.var(col))
+    variances = np.full(ds.dim, -np.inf)  # a column with no visible entry is never the target
+    seen = np.flatnonzero(~ds.mask.all(axis=0))
+    variances[seen] = _reduce_visible_columns(ds.values[:, seen], ds.mask[:, seen], np.var)
     target = int(np.argmax(variances))
     n_cells = min(int(np.floor(alpha * ds.n_samples * ds.dim)), ds.n_samples)
     return _hide_smallest(ds, np.array([target]), n_cells)

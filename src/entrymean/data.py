@@ -15,14 +15,13 @@ for bit.
 
 The CSV writer gives the bytes of ``csv.writer`` with every visible cell as
 ``'%.17g' % v``, without a Python call for most cells. With k the decimal
-exponent of v, a cell in the fixed-notation range -4 <= k <= 16 is printed
-from its 17-digit significand rint(P), P = |v| * 10**(16 - k), computed in
-bulk in ``np.longdouble``. P carries one rounding of at most 2**-8, so the
-certificate 1e16 < rint(P) < 1e17 and |P - rint(P)| < 1/2 - delta, with
-delta = 2**-7, proves rint(P) the correctly rounded significand and k its
-exponent. Every cell it does not cover (zeros, exponent notation, near-ties,
-power-of-ten edges, and all cells where longdouble has fewer than 64
-significand bits) falls back to Python's ``'%.17g'``. See :func:`_format_g17`.
+exponent of v, a cell in the fixed-notation range 1e-4 <= |v| < 1e17 is
+printed from its 17-digit significand, the correctly rounded integer of
+P = |v| * 10**(16 - k). Dekker's exact two-product gives P = hi + lo in
+float64 on every platform, so the significand is hi + rint(lo), and the one
+check left is the range test 1e16 < significand < 1e17. Every cell it does
+not cover (zeros, exponent notation, power-of-ten edges) falls back to
+Python's ``'%.17g'``. See :func:`_format_g17`.
 """
 from __future__ import annotations
 
@@ -289,16 +288,9 @@ _SLOT = _FIELD + 2  # a field and its separator, "," or CRLF
 # in-process CLI chains peaked at 47.8 / 45.2 / 44.8 MB. tracemalloc sees numpy's
 # buffers, not the heap the allocator keeps, so judge a block size by ru_maxrss.
 _BLOCK_CELLS = 1 << 13
-# The certificate's margin. The longdouble product below errs by at most 2**-8
-# (half a unit in the last place of P < 2**57), so |P - rint(P)| < 1/2 - 2**-7
-# leaves the exact product at least 2**-8 short of a tie.
-_DELTA = 2.0**-7
-# Needs a longdouble significand of 64 bits (x87 extended) or more (binary128);
-# where longdouble is a plain double every cell takes the fallback.
-_CERTIFIES = np.finfo(np.longdouble).nmant >= 63
-# 10**p = 5**p * 2**p with 5**p < 2**63, so each power the writer uses,
-# p <= 20, is exact in a 64-bit significand.
-_POW10 = np.ldexp(np.array([5**p for p in range(21)]).astype(np.longdouble), np.arange(21))
+# 10**p = 5**p * 2**p with 5**p < 2**53, so each power the writer uses,
+# p <= 20, is exact in float64.
+_POW10 = np.array([float(10**p) for p in range(21)])
 _MINUS, _POINT = b"-."
 
 
@@ -306,53 +298,60 @@ def _format_g17(x: np.ndarray, visible: np.ndarray, slots: np.ndarray) -> np.nda
     """Write ``'%.17g' % v`` of each visible cell of ``x`` into its row of ``slots``.
 
     Returns the field lengths (0 for a cell that is not visible). A visible
-    cell with 1e-4 <= |v| < 1e17 is printed in fixed notation when it is
-    certified: with k = floor(log10 |v|), P = |v| * 10**(16 - k) is formed in
-    ``np.longdouble``. The power is exact and P < 2**57, so the one rounding
-    of the product is at most 2**-8. The certificate asks
-    1e16 < rint(P) < 1e17 and |P - rint(P)| < 1/2 - delta, delta = 2**-7;
-    then rint(P) is the correctly rounded 17-digit significand, k is its
-    decimal exponent, and no rounding carries into the next power of ten.
-    Its digits come from divmod by powers of ten and a table of 4-digit words. Each
-    (k, sign) class is one contiguous block after a stable sort and is laid
-    out by one fixed template; trailing zeros of the fraction are then cut,
-    and the point with them, as ``%g`` does. Every other visible cell (zero,
-    an exponent-notation magnitude, a near-tie, a cell at a power-of-ten
-    edge, any cell where ``_CERTIFIES`` is false) is formatted by Python's
+    cell with 1e-4 <= |v| < 1e17 takes k = floor(log10 |v|), clipped to
+    -4..16, and P = |v| * 10**(16 - k) = hi + lo exactly by Dekker's
+    two-product: the power is exact, each step is a separate float64 array
+    operation, so no fused multiply-add occurs, and on this range nothing
+    overflows or underflows. Where P > 1e16 > 2**53, hi is an even integer,
+    so hi + rint(lo) is the correctly rounded significand, ties to even as
+    ``%.17g`` rounds. The range test 1e16 < hi + rint(lo) < 1e17 makes k its
+    decimal exponent (log10 may be off by one next to a power of ten) and
+    rules out a carry into the next power. Its digits come from divmod by
+    powers of ten and a table of 4-digit words. Each (k, sign) class is one
+    contiguous block after a stable sort and is laid out by one fixed
+    template; trailing zeros of the fraction are then cut, and the point with
+    them, as ``%g`` does. Every other visible cell (zero, an exponent-notation
+    magnitude, a cell that fails the range test) is formatted by Python's
     ``'%.17g'``.
     """
     length = np.zeros(x.size, dtype=np.intp)
     magnitude = np.abs(x)
-    done = np.zeros(x.size, dtype=bool)
-    if _CERTIFIES:
-        cand = np.flatnonzero(visible & (magnitude >= 1e-4) & (magnitude < 1e17))
-        k = np.clip(np.floor(np.log10(magnitude[cand])), -4, 16).astype(np.intp)
-        p = magnitude[cand].astype(np.longdouble) * _POW10[16 - k]
-        whole = np.rint(p)
-        off = (p - whole).astype(float)  # exact to far below delta
-        whole = whole.astype(np.int64)
-        ok = (np.abs(off) < 0.5 - _DELTA) & (whole > 10**16) & (whole < 10**17)
-        cells, k, whole = cand[ok], k[ok], whole[ok]
-        done[cells] = True
-        cls = ((k + 4) * 2 + (x[cells] < 0)).astype(np.uint8)
-        order = np.argsort(cls, kind="stable")
-        cells, k, cls = cells[order], k[order], cls[order]
-        digits = _digits17(whole[order])
-        block = np.zeros((cells.size, slots.shape[1]), dtype=np.uint8)
-        starts = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1]]) if cells.size else cells
-        for lo, hi in zip(starts, np.r_[starts[1:], cells.size]):
-            _lay_out(block[lo:hi], digits[lo:hi], int(k[lo]), bool(cls[lo] & 1))
-        slots.view(f"V{slots.shape[1]}")[cells, 0] = block.view(f"V{slots.shape[1]}")[:, 0]
-        fraction = 16 - k
-        cut = np.minimum(np.argmax(digits[:, ::-1] != _ZERO, axis=1), fraction)
-        full = (cls & 1) + np.where(k >= 0, 18 - (k == 16), 18 - k)
-        length[cells] = full - cut - ((cut == fraction) & (fraction > 0))
-    rest = np.flatnonzero(visible & ~done)
+    cand = np.flatnonzero(visible & (magnitude >= 1e-4) & (magnitude < 1e17))
+    k = np.clip(np.floor(np.log10(magnitude[cand])), -4, 16).astype(np.intp)
+    a, b = magnitude[cand], _POW10[16 - k]
+    hi = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    whole = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ok = (whole > 10**16) & (whole < 10**17)
+    cells, k, whole = cand[ok], k[ok], whole[ok]
+    cls = ((k + 4) * 2 + (x[cells] < 0)).astype(np.uint8)
+    order = np.argsort(cls, kind="stable")
+    cells, k, cls = cells[order], k[order], cls[order]
+    digits = _digits17(whole[order])
+    block = np.zeros((cells.size, slots.shape[1]), dtype=np.uint8)
+    starts = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1]]) if cells.size else cells
+    for start, stop in zip(starts, np.r_[starts[1:], cells.size]):
+        _lay_out(block[start:stop], digits[start:stop], int(k[start]), bool(cls[start] & 1))
+    slots.view(f"V{slots.shape[1]}")[cells, 0] = block.view(f"V{slots.shape[1]}")[:, 0]
+    fraction = 16 - k
+    cut = np.minimum(np.argmax(digits[:, ::-1] != _ZERO, axis=1), fraction)
+    full = (cls & 1) + np.where(k >= 0, 18 - (k == 16), 18 - k)
+    length[cells] = full - cut - ((cut == fraction) & (fraction > 0))
+    rest = np.flatnonzero(visible & (length == 0))  # a written field is never empty
     if rest.size:
         texts = _python_g17(x[rest])
         slots[rest, :_FIELD] = texts.view(np.uint8).reshape(-1, _FIELD)
         length[rest] = np.char.str_len(texts)
     return length
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each float64: a = hi + lo exactly, each of at most 26
+    significant bits, so the products of two halves are exact."""
+    c = (2.0**27 + 1) * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _python_g17(x: np.ndarray) -> np.ndarray:

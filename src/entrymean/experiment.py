@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corruption import ADVERSARIES, apply_plan, make_plan
-from .data import Dataset, load_dataset_csv
+from .data import Dataset, _reduce_visible_columns, load_dataset_csv
 from .datagen import (
     LatentSpec,
     StructureSpec,
@@ -271,22 +271,19 @@ def ingest_csv(path, standardize: bool = False) -> Dataset:
 
     Standardization centers and scales each coordinate using its visible
     entries only. Coordinates with zero visible variance are centered but not
-    scaled.
+    scaled, and coordinates with no visible entry are left as they are.
     """
     ds = load_dataset_csv(path)
     if not standardize:
         return ds
-    values = ds.values.copy()
-    for j in range(ds.dim):
-        col = values[~ds.mask[:, j], j]
-        if col.size == 0:
-            continue
-        center = col.mean()
-        spread = col.std()
-        values[~ds.mask[:, j], j] = (
-            (col - center) / spread if spread > 0 else col - center
-        )
-    return Dataset(values, ds.mask)
+    seen = np.flatnonzero(~ds.mask.all(axis=0))
+    values, mask = ds.values[:, seen], ds.mask[:, seen]
+    centered = values - _reduce_visible_columns(values, mask, np.mean)
+    spread = _reduce_visible_columns(values, mask, np.std)
+    np.divide(centered, spread, out=centered, where=spread > 0)
+    out = ds.values.copy()
+    out[:, seen] = centered
+    return Dataset(out, ds.mask)
 
 
 @dataclass

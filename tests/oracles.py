@@ -216,6 +216,30 @@ def tail_hiding_direct(values, mask, per_coord):
     return cells
 
 
+def concentrated_target_direct(values, mask):
+    """The coordinate whose visible entries have the largest ``np.var``, one
+    1-d column at a time; a coordinate with no visible entry counts as -inf."""
+    variances = [
+        np.var(values[~mask[:, j], j]) if (~mask[:, j]).any() else -np.inf
+        for j in range(values.shape[1])
+    ]
+    return int(np.argmax(variances))
+
+
+def standardize_direct(values, mask):
+    """Each coordinate's visible entries minus their mean and, where their std is
+    positive, divided by it, one 1-d column at a time; a coordinate with no
+    visible entry is left as it is."""
+    out = np.array(values, dtype=float)
+    for j in range(out.shape[1]):
+        col = out[~mask[:, j], j]
+        if col.size:
+            centered = col - col.mean()
+            spread = col.std()
+            out[~mask[:, j], j] = centered / spread if spread > 0 else centered
+    return out
+
+
 def smallest_first_direct(keys, count, hidden=None):
     """Indices of the ``count`` smallest keys, smallest first, ties to the lower index.
 

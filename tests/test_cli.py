@@ -69,6 +69,16 @@ def test_seed_is_refused_where_no_seed_is_used(tmp_path, capsys, command):
     assert not list(tmp_path.glob("x*"))
 
 
+@pytest.mark.parametrize("command", ["metric"])
+def test_out_is_refused_where_nothing_is_written(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "cfg.json", {"kind": "l2", "estimate": [1.0], "reference": [0.0]})
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: --out {tmp_path / 'x'}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_corrupt_tail_hiding(tmp_path):
     data_path, _ = run_gen(tmp_path)
     cfg = write_json(
@@ -456,6 +466,26 @@ def test_config_seed_must_be_a_whole_number(tmp_path, capsys, command):
     assert capsys.readouterr().err == "config error: seed must be a whole number, got 1.9\n"
 
 
+@pytest.mark.parametrize("command", ["gen", "corrupt"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_negative_seed_names_the_seed(tmp_path, capsys, command, source):
+    data_csv, _ = run_gen(tmp_path)
+    if command == "gen":
+        cfg = dict(GEN_CONFIG)
+    else:
+        cfg = {"seed": 5, "data_csv": str(data_csv), "adversary": "tail_hiding", "budget": 0.1}
+    argv = [command, "--out", str(tmp_path / "seeded")]
+    if source == "config":
+        cfg["seed"] = -1
+    else:
+        argv += ["--seed", "-1"]
+    config = write_json(tmp_path / "seeded.json", cfg)
+    capsys.readouterr()
+    assert main(argv + ["--config", config]) == 1
+    assert capsys.readouterr().err == "config error: seed must be nonnegative\n"
+    assert not list(tmp_path.glob("seeded.*.csv"))
+
+
 @pytest.mark.parametrize(
     "command, field, value, message",
     [
@@ -497,7 +527,8 @@ def test_config_fields_of_the_wrong_json_type_are_refused(
     }[command]
     config = write_json(tmp_path / "typed.json", dict(cfg, **{field: value}))
     capsys.readouterr()
-    assert main([command, "--config", config, "--out", str(tmp_path / "typed")]) == 1
+    out = [] if command == "metric" else ["--out", str(tmp_path / "typed")]  # metric writes nothing
+    assert main([command, "--config", config, *out]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"config error: {message}\n")
     assert not list(tmp_path.glob("typed.*.csv"))

@@ -159,6 +159,20 @@ def test_concentrated_hiding_picks_highest_variance_coordinate():
     assert hidden == sorted(int(i) for i in smallest)
 
 
+@pytest.mark.parametrize("n_rows", [5, 9000])
+def test_concentrated_hiding_targets_like_a_column_loop(n_rows):
+    # Columns that hold one multiset in different orders differ in their
+    # variances only by rounding, so the target depends on each bit.
+    rng = np.random.default_rng(n_rows)
+    base = rng.standard_normal(n_rows) * 1e3 + 7.0
+    values = np.column_stack([rng.permutation(base) for _ in range(6)] + [base])
+    for seed in range(20):
+        mask = np.random.default_rng(seed).random(values.shape) < 0.2 * (seed % 3)
+        mask[:, seed % 7] = seed % 2 == 0  # every other table hides one whole column
+        plan = plan_concentrated_hiding(Dataset(values, mask), alpha=0.05)
+        assert set(plan.coord.tolist()) == {oracles.concentrated_target_direct(values, mask)}
+
+
 def test_concentrated_hiding_caps_at_column_height():
     ds = small_dataset()
     plan = plan_concentrated_hiding(ds, alpha=1.0)

@@ -176,17 +176,23 @@ def test_csv_writer_every_fixed_notation_exponent(tmp_path, monkeypatch):
     values = np.r_[values, -values]
     counts = fallback_counter(monkeypatch)
     assert_writes_like_direct(tmp_path, values.reshape(-1, 7))
-    if data_module._CERTIFIES:
-        assert sum(counts) < 0.1 * values.size
+    assert sum(counts) == 0
 
 
-def test_csv_writer_exact_ties(tmp_path):
-    # Doubles exactly halfway between two 17-digit decimals round to even.
+def test_csv_writer_exact_ties(tmp_path, monkeypatch):
+    # Doubles exactly halfway between two 17-digit decimals round to even. At
+    # each exponent k = -4..15, m * 2**(k - 17) with m odd is such a tie: its
+    # significand is m * 5**(16 - k) / 2.
     ties = [1000000000000000.25, 1000000000000000.75, 100000000000000.125, 1000000000000.03125]
+    for k in range(-4, 16):
+        for tenths in (15, 22):  # about 1.5 and 2.2 times 10**k
+            ties.append(math.ldexp(2 * 10**15 * tenths // 5 ** (16 - k) | 1, k - 17))
     for x in ties:
         scaled = Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))
         assert scaled.denominator == 2
+    counts = fallback_counter(monkeypatch)
     assert_writes_like_direct(tmp_path, np.r_[ties, np.negative(ties)][:, None])
+    assert sum(counts) == 0
 
 
 def test_csv_writer_power_of_ten_edges(tmp_path):
@@ -201,7 +207,7 @@ def test_csv_writer_power_of_ten_edges(tmp_path):
 @pytest.mark.parametrize("shift", [-1e-12, 1e-12])
 def test_csv_writer_needs_no_exact_log10(tmp_path, monkeypatch, shift):
     # A log10 that errs near powers of ten gives an exponent off by one there;
-    # the certificate's range test must send those cells to the fallback.
+    # the range test must send those cells to the fallback.
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
     powers = 10.0 ** np.arange(-4, 18)
@@ -218,23 +224,26 @@ def test_csv_writer_blocks_split_anywhere(tmp_path, monkeypatch, block_cells):
     assert_writes_like_direct(tmp_path, ds.values, ds.mask)
 
 
-def test_csv_writer_without_certificate_falls_back_everywhere(tmp_path, monkeypatch):
-    # As on a platform whose longdouble is a plain double.
-    monkeypatch.setattr(data_module, "_CERTIFIES", False)
+def outside_fixed_notation(values, mask):
+    """How many visible cells %.17g prints as 0 or in exponent notation."""
+    magnitude = np.abs(values[~mask])
+    return np.count_nonzero((magnitude < 1e-4) | (magnitude >= 1e17))
+
+
+def test_csv_writer_formats_in_python_only_outside_fixed_notation(tmp_path, monkeypatch):
+    # Every other cell gets its significand from the exact two-product.
     counts = fallback_counter(monkeypatch)
+    rng = np.random.default_rng(14)
+    gaussian = rng.standard_normal((4000, 16))
+    gaussian[rng.random(gaussian.shape) < 0.001] = 0.0
+    assert_writes_like_direct(tmp_path, gaussian)
+    assert sum(counts) == outside_fixed_notation(gaussian, np.zeros(gaussian.shape, dtype=bool)) > 0
+    counts.clear()
     rng = np.random.default_rng(13)
-    values = rng.standard_normal((500, 16)) * 10.0 ** rng.integers(-6, 19, (500, 1))
-    mask = rng.random(values.shape) < 0.1
-    assert_writes_like_direct(tmp_path, values, mask)
-    assert sum(counts) == np.count_nonzero(~mask)
-
-
-@pytest.mark.skipif(not data_module._CERTIFIES, reason="np.longdouble is a plain double here")
-def test_csv_writer_certifies_most_gaussian_cells(tmp_path, monkeypatch):
-    counts = fallback_counter(monkeypatch)
-    values = np.random.default_rng(14).standard_normal((4000, 16))
-    assert_writes_like_direct(tmp_path, values)
-    assert sum(counts) <= 0.02 * values.size
+    spread = rng.standard_normal((500, 16)) * 10.0 ** rng.integers(-6, 19, (500, 1))
+    mask = rng.random(spread.shape) < 0.1
+    assert_writes_like_direct(tmp_path, spread, mask)
+    assert sum(counts) == outside_fixed_notation(spread, mask) > 0
 
 
 @pytest.mark.parametrize("block_bytes", [64, data_module._BLOCK_BYTES])
@@ -410,27 +419,22 @@ def test_csv_reader_signs_points_and_long_cells(tmp_path, monkeypatch):
     assert np.array_equal(np.signbit(values), np.signbit(want))
 
 
-def test_csv_reader_without_certificate_falls_back_everywhere(tmp_path, monkeypatch):
-    # As on a platform whose longdouble is a plain double: the writer formats
-    # every visible cell with Python's %.17g, and the reader, which needs no
-    # certificate, still reads every table on its block route.
-    monkeypatch.setattr(data_module, "_CERTIFIES", False)
+def test_csv_reader_reads_written_tables_in_blocks(tmp_path, monkeypatch):
+    # Fixed and exponent notation, hidden cells and awkward values: whatever
+    # the writer writes, the reader reads on its block route.
     rng = np.random.default_rng(22)
     values = rng.standard_normal((500, 16)) * 10.0 ** rng.integers(-6, 19, (500, 1))
     mask = rng.random(values.shape) < 0.1
     plain = tmp_path / "plain.csv"
-    counts = fallback_counter(monkeypatch)
     save_dataset_csv(Dataset(values, mask), plain)
-    assert sum(counts) == np.count_nonzero(~mask)
     awkward = tmp_path / "awkward.csv"
     save_dataset_csv(_awkward_table(np.random.default_rng(25), 300, 16), awkward)
     assert read_like_direct(plain, monkeypatch) == 0
     assert read_like_direct(awkward, monkeypatch) == 0
 
 
-@pytest.mark.skipif(not data_module._CERTIFIES, reason="np.longdouble is a plain double here")
 def test_csv_reader_certifies_most_gaussian_cells(tmp_path, monkeypatch):
-    # The writer certifies most Gaussian cells; the reader reads the table back
+    # The writer formats almost every Gaussian cell itself; the reader reads the table back
     # bit for bit without falling back to its per-cell reader.
     rng = np.random.default_rng(23)
     values = rng.standard_normal((4000, 16))

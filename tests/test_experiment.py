@@ -10,7 +10,7 @@ from entrymean import estimators as estimators_module
 from entrymean import experiment as experiment_module
 from entrymean import recovery as recovery_module
 from entrymean import structure as structure_module
-from entrymean.data import save_dataset_csv
+from entrymean.data import Dataset, save_dataset_csv
 from entrymean.datagen import make_structure, synthesize
 from entrymean.errors import CapExceededError
 from entrymean.experiment import (
@@ -29,6 +29,8 @@ from entrymean.experiment import (
 )
 from entrymean.recovery import RecoveryStatus
 from entrymean.structure import save_structure_csv
+
+import oracles
 
 BASE_CONFIG = {
     "seed": 7,
@@ -335,6 +337,21 @@ def test_ingest_csv_standardizes_visible_entries(tmp_path):
     assert np.allclose(flat, 0.0)  # centered but not rescaled
     plain = ingest_csv(path, standardize=False)
     assert abs(plain.values[~plain.mask[:, 0], 0].mean() - 5.0) < 2.0
+
+
+@pytest.mark.parametrize("n_rows", [7, 9000])
+def test_ingest_csv_standardizes_like_a_column_loop(tmp_path, n_rows):
+    # Bit for bit, with a zero-spread coordinate and one with no visible entry.
+    rng = np.random.default_rng(n_rows)
+    values = rng.standard_normal((n_rows, 5)) * [1e-3, 1.0, 1e4, 1.0, 3.0] + [0, 5, -2e3, 0, 1]
+    values[:, 3] = 4.25
+    mask = rng.random(values.shape) < [0.0, 0.3, 0.9, 0.2, 1.0]
+    mask[0, :4] = False
+    values[mask] = np.nan
+    path = tmp_path / "raw.csv"
+    save_dataset_csv(Dataset(values, mask), path)
+    ds = ingest_csv(path, standardize=True)
+    assert np.array_equal(ds.values, oracles.standardize_direct(values, mask), equal_nan=True)
 
 
 def svd_method(**options):
