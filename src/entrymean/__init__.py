@@ -30,7 +30,6 @@ from .estimators import (
     coordinate_median,
     empirical_mean,
     estimate,
-    tukey_median,
     two_step_estimate,
 )
 from .metrics import (

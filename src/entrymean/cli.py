@@ -121,9 +121,10 @@ def cmd_recover(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = load_json(args.config)
     known_keys("estimate", cfg, ("data_csv", "standardize", "estimator", "structure_csv", "out"))
-    ds = ingest_csv(_need(cfg, "data_csv"), boolean("standardize", cfg.get("standardize", False)))
-    spec = parse_estimator_spec(_need(cfg, "estimator"))
+    standardize = boolean("standardize", cfg.get("standardize", False))
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
+    ds, a = ingest_csv(_need(cfg, "data_csv"), standardize, a)
+    spec = parse_estimator_spec(_need(cfg, "estimator"))
     vec = estimators.estimate(ds, spec, a)
     payload = {"estimator": spec.label, "estimate": [float(v) for v in vec]}
     text = json.dumps(payload, indent=2, sort_keys=True)

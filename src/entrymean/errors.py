@@ -90,15 +90,6 @@ class ReplacementDecodingError(EstimatorFailure):
     structure is past the decoder's exhaustive caps."""
 
 
-class HiddenCellsRefusedError(ValueError, EstimatorFailure):
-    """Hidden cells given to an estimator that needs fully visible data: a config
-    error to the ``estimate`` command, a missing value in an experiment."""
-
-
-class EstimatorCapExceededError(CapExceededError, EstimatorFailure):
-    """An exact estimator asked past its size cap: a config error to ``estimate``, else ``NA``."""
-
-
 class MetricFailure(RuntimeError):
     """A metric could not be evaluated on the given inputs."""
 

@@ -2,16 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .data import Dataset, _reduce_visible_columns
 from .errors import (
     CompletionNotConvergedError,
-    EstimatorCapExceededError,
     FullyHiddenCoordinateError,
-    HiddenCellsRefusedError,
     NoCleanSamplesError,
     whole_number,
 )
@@ -28,14 +25,9 @@ ESTIMATOR_KINDS = (
     "empirical_mean",
     "coordinate_median",
     "complete_case_mean",
-    "tukey_median",
     "two_step",
 )
 RECOVERY_METHODS = ("known_structure", "iterative_svd", "replacement")
-TUKEY_DIM_CAP = 2
-# Most samples of a 2-column tukey_median: its candidate search is O(N^4)
-# Python, about a second at N = 14 on a 2-vCPU host.
-TUKEY_SAMPLE_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -113,86 +105,6 @@ def complete_case_mean(ds: Dataset) -> np.ndarray:
     return ds.values[clean].mean(axis=0)
 
 
-def _halfplane_depth(points: np.ndarray, center: np.ndarray) -> int:
-    """Fewest points in any closed halfplane whose boundary passes through center."""
-    rel = points - center
-    norms = np.linalg.norm(rel, axis=1)
-    scale = max(1.0, float(norms.max(initial=0.0)))
-    on_center = norms <= 1e-12 * scale
-    base = int(on_center.sum())
-    rel = rel[~on_center]
-    if rel.shape[0] == 0:
-        return base
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    # The count of points in the closed halfplane with inward normal at angle
-    # psi changes only when psi crosses one of these critical values; checking
-    # the events and the midpoints between them covers every regime.
-    events = np.concatenate([angles + np.pi / 2, angles - np.pi / 2])
-    events = np.unique(np.mod(events, 2 * np.pi))
-    mids = (events + np.roll(events, -1)) / 2
-    mids[-1] = (events[-1] + events[0] + 2 * np.pi) / 2
-    best = rel.shape[0]
-    for psi in np.concatenate([events, mids]):
-        gap = np.mod(angles - psi + np.pi, 2 * np.pi) - np.pi
-        count = int(np.count_nonzero(np.abs(gap) <= np.pi / 2 + 1e-12))
-        best = min(best, count)
-    return base + best
-
-
-def _tukey_candidates(points: np.ndarray) -> np.ndarray:
-    lines = []
-    for i, j in combinations(range(points.shape[0]), 2):
-        d = points[j] - points[i]
-        if np.linalg.norm(d) > 1e-12:
-            lines.append((points[i], d))
-    candidates = [points]
-    scale = max(1.0, float(np.abs(points).max()))
-    for (p1, d1), (p2, d2) in combinations(lines, 2):
-        det = d1[0] * d2[1] - d1[1] * d2[0]
-        if abs(det) <= 1e-12 * scale:
-            continue
-        rhs = p2 - p1
-        t = (rhs[0] * d2[1] - rhs[1] * d2[0]) / det
-        candidates.append((p1 + t * d1)[None, :])
-    return np.unique(np.vstack(candidates), axis=0)
-
-
-def tukey_median(ds: Dataset) -> np.ndarray:
-    """Point of maximum halfspace depth; exact, so only for tiny dimensions.
-
-    In one dimension this is the ordinary median. In two dimensions the depth
-    is maximized over the sample points and all intersections of lines
-    through sample pairs, which is sufficient because the depth function is
-    piecewise constant on the arrangement those lines induce. Ties go to the
-    lexicographically smallest candidate. Hidden entries, more than
-    ``TUKEY_DIM_CAP`` dimensions and more than ``TUKEY_SAMPLE_CAP`` samples in
-    two dimensions are refused, as errors that an experiment records as ``NA``.
-    """
-    if ds.mask.any():
-        raise HiddenCellsRefusedError("tukey_median needs fully visible data")
-    if ds.dim > TUKEY_DIM_CAP:
-        raise EstimatorCapExceededError(
-            f"dim={ds.dim} exceeds the exact-depth cap {TUKEY_DIM_CAP}"
-        )
-    if ds.dim == 1:
-        return np.array([np.median(ds.values[:, 0])])
-    if ds.n_samples > TUKEY_SAMPLE_CAP:
-        raise EstimatorCapExceededError(
-            f"N={ds.n_samples} exceeds the exact-depth sample cap {TUKEY_SAMPLE_CAP}"
-        )
-    points = ds.values
-    candidates = _tukey_candidates(points)
-    # np.unique sorts rows lexicographically, so the first maximizer wins ties.
-    best_depth = -1
-    best = candidates[0]
-    for candidate in candidates:
-        depth = _halfplane_depth(points, candidate)
-        if depth > best_depth:
-            best_depth = depth
-            best = candidate
-    return best.copy()
-
-
 def recover(
     ds: Dataset, spec: RecoverySpec, structure: StructureMatrix | None = None
 ) -> CompletionReport:
@@ -236,8 +148,6 @@ def _dispatch_basic(ds: Dataset, kind: str) -> np.ndarray:
         return coordinate_median(ds)
     if kind == "complete_case_mean":
         return complete_case_mean(ds)
-    if kind == "tukey_median":
-        return tukey_median(ds)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 

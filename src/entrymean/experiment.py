@@ -266,24 +266,39 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(load_json(path))
 
 
-def ingest_csv(path, standardize: bool = False) -> Dataset:
-    """Load a decimal CSV table; optionally standardize each coordinate.
+def ingest_csv(
+    path, standardize: bool = False, structure: StructureMatrix | None = None
+) -> tuple[Dataset, StructureMatrix | None]:
+    """Load a decimal CSV table; optionally standardize each coordinate, and the
+    structure with it.
 
-    Standardization centers and scales each coordinate using its visible
-    entries only. Coordinates with zero visible variance are centered but not
-    scaled, and coordinates with no visible entry are left as they are.
+    Standardization centers each coordinate and divides it by the spread of its
+    visible entries (by 1 where that is zero). Without a structure the center is
+    their mean. With a structure A the table is centered at A z, z the
+    least-squares fit of A's rows to those means over the coordinates with a
+    visible entry, and A's rows are divided by the same spreads: rows x = A w
+    become (A / sd)(w - z), which the returned structure still holds.
+    Coordinates with no visible entry are left as they are.
     """
     ds = load_dataset_csv(path)
     if not standardize:
-        return ds
+        return ds, structure
     seen = np.flatnonzero(~ds.mask.all(axis=0))
     values, mask = ds.values[:, seen], ds.mask[:, seen]
-    centered = values - _reduce_visible_columns(values, mask, np.mean)
+    center = _reduce_visible_columns(values, mask, np.mean)
     spread = _reduce_visible_columns(values, mask, np.std)
-    np.divide(centered, spread, out=centered, where=spread > 0)
+    spread[spread == 0] = 1.0
+    if structure is not None:
+        if structure.n != ds.dim:
+            raise ValueError(f"sample length {ds.dim} does not match n={structure.n}")
+        rows = structure.entries[seen]
+        center = rows @ np.linalg.lstsq(rows, center, rcond=None)[0]
+        entries = structure.entries.copy()
+        entries[seen] /= spread[:, None]
+        structure = StructureMatrix(entries)
     out = ds.values.copy()
-    out[:, seen] = centered
-    return Dataset(out, ds.mask)
+    out[:, seen] = (values - center) / spread
+    return Dataset(out, ds.mask), structure
 
 
 @dataclass
@@ -302,8 +317,8 @@ def _prepare_run(cfg: ExperimentConfig) -> _RunInputs:
         reference = population_mean(structure, cfg.data.latent)
         covariance = population_covariance(structure, cfg.data.latent)
         return _RunInputs(None, structure, reference, covariance)
-    ds = ingest_csv(cfg.data.path, cfg.data.standardize)
     structure = load_structure_csv(cfg.data.structure_path) if cfg.data.structure_path else None
+    ds, structure = ingest_csv(cfg.data.path, cfg.data.standardize, structure)
     clean = ds.values[~ds.mask.any(axis=1)]
     covariance = np.cov(clean, rowvar=False) if clean.shape[0] > 1 else None
     return _RunInputs(ds, structure, empirical_mean(ds), covariance)

@@ -149,32 +149,6 @@ def randomized_replacement_direct(entries, x, exponent, rng):
     return "recovered", best_sample, best_count
 
 
-def halfplane_depth_direct(points, center, n_grid=7201):
-    """Depth by sweeping many directions: every event angle plus a dense grid.
-
-    Exact as long as each constancy arc of the count function contains at
-    least one probed angle, which holds for the modest point sets used in
-    tests.
-    """
-    rel = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
-    norms = np.linalg.norm(rel, axis=1)
-    at_center = norms <= 1e-12 * max(1.0, norms.max(initial=0.0))
-    base = int(at_center.sum())
-    rel = rel[~at_center]
-    if rel.shape[0] == 0:
-        return base
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    probes = list(np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False))
-    for a in angles:
-        probes.extend([a + np.pi / 2, a - np.pi / 2])
-    best = rel.shape[0]
-    for psi in probes:
-        u = np.array([np.cos(psi), np.sin(psi)])
-        count = int(np.count_nonzero(rel @ u >= -1e-12 * max(1.0, norms.max())))
-        best = min(best, count)
-    return base + best
-
-
 def max_sign_quadratic_direct(matrix):
     """Sign enumeration with plain Python loops over itertools.product."""
     m = np.asarray(matrix, dtype=float)

@@ -358,6 +358,26 @@ def test_estimate_writes_file_with_out(tmp_path):
     assert len(payload["estimate"]) == 6
 
 
+def test_estimate_standardizes_the_structure_with_the_table(tmp_path, capsys):
+    shipped = json.loads((CONFIGS / "gen.json").read_text())
+    data_path, structure_path = run_gen(
+        tmp_path, structure=shipped["structure"], latent=shipped["latent"]
+    )
+    corrupt = {"data_csv": str(data_path), "adversary": "tail_hiding", "budget": 0.1}
+    corrupt["out"] = str(tmp_path / "hit")
+    assert main(["corrupt", "--config", write_json(tmp_path / "corrupt.json", corrupt)]) == 0
+    cfg = {
+        "data_csv": str(tmp_path / "hit.corrupted.csv"),
+        "standardize": True,
+        "estimator": {"kind": "two_step", "recovery": {"method": "known_structure"}},
+        "structure_csv": str(structure_path),
+    }
+    capsys.readouterr()
+    assert main(["estimate", "--config", write_json(tmp_path / "estimate.json", cfg)]) == 0
+    estimate = json.loads(capsys.readouterr().out)["estimate"]
+    assert len(estimate) == 16 and np.isfinite(estimate).all()
+
+
 def test_metric_distribution_distances(tmp_path, capsys):
     corners = tmp_path / "corners.csv"
     corners.write_text("0,0,0.25\n0,1,0.25\n1,0,0.25\n1,1,0.25\n")

@@ -5,9 +5,7 @@ from entrymean.corruption import CorruptionPlan, apply_plan, plan_tail_hiding
 from entrymean.data import Dataset
 from entrymean.errors import (
     AllSamplesDiscardedError,
-    CapExceededError,
     CompletionNotConvergedError,
-    EstimatorFailure,
     FullyHiddenCoordinateError,
     NoCleanSamplesError,
 )
@@ -18,13 +16,10 @@ from entrymean.estimators import (
     coordinate_median,
     empirical_mean,
     estimate,
-    tukey_median,
     two_step_estimate,
 )
-from entrymean.estimators import TUKEY_SAMPLE_CAP, _halfplane_depth
 from entrymean.datagen import LatentSpec, StructureSpec, draw_latents, make_structure, synthesize
 
-from oracles import halfplane_depth_direct
 from test_recovery import scale_spread_table
 from test_structure import random_general_position
 
@@ -105,59 +100,6 @@ def test_complete_case_mean():
         complete_case_mean(all_touched)
 
 
-def test_tukey_median_one_dimension_matches_median():
-    ds = Dataset(np.array([[3.0], [1.0], [4.0], [1.5]]))
-    np.testing.assert_allclose(tukey_median(ds), coordinate_median(ds))
-
-
-def test_tukey_median_single_point_and_validation():
-    single = Dataset(np.array([[2.0, 5.0]]))
-    np.testing.assert_allclose(tukey_median(single), [2.0, 5.0])
-    # Each refusal is a config error to the CLI and an NA to an experiment.
-    with pytest.raises(CapExceededError) as dim_cap:
-        tukey_median(Dataset(np.zeros((3, 3)) + np.eye(3)))
-    with pytest.raises(ValueError) as hidden:
-        tukey_median(masked([[1.0, 2.0]], [[True, False]]))
-    points = np.random.default_rng(2).standard_normal((TUKEY_SAMPLE_CAP + 1, 2))
-    with pytest.raises(CapExceededError, match=f"N={TUKEY_SAMPLE_CAP + 1}") as sample_cap:
-        tukey_median(Dataset(points))
-    for refusal in (dim_cap, hidden, sample_cap):
-        assert isinstance(refusal.value, EstimatorFailure)
-    assert tukey_median(Dataset(points[:, :1])) == np.median(points[:, 0])
-
-
-def test_tukey_median_square_center():
-    corners = Dataset(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
-    np.testing.assert_allclose(tukey_median(corners), [0.5, 0.5])
-
-
-def test_tukey_median_is_deep():
-    rng = np.random.default_rng(0)
-    points = rng.standard_normal((11, 2))
-    ds = Dataset(points)
-    med = tukey_median(ds)
-    depth = halfplane_depth_direct(points, med)
-    # A Tukey median always has depth at least N / 3 in the plane.
-    assert depth >= np.ceil(11 / 3)
-    # No sample point may be deeper than the reported median.
-    for p in points:
-        assert halfplane_depth_direct(points, p) <= depth
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_halfplane_depth_matches_direct_sweep(seed):
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((9, 2))
-    for candidate in [points[0], points.mean(axis=0), rng.standard_normal(2)]:
-        assert _halfplane_depth(points, candidate) == halfplane_depth_direct(points, candidate)
-
-
-def test_halfplane_depth_with_coincident_points():
-    points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    assert _halfplane_depth(points, np.array([0.0, 0.0])) == 2
-    assert _halfplane_depth(points, np.array([5.0, 5.0])) == 0
-
-
 def test_translation_equivariance_of_location_estimators():
     rng = np.random.default_rng(1)
     values = rng.standard_normal((12, 2))
@@ -171,11 +113,6 @@ def test_translation_equivariance_of_location_estimators():
     )
     np.testing.assert_allclose(
         coordinate_median(shifted), coordinate_median(ds) + offset, atol=1e-12
-    )
-    clean = Dataset(values)
-    clean_shifted = Dataset(values + offset)
-    np.testing.assert_allclose(
-        tukey_median(clean_shifted), tukey_median(clean) + offset, atol=1e-9
     )
 
 

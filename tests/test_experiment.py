@@ -10,8 +10,9 @@ from entrymean import estimators as estimators_module
 from entrymean import experiment as experiment_module
 from entrymean import recovery as recovery_module
 from entrymean import structure as structure_module
+from entrymean.corruption import apply_plan, plan_tail_hiding
 from entrymean.data import Dataset, save_dataset_csv
-from entrymean.datagen import make_structure, synthesize
+from entrymean.datagen import draw_latents, make_structure, synthesize
 from entrymean.errors import CapExceededError
 from entrymean.experiment import (
     ConfigError,
@@ -27,8 +28,8 @@ from entrymean.experiment import (
     run_experiment,
     write_results,
 )
-from entrymean.recovery import RecoveryStatus
-from entrymean.structure import save_structure_csv
+from entrymean.recovery import RecoveryStatus, recover_table
+from entrymean.structure import StructureMatrix, save_structure_csv
 
 import oracles
 
@@ -140,24 +141,6 @@ def test_replacement_decoding_failure_becomes_na(tmp_path, monkeypatch, case):
         assert np.isnan(row.value) == (row.method != "empirical_mean")
     csv_path, _ = write_results(result, str(tmp_path / "na"))
     assert Path(csv_path).read_text().count(",NA\n") == 2 * 3  # budgets x trials
-
-
-@pytest.mark.parametrize("adversary", ["tail_hiding", "sample_shift"])
-def test_tukey_median_refusal_becomes_na(tmp_path, adversary):
-    # The shipped config's tables have hidden cells under tail_hiding and 16
-    # columns under both: tukey_median refuses them, and the run goes on.
-    shipped = load_json(Path(__file__).resolve().parents[1] / "configs" / "experiment.json")
-    shipped["adversary"] = adversary
-    with_tukey = copy.deepcopy(shipped)
-    with_tukey["methods"].append({"kind": "tukey_median"})
-    csv_path, _ = write_results(run_experiment(parse_config(with_tukey)), str(tmp_path / "t"))
-    lines = Path(csv_path).read_text().splitlines()
-    tukey = [line for line in lines if line.startswith("tukey_median,")]
-    assert len(tukey) == 3 * 3 * 2  # budgets x trials x metrics
-    assert all(line.endswith(",NA") for line in tukey)
-    plain_path, _ = write_results(run_experiment(parse_config(shipped)), str(tmp_path / "p"))
-    others = [line for line in lines if not line.startswith("tukey_median,")]
-    assert others == Path(plain_path).read_text().splitlines()
 
 
 def test_replacement_decoding_beats_the_median_under_sample_shift():
@@ -327,7 +310,7 @@ def test_ingest_csv_standardizes_visible_entries(tmp_path):
         lines.append(",".join(cells))
     path = tmp_path / "raw.csv"
     path.write_text("\n".join(lines) + "\n")
-    ds = ingest_csv(path, standardize=True)
+    ds, _ = ingest_csv(path, standardize=True)
     assert ds.mask.sum() == 6
     for j in range(2):
         col = ds.values[~ds.mask[:, j], j]
@@ -335,7 +318,7 @@ def test_ingest_csv_standardizes_visible_entries(tmp_path):
         assert abs(col.std() - 1.0) < 1e-9
     flat = ds.values[~ds.mask[:, 2], 2]
     assert np.allclose(flat, 0.0)  # centered but not rescaled
-    plain = ingest_csv(path, standardize=False)
+    plain, _ = ingest_csv(path, standardize=False)
     assert abs(plain.values[~plain.mask[:, 0], 0].mean() - 5.0) < 2.0
 
 
@@ -350,8 +333,54 @@ def test_ingest_csv_standardizes_like_a_column_loop(tmp_path, n_rows):
     values[mask] = np.nan
     path = tmp_path / "raw.csv"
     save_dataset_csv(Dataset(values, mask), path)
-    ds = ingest_csv(path, standardize=True)
+    ds, _ = ingest_csv(path, standardize=True)
     assert np.array_equal(ds.values, oracles.standardize_direct(values, mask), equal_nan=True)
+
+
+def shipped_table(tmp_path):
+    """The shipped experiment config, and a seed-1 table of its data written as
+    CSV with its structure: (config, table, structure, table path, structure path)."""
+    cfg_obj = load_json(Path(__file__).resolve().parents[1] / "configs" / "experiment.json")
+    cfg = parse_config(cfg_obj)
+    a = make_structure(cfg.data.structure)
+    ds = synthesize(a, draw_latents(cfg.data.latent, cfg.data.n_samples, np.random.default_rng(1)))
+    data_path, structure_path = tmp_path / "data.csv", tmp_path / "structure.csv"
+    save_dataset_csv(ds, data_path)
+    save_structure_csv(a, structure_path)
+    return cfg_obj, ds, a, data_path, structure_path
+
+
+@pytest.mark.parametrize("budget", [0.1, 0.2])
+def test_standardizing_transforms_the_structure_with_the_table(tmp_path, budget):
+    # Known-structure recovery keeps and discards the same rows of the
+    # standardized table as of the raw one, so the structure still holds them.
+    _, ds, a, _, _ = shipped_table(tmp_path)
+    path = tmp_path / "hit.csv"
+    save_dataset_csv(apply_plan(ds, plan_tail_hiding(ds, budget)), path)
+    raw, same = ingest_csv(path, False, a)
+    standardized, scaled = ingest_csv(path, True, a)
+    assert same is a
+    status = recover_table(raw, a).status
+    assert (status == RecoveryStatus.UNRECOVERABLE).any()
+    assert np.array_equal(recover_table(standardized, scaled).status, status)
+    with pytest.raises(ValueError, match="sample length 16 does not match n=15"):
+        ingest_csv(path, True, StructureMatrix(a.entries[:-1]))
+
+
+def test_standardizing_a_csv_experiment_keeps_its_na_set(tmp_path):
+    cfg_obj, _, _, data_path, structure_path = shipped_table(tmp_path)
+    missing = []
+    for standardize in (False, True):
+        cfg_obj["data"] = {
+            "kind": "csv",
+            "path": str(data_path),
+            "structure_path": str(structure_path),
+            "standardize": standardize,
+        }
+        rows = run_experiment(parse_config(cfg_obj)).rows
+        missing.append({(r.method, r.budget, r.trial, r.metric) for r in rows if np.isnan(r.value)})
+        assert any(r.method.startswith("two_step") and np.isfinite(r.value) for r in rows)
+    assert missing[0] == missing[1]
 
 
 def svd_method(**options):
@@ -473,6 +502,13 @@ def test_parse_config_rejects_bad_fields(mutate, message):
             {"kind": "empirical_mean", "inner": "tukey_median"},
             "inner is for two_step only",
         ),
+        # The retired exact-depth estimator is refused as any unknown name is.
+        (parse_estimator_spec, {"kind": "tukey_median"}, "kind must be one of"),
+        (
+            parse_estimator_spec,
+            {"kind": "two_step", "recovery": {"method": "known_structure"}, "inner": "tukey_median"},
+            "inner estimator cannot be 'tukey_median'",
+        ),
     ],
     ids=[
         "misspelt_recovery_option",
@@ -480,6 +516,8 @@ def test_parse_config_rejects_bad_fields(mutate, message):
         "rank_on_replacement",
         "unknown_estimator_key",
         "inner_on_a_plain_estimator",
+        "retired_kind",
+        "retired_inner",
     ],
 )
 def test_config_objects_refuse_keys_they_do_not_read(parse, obj, message):
