@@ -91,7 +91,7 @@ def cmd_corrupt(args) -> int:
     budget = number("budget", _need(cfg, "budget"))
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
     rng = np.random.default_rng(seed)
-    shift = number("shift", cfg.get("shift", 10.0))
+    shift = number("shift", cfg.get("shift", corruption.DEFAULT_SHIFT))
     plan = corruption.make_plan(adversary, ds, budget, rng, shift=shift, structure=a)
     prefix = _out_prefix(cfg, args)
     corruption.save_plan_csv(plan, f"{prefix}.plan.csv")

@@ -28,6 +28,7 @@ from .structure import StructureMatrix
 
 HIDE = "hide"
 REPLACE = "replace"
+DEFAULT_SHIFT = 10.0  # what sample_shift adds to each victim cell when no shift is given
 
 
 class AdversaryKind(str, Enum):
@@ -185,7 +186,7 @@ def _hide_smallest(ds: Dataset, coords: np.ndarray, count: int) -> CorruptionPla
     return CorruptionPlan.hiding(order[keep], coords[np.nonzero(keep)[0]])
 
 
-def plan_sample_shift(ds: Dataset, epsilon: float, shift=10.0) -> CorruptionPlan:
+def plan_sample_shift(ds: Dataset, epsilon: float, shift=DEFAULT_SHIFT) -> CorruptionPlan:
     """Replace every coordinate of the floor(epsilon * N) most extreme samples.
 
     Victims are the samples with the largest first coordinate, a deterministic
@@ -277,7 +278,7 @@ def make_plan(
     budget: float,
     rng: np.random.Generator,
     *,
-    shift=10.0,
+    shift=DEFAULT_SHIFT,
     structure: StructureMatrix | None = None,
 ) -> CorruptionPlan:
     """Plan the named adversary's corruption of ``ds`` at ``budget``.

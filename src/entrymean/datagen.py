@@ -109,18 +109,14 @@ class StructureSpec:
             object.__setattr__(self, "entries", entries)
 
 
-def make_structure(spec: StructureSpec, rng: np.random.Generator | None = None) -> StructureMatrix:
-    """Build the structure matrix; random kinds derive their rng from spec.seed.
-
-    Passing an explicit ``rng`` overrides the seed, which is mainly useful in
-    tests. With a fixed seed the result is bit-identical across calls.
-    """
+def make_structure(spec: StructureSpec) -> StructureMatrix:
+    """Build the structure matrix; random kinds draw from ``default_rng(spec.seed)``,
+    so with a fixed seed the result is bit-identical across calls."""
     if spec.kind == "identity":
         return StructureMatrix(np.eye(spec.n))
     if spec.kind == "explicit":
         return StructureMatrix(spec.entries.copy())
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     if spec.kind == "dense":
         return StructureMatrix(rng.standard_normal((spec.n, spec.r)))
     entries = np.zeros((spec.n, spec.r))

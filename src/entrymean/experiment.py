@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corruption import ADVERSARIES, apply_plan, make_plan
+from .corruption import ADVERSARIES, DEFAULT_SHIFT, apply_plan, make_plan
 from .data import Dataset, _reduce_visible_columns, load_dataset_csv
 from .datagen import (
     LatentSpec,
@@ -63,7 +63,7 @@ class ExperimentConfig:
     data: DataConfig
     methods: tuple[EstimatorSpec, ...]
     metrics: tuple[str, ...] = ("l2",)
-    shift: float = 10.0
+    shift: float = DEFAULT_SHIFT
     raw: dict | None = None
 
 
@@ -83,18 +83,15 @@ class ExperimentResult:
 
     def summary(self) -> list[dict]:
         """Mean and standard deviation over the trials that produced a value."""
+        groups: dict[tuple[str, float, str], list[float]] = {}
+        for r in self.rows:
+            if not np.isnan(r.value):
+                groups.setdefault((r.method, r.budget, r.metric), []).append(r.value)
         out = []
         for spec in self.config.methods:
             for budget in self.config.budgets:
                 for metric in self.config.metrics:
-                    vals = [
-                        r.value
-                        for r in self.rows
-                        if r.method == spec.label
-                        and r.budget == budget
-                        and r.metric == metric
-                        and not np.isnan(r.value)
-                    ]
+                    vals = groups.get((spec.label, budget, metric), [])
                     out.append(
                         {
                             "method": spec.label,
@@ -245,7 +242,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         data=data,
         methods=methods,
         metrics=metrics,
-        shift=number("shift", obj.get("shift", 10.0)),
+        shift=number("shift", obj.get("shift", DEFAULT_SHIFT)),
         raw=obj,
     )
 

@@ -480,31 +480,23 @@ def recover_replacement_exhaustive(a: StructureMatrix, x: np.ndarray) -> Recover
 
 
 def recover_replacement_randomized(
-    a: StructureMatrix,
-    x: np.ndarray,
-    exponent: float = 2.0,
-    rng: np.random.Generator | None = None,
+    a: StructureMatrix, x: np.ndarray, rng: np.random.Generator
 ) -> RecoveryOutcome:
-    """Hamming-residual minimization over ceil(r**exponent) random row subsets.
+    """Hamming-residual minimization over r**2 random row subsets drawn from ``rng``.
 
     A sample that passes the range test is returned unchanged without sampling.
     Otherwise each draw picks ``r`` independent rows uniformly, all draws are
     scored at once by :func:`_score_subsets`, and the first of least residual
-    wins. A draw count above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`.
+    wins. An r**2 above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`.
     """
     x = _fully_visible(x, a)
-    if not (math.isfinite(exponent) and exponent >= 0):
-        raise ValueError("exponent must be finite and nonnegative")
-    if exponent * math.log(a.r) > math.log(REPLACEMENT_SOLVE_CAP):
+    n_draws = a.r**2
+    if n_draws > REPLACEMENT_SOLVE_CAP:
         raise CapExceededError(
-            f"exponent {exponent:g} asks for {a.r}**{exponent:g} draws, over the cap"
-            f" {REPLACEMENT_SOLVE_CAP}"
+            f"r={a.r} asks for {n_draws} draws, over the cap {REPLACEMENT_SOLVE_CAP}"
         )
-    if rng is None:
-        rng = np.random.default_rng()
     if _in_range(x, a):
         return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
-    n_draws = int(math.ceil(a.r**exponent))
     subsets = np.array([sample_independent_rows(a, a.r, rng) for _ in range(n_draws)])
     candidates, residuals = _score_subsets(a, x, subsets)
     best = int(np.argmin(residuals))

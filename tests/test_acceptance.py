@@ -132,7 +132,7 @@ def test_criterion_03_randomized_replacement_quality():
         corrupted = x.copy()
         corrupted[rng.integers(16)] += 7.5 + (trial % 3)
         brute = recover_replacement_exhaustive(a, corrupted)
-        randomized = recover_replacement_randomized(a, corrupted, exponent=2.0, rng=rng)
+        randomized = recover_replacement_randomized(a, corrupted, rng=rng)
         assert randomized.residual_hamming >= brute.residual_hamming
         if np.allclose(randomized.sample, x, atol=1e-8):
             exact += 1

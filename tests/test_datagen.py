@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import entrymean
 from entrymean.datagen import (
     LatentSpec,
     StructureSpec,
@@ -39,6 +42,21 @@ def test_make_structure_seed_determinism():
     np.testing.assert_array_equal(a.entries, b.entries)
     c = make_structure(StructureSpec("dense", n=6, r=3, seed=78))
     assert not np.array_equal(a.entries, c.entries)
+
+
+def test_no_exported_callable_defaults_to_an_unseeded_generator():
+    # Every random draw comes from a generator the caller seeded: an ``rng``
+    # parameter is required wherever the package exports one.
+    takes_rng = set()
+    for name in dir(entrymean):
+        obj = getattr(entrymean, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        params = inspect.signature(obj).parameters
+        if "rng" in params:
+            takes_rng.add(name)
+            assert params["rng"].default is inspect.Parameter.empty, name
+    assert {"draw_latents", "make_plan", "recover_replacement_randomized"} <= takes_rng
 
 
 def test_block_diagonal_layout():

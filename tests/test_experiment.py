@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -257,6 +258,40 @@ def test_summary_statistics_match_rows():
         assert entry["n"] == len(vals) == cfg.trials
         assert entry["mean"] == pytest.approx(np.mean(vals))
         assert entry["sd"] == pytest.approx(np.std(vals))
+
+
+def test_summary_equals_a_per_group_recomputation():
+    # Three trials, two metrics, NA rows from the rank-3 covariance's Mahalanobis
+    # values and more NA rows blanked here, so groups hold 0 to 3 values.
+    cfg_obj = base_config()
+    cfg_obj["metrics"] = ["l2", "mahalanobis"]
+    result = run_experiment(parse_config(cfg_obj))
+    result.rows = [
+        dataclasses.replace(r, value=float("nan")) if i % 4 == 0 else r
+        for i, r in enumerate(result.rows)
+    ]
+    expected = []
+    for spec in result.config.methods:
+        for budget in result.config.budgets:
+            for metric in result.config.metrics:
+                vals = [
+                    r.value
+                    for r in result.rows
+                    if (r.method, r.budget, r.metric) == (spec.label, budget, metric)
+                    and not np.isnan(r.value)
+                ]
+                expected.append(
+                    {
+                        "method": spec.label,
+                        "budget": budget,
+                        "metric": metric,
+                        "mean": float(np.mean(vals)) if vals else None,
+                        "sd": float(np.std(vals)) if vals else None,
+                        "n": len(vals),
+                    }
+                )
+    assert result.summary() == expected  # bit-identical means and sds
+    assert {e["n"] for e in expected} == {0, 1, 2, 3}
 
 
 def test_write_read_round_trip(tmp_path):

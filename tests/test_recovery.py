@@ -720,20 +720,23 @@ def test_replacement_randomized_matches_truth():
     a = random_general_position(10, 3, seed=50)
     x = a.entries @ rng.standard_normal(3)
     corrupted = corrupt_coords(x, [4], rng)
-    outcome = recover_replacement_randomized(a, corrupted, exponent=2.0, rng=rng)
+    outcome = recover_replacement_randomized(a, corrupted, rng=rng)
     assert outcome.status is RecoveryStatus.RECOVERED
     np.testing.assert_allclose(outcome.sample, x, atol=1e-8)
     assert outcome.residual_hamming == 1
 
 
-@pytest.mark.parametrize("exponent", [-1.0, float("inf"), float("nan"), 20.0, 400.0])
-def test_replacement_randomized_refuses_bad_exponent(exponent):
-    a = random_general_position(5, 2, seed=60)
-    x = a.entries @ np.array([1.0, 1.0])
-    with pytest.raises(ValueError, match="exponent") as excinfo:
-        recover_replacement_randomized(a, x, exponent, np.random.default_rng(0))
-    # -1, inf and nan are not exponents; 2**20 and 2**400 draws exceed the cap of 100 000.
-    assert isinstance(excinfo.value, CapExceededError) == (exponent in (20.0, 400.0))
+def test_replacement_randomized_refuses_r_squared_over_the_cap():
+    # 317**2 = 100 489 draws exceed the cap of 100 000; the refusal comes before any draw.
+    a = StructureMatrix(np.eye(317))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(CapExceededError, match="100489 draws"):
+        recover_replacement_randomized(a, np.ones(317), rng)
+    assert rng.bit_generator.state == state
+    # 316**2 = 99 856 is within the cap; the sample is in range, so nothing is drawn.
+    outcome = recover_replacement_randomized(StructureMatrix(np.eye(316)), np.ones(316), rng)
+    assert outcome.status is RecoveryStatus.UNCHANGED
 
 
 def test_replacement_randomized_clean_shortcut():
@@ -767,10 +770,9 @@ def test_replacement_randomized_matches_direct_oracle():
         coords = rng.choice(n, int(rng.integers(0, n - r + 1)), replace=False)
         x[coords] += rng.uniform(0.5, 2.0, coords.size) * rng.choice([-1.0, 1.0], coords.size)
         x *= 10.0 ** rng.uniform(-3.0, 6.0) / np.abs(x).max()
-        exponent = float(rng.choice([1.0, 1.5, 2.0]))
-        got = recover_replacement_randomized(a, x, exponent, np.random.default_rng(case))
+        got = recover_replacement_randomized(a, x, np.random.default_rng(case))
         status, sample, residual = randomized_replacement_direct(
-            a.entries, x, exponent, np.random.default_rng(case)
+            a.entries, x, 2.0, np.random.default_rng(case)
         )
         assert got.status.name.lower() == status
         assert got.residual_hamming == residual

@@ -82,9 +82,9 @@ def test_min_rows_matches_direct_search(seed):
     assert min_rows_to_drop_rank(a) == min_rows_to_drop_rank_direct(entries)
 
 
-def block_diagonal(shapes, rng):
+def block_diagonal(shapes, seed):
     n, r = (sum(sizes) for sizes in zip(*shapes))
-    return make_structure(StructureSpec("block_diagonal", n, r, blocks=shapes), rng).entries
+    return make_structure(StructureSpec("block_diagonal", n, r, blocks=shapes, seed=seed)).entries
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -94,11 +94,11 @@ def test_min_rows_matches_direct_search_on_structured_matrices(seed):
     duplicated[[4, 7, 9]] = duplicated[0]
     deficient = rng.standard_normal((11, 4))
     deficient[:, 3] = deficient[:, 0] - 2.0 * deficient[:, 1]  # rank 3
-    deficient_blocks = block_diagonal([(5, 2), (5, 3)], rng)
+    deficient_blocks = block_diagonal([(5, 2), (5, 3)], 70 + seed)
     deficient_blocks[5:, 4] = deficient_blocks[5:, 2] + deficient_blocks[5:, 3]  # rank 4
     cases = {
-        "block_diagonal": block_diagonal([(6, 3), (6, 3)], rng),
-        "uneven_blocks": block_diagonal([(5, 1), (4, 2), (3, 2)], rng),
+        "block_diagonal": block_diagonal([(6, 3), (6, 3)], 80 + seed),
+        "uneven_blocks": block_diagonal([(5, 1), (4, 2), (3, 2)], 90 + seed),
         "dense": rng.standard_normal((12, 4)),
         "duplicated": duplicated,
         "rank_deficient": deficient,
