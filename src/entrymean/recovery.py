@@ -487,9 +487,12 @@ def recover_replacement_randomized(
     A sample that passes the range test is returned unchanged without sampling.
     Otherwise each draw picks ``r`` independent rows uniformly, all draws are
     scored at once by :func:`_score_subsets`, and the first of least residual
-    wins. An r**2 above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`.
+    wins. An r**2 above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`;
+    an ``rng`` that is not a ``np.random.Generator`` raises ``TypeError``.
     """
     x = _fully_visible(x, a)
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a np.random.Generator, not {type(rng).__name__}")
     n_draws = a.r**2
     if n_draws > REPLACEMENT_SOLVE_CAP:
         raise CapExceededError(

@@ -739,6 +739,18 @@ def test_replacement_randomized_refuses_r_squared_over_the_cap():
     assert outcome.status is RecoveryStatus.UNCHANGED
 
 
+@pytest.mark.parametrize("exponent", [20.0, 400.0])
+def test_replacement_randomized_refuses_bad_exponent(exponent):
+    # The draw count is fixed at r**2. An exponent passed where the generator goes is
+    # refused, even for an in-range sample that would draw nothing.
+    a = random_general_position(5, 2, seed=60)
+    x = a.entries @ np.array([1.0, 1.0])
+    with pytest.raises(TypeError, match="np.random.Generator, not float"):
+        recover_replacement_randomized(a, x, exponent)
+    with pytest.raises(TypeError):
+        recover_replacement_randomized(a, x, exponent, np.random.default_rng(0))
+
+
 def test_replacement_randomized_clean_shortcut():
     a = random_general_position(5, 2, seed=60)
     x = a.entries @ np.array([1.0, 1.0])
