@@ -48,7 +48,6 @@ from .recovery import (
     CompletionReport,
     RecoveryOutcome,
     RecoveryStatus,
-    build_parity_check,
     iterative_svd_complete,
     orthogonal_matching_pursuit,
     recover_by_sparse_decoding,

@@ -72,7 +72,8 @@ class StructureSpec:
     ``identity`` needs n == r. ``dense`` fills all n x r entries with
     standard normals. ``block_diagonal`` stacks independent standard-normal
     blocks of the given (rows, cols) shapes along the diagonal; the shapes
-    must add up to (n, r). ``explicit`` wraps the given entries.
+    must add up to (n, r). ``explicit`` wraps the given entries. The two
+    random kinds need a ``seed``, so a spec always names one matrix.
     """
 
     kind: str
@@ -89,6 +90,8 @@ class StructureSpec:
             raise ValueError("n and r must be positive")
         if self.kind == "identity" and self.n != self.r:
             raise ValueError("identity structure needs n == r")
+        if self.kind in ("dense", "block_diagonal") and self.seed is None:
+            raise ValueError(f"{self.kind} structure needs a seed")
         if self.kind == "block_diagonal":
             if not self.blocks:
                 raise ValueError("block_diagonal needs block shapes")
@@ -111,7 +114,7 @@ class StructureSpec:
 
 def make_structure(spec: StructureSpec) -> StructureMatrix:
     """Build the structure matrix; random kinds draw from ``default_rng(spec.seed)``,
-    so with a fixed seed the result is bit-identical across calls."""
+    so the result is bit-identical across calls."""
     if spec.kind == "identity":
         return StructureMatrix(np.eye(spec.n))
     if spec.kind == "explicit":

@@ -141,7 +141,8 @@ def parse_estimator_spec(obj: dict) -> EstimatorSpec:
         raise ConfigError(str(exc)) from None
 
 
-def parse_structure_spec(obj: dict, default_seed: int | None = None) -> StructureSpec:
+def parse_structure_spec(obj: dict, default_seed: int) -> StructureSpec:
+    """The structure spec ``obj``; ``default_seed`` seeds it when it names no seed."""
     _require(isinstance(obj, dict) and "kind" in obj, "structure needs a 'kind'")
     known_keys("structure", obj, ("kind", "n", "r", "blocks", "entries", "seed"))
     try:

@@ -20,12 +20,13 @@ at radius 0, else completes the table by iterated rank truncation from medians.
 One sample at a time, the minimum-Hamming decoders (exhaustive, or over random
 independent row subsets) also search past the radius, where distinct
 reconstructions can tie, and sparse decoding (:func:`recover_by_sparse_decoding`)
-projects the sample onto a random parity check of range(A), so corruption shows
-up as a sparse vector that orthogonal matching pursuit can decode. They share
-one sample check and return a sample that passes :func:`recover_table`'s range
-test unchanged; the Hamming decoders score r-row subsets by stacked solves. An
-entry matches when it is within ``ENTRY_MATCH_TOL`` max(1, |x|_inf), so no rule
-depends on the sample's scale.
+projects the sample by the structure's cached parity check F, the same one the
+range test uses, so corruption shows up as the syndrome F e of a sparse e that
+orthogonal matching pursuit can decode. They share one sample check and return
+a sample that passes :func:`recover_table`'s range test unchanged; the Hamming
+decoders score r-row subsets by stacked solves. An entry matches when it is
+within ``ENTRY_MATCH_TOL`` max(1, |x|_inf), so no rule depends on the sample's
+scale.
 
 Every route reports what became of a sample as a :class:`RecoveryStatus`: the
 table routes one int8 code per input row in ``CompletionReport.status``, the
@@ -506,33 +507,6 @@ def recover_replacement_randomized(
     return RecoveryOutcome(RecoveryStatus.RECOVERED, candidates[best].copy(), int(residuals[best]))
 
 
-def build_parity_check(
-    a: StructureMatrix, n_rows: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Random matrix F with F @ A = 0, one scaled unit kernel vector per row.
-
-    Rows are independent draws: a direction uniform on the unit sphere of the
-    kernel of A', scaled by sqrt(u / n_rows) with u chi-squared on n degrees
-    of freedom. The expected squared row norm is therefore n / n_rows. At
-    most n - rank(A) rows are meaningful; asking for more raises.
-    """
-    max_rows = a.parity_check.shape[0]
-    if n_rows < 0:
-        raise ValueError("n_rows must be nonnegative")
-    if n_rows > max_rows:
-        raise ValueError(f"at most {max_rows} parity rows exist, asked for {n_rows}")
-    if n_rows == 0:
-        return np.zeros((0, a.n))
-    rows = np.zeros((n_rows, a.n))
-    for i in range(n_rows):
-        direction = np.zeros(a.n)
-        while np.linalg.norm(direction) < 1e-12:
-            direction = rng.standard_normal(max_rows) @ a.parity_check
-        direction /= np.linalg.norm(direction)
-        rows[i] = np.sqrt(rng.chisquare(a.n) / n_rows) * direction
-    return rows
-
-
 def orthogonal_matching_pursuit(f: np.ndarray, y: np.ndarray, sparsity: int) -> np.ndarray:
     """Greedy decode of y = F @ e for an e with at most ``sparsity`` nonzeros.
 
@@ -571,26 +545,23 @@ def orthogonal_matching_pursuit(f: np.ndarray, y: np.ndarray, sparsity: int) -> 
 
 
 def recover_by_sparse_decoding(
-    a: StructureMatrix,
-    x: np.ndarray,
-    sparsity: int,
-    n_parity_rows: int,
-    rng: np.random.Generator,
+    a: StructureMatrix, x: np.ndarray, sparsity: int
 ) -> RecoveryOutcome:
-    """Decode replacement corruption through a random parity check of range(A).
+    """Decode replacement corruption through the parity check of range(A).
 
     A sample that passes the range test of :func:`recover_table` is returned
-    unchanged. Otherwise projecting x by F with F @ A = 0 erases the clean
-    part, leaving y = F @ e with e the corruption vector. If the e found by
-    matching pursuit brings x - e through the same range test, the repaired
-    sample is returned with the count of entries it moves by more than
-    ``ENTRY_MATCH_TOL`` max(1, |x|_inf); otherwise the sample is unrecoverable
-    at this sparsity level.
+    unchanged. Otherwise projecting x by the structure's cached orthonormal
+    F (``a.parity_check``, F @ A = 0) erases the clean part, leaving
+    y = F @ e with e the corruption vector. If the e found by matching pursuit
+    brings x - e through the same range test, the repaired sample is returned
+    with the count of entries it moves by more than ``ENTRY_MATCH_TOL``
+    max(1, |x|_inf); otherwise the sample is unrecoverable at this sparsity
+    level. The decoder draws nothing: equal inputs give equal outcomes.
     """
     x = _fully_visible(x, a)
     if _in_range(x, a):
         return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
-    f = build_parity_check(a, n_parity_rows, rng)
+    f = a.parity_check
     repaired = x - orthogonal_matching_pursuit(f, f @ x, sparsity)
     if not _in_range(repaired, a):
         return RecoveryOutcome(RecoveryStatus.UNRECOVERABLE)

@@ -1,11 +1,19 @@
 """Shared pytest hooks.
 
 The acceptance tests double as a release gate, so their outcomes are echoed
-as one line per criterion in the terminal summary regardless of verbosity.
+as one line per criterion in the terminal summary regardless of verbosity,
+each with the figure its test printed (``criterion 10: 100/100 ...``), so a
+narrowing margin shows under ``-q`` too.
 """
 import re
 
 CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
+
+
+def _figure(report, number: int) -> str:
+    """The text after ``criterion <number>:`` in the test's captured stdout, or ''."""
+    line = re.search(rf"^criterion {number}: (.*)$", report.capstdout, re.MULTILINE)
+    return f" ({line.group(1)})" if line else ""
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -17,7 +25,7 @@ def pytest_terminal_summary(terminalreporter):
                 number = int(match.group(1))
                 label = match.group(2)
                 verdict = "PASS" if status == "passed" else "FAIL"
-                seen[number] = (label, verdict)
+                seen[number] = (label, verdict + _figure(report, number))
     if not seen:
         return
     terminalreporter.write_sep("-", "acceptance criteria")

@@ -311,7 +311,7 @@ def test_criterion_10_sparse_decoding_success_rate():
         x = a.entries @ z
         corrupted = x.copy()
         corrupted[rng.integers(16)] += 6.0
-        outcome = recover_by_sparse_decoding(a, corrupted, sparsity=1, n_parity_rows=12, rng=rng)
+        outcome = recover_by_sparse_decoding(a, corrupted, sparsity=1)
         if outcome.status is RecoveryStatus.RECOVERED and np.allclose(
             outcome.sample, x, atol=1e-6
         ):

@@ -20,9 +20,13 @@ def test_structure_spec_validation():
     with pytest.raises(ValueError):
         StructureSpec("identity", n=4, r=3)
     with pytest.raises(ValueError):
-        StructureSpec("block_diagonal", n=16, r=8, blocks=((8, 4), (8, 5)))
+        StructureSpec("block_diagonal", n=16, r=8, blocks=((8, 4), (8, 5)), seed=0)
     with pytest.raises(ValueError):
         StructureSpec("explicit", n=2, r=2)
+    with pytest.raises(ValueError, match="dense structure needs a seed"):
+        StructureSpec("dense", n=4, r=2)
+    with pytest.raises(ValueError, match="block_diagonal structure needs a seed"):
+        StructureSpec("block_diagonal", n=16, r=8, blocks=((8, 4), (8, 4)))
     with pytest.raises(ValueError):
         StructureSpec("mystery", n=2, r=2)
 

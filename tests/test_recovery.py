@@ -22,7 +22,6 @@ from entrymean.errors import (
 )
 from entrymean.recovery import (
     RecoveryStatus,
-    build_parity_check,
     iterative_svd_complete,
     orthogonal_matching_pursuit,
     recover_by_sparse_decoding,
@@ -804,7 +803,7 @@ def test_single_sample_decoders_do_not_depend_on_scale(scale):
     decoders = {
         "exhaustive": lambda s: recover_replacement_exhaustive(a, s),
         "randomized": lambda s: recover_replacement_randomized(a, s, rng=np.random.default_rng(0)),
-        "sparse": lambda s: recover_by_sparse_decoding(a, s, 1, 5, np.random.default_rng(0)),
+        "sparse": lambda s: recover_by_sparse_decoding(a, s, 1),
     }
     for name, decode in decoders.items():
         clean = decode(x)
@@ -824,7 +823,7 @@ def test_single_sample_decoders_share_the_clean_sample_rule():
     decoders = {
         "exhaustive": lambda s: recover_replacement_exhaustive(a, s),
         "randomized": lambda s: recover_replacement_randomized(a, s, rng=np.random.default_rng(0)),
-        "sparse": lambda s: recover_by_sparse_decoding(a, s, 1, 5, np.random.default_rng(0)),
+        "sparse": lambda s: recover_by_sparse_decoding(a, s, 1),
     }
     for name, decode in decoders.items():
         outcome = decode(x)
@@ -993,31 +992,6 @@ def test_decode_replacements_refuses_hidden_cells_and_caps(monkeypatch):
 # ------------------------------------------------------------ sparse decoding
 
 
-def test_parity_check_annihilates_range():
-    a = random_general_position(9, 4, seed=100)
-    f = build_parity_check(a, 5, np.random.default_rng(0))
-    assert f.shape == (5, 9)
-    assert np.max(np.abs(f @ a.entries)) < 1e-10
-
-
-def test_parity_check_row_norms_follow_chi_square():
-    a = random_general_position(10, 2, seed=101)
-    rng = np.random.default_rng(1)
-    norms = []
-    for _ in range(400):
-        f = build_parity_check(a, 4, rng)
-        norms.extend(np.sum(f**2, axis=1))
-    # Each squared norm is chi-square(10) / 4 in expectation 10 / 4.
-    assert np.mean(norms) == pytest.approx(10 / 4, rel=0.05)
-
-
-def test_parity_check_size_limits():
-    a = random_general_position(6, 4, seed=102)
-    assert build_parity_check(a, 0, np.random.default_rng(0)).shape == (0, 6)
-    with pytest.raises(ValueError):
-        build_parity_check(a, 3, np.random.default_rng(0))  # only n - r = 2 fit
-
-
 def test_omp_exact_on_planted_sparse_vector():
     rng = np.random.default_rng(2)
     f = rng.standard_normal((12, 20))
@@ -1050,16 +1024,44 @@ def test_sparse_decoding_repairs_one_replacement():
     x = a.entries @ rng.standard_normal(4)
     corrupted = x.copy()
     corrupted[7] += 4.0
-    outcome = recover_by_sparse_decoding(a, corrupted, sparsity=1, n_parity_rows=12, rng=rng)
+    outcome = recover_by_sparse_decoding(a, corrupted, sparsity=1)
     assert outcome.status is RecoveryStatus.RECOVERED
     np.testing.assert_allclose(outcome.sample, x, atol=1e-6)
     assert outcome.residual_hamming == 1
 
 
+def planted_replacements(seed, k):
+    """A 16 x 4 Gaussian structure, a clean sample and a copy with k cells moved by +-U(3, 8)."""
+    rng = np.random.default_rng(seed)
+    a = StructureMatrix(rng.standard_normal((16, 4)))
+    x = a.entries @ rng.standard_normal(4)
+    corrupted = x.copy()
+    cells = rng.choice(16, k, replace=False)
+    corrupted[cells] += rng.choice([-1.0, 1.0], k) * rng.uniform(3, 8, k)
+    return a, x, corrupted
+
+
+@pytest.mark.parametrize("k, seed", [(2, 40), (3, 1)])
+def test_sparse_decoding_repairs_planted_multi_cell_replacements(k, seed):
+    a, x, corrupted = planted_replacements(seed, k)
+    outcome = recover_by_sparse_decoding(a, corrupted, sparsity=k)
+    assert outcome.status is RecoveryStatus.RECOVERED
+    np.testing.assert_allclose(outcome.sample, x, atol=1e-6)
+    assert outcome.residual_hamming == k
+
+
+def test_sparse_decoding_is_deterministic():
+    a, _, corrupted = planted_replacements(2, 3)
+    first = recover_by_sparse_decoding(a, corrupted, 3)
+    second = recover_by_sparse_decoding(a, corrupted, 3)
+    assert (first.status, first.residual_hamming) == (second.status, second.residual_hamming)
+    np.testing.assert_array_equal(first.sample, second.sample)
+
+
 def test_sparse_decoding_clean_vector_unchanged():
     a = random_general_position(8, 3, seed=104)
     x = a.entries @ np.ones(3)
-    outcome = recover_by_sparse_decoding(a, x, 1, 5, np.random.default_rng(6))
+    outcome = recover_by_sparse_decoding(a, x, 1)
     assert outcome.status is RecoveryStatus.UNCHANGED
     np.testing.assert_array_equal(outcome.sample, x)
 
@@ -1070,7 +1072,7 @@ def test_sparse_decoding_reports_unrecoverable():
     x = a.entries @ np.ones(3)
     corrupted = corrupt_coords(x, [0, 2, 4, 6], rng)
     # Sparsity budget far below the actual corruption level.
-    outcome = recover_by_sparse_decoding(a, corrupted, sparsity=1, n_parity_rows=5, rng=rng)
+    outcome = recover_by_sparse_decoding(a, corrupted, sparsity=1)
     assert outcome.status in (RecoveryStatus.UNRECOVERABLE, RecoveryStatus.RECOVERED)
     if outcome.status is RecoveryStatus.RECOVERED:
         # If it claims recovery the result must genuinely sit in range(A).
