@@ -15,11 +15,12 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import corruption, estimators, metrics
-from .data import load_dataset_csv, read_dense_csv, save_dataset_csv
+from .data import json_document, load_dataset_csv, read_dense_csv, save_dataset_csv
 from .datagen import draw_latents, make_structure, synthesize
 from .errors import (
     ConfigError,
@@ -109,7 +110,7 @@ def cmd_recover(args) -> int:
     a = load_structure_csv(cfg["structure_csv"]) if cfg.get("structure_csv") else None
     report = estimators.recover(ds, spec, a)
     save_dataset_csv(report.completed, f"{prefix}.recovered.csv")
-    report.save_json(f"{prefix}.report.json")
+    Path(f"{prefix}.report.json").write_text(json_document(report.to_dict()))
     counts = np.bincount(report.status, minlength=len(RecoveryStatus))
     print(
         f"wrote {prefix}.recovered.csv and {prefix}.report.json ({counts[RecoveryStatus.RECOVERED]}"
@@ -126,15 +127,13 @@ def cmd_estimate(args) -> int:
     ds, a = ingest_csv(_need(cfg, "data_csv"), standardize, a)
     spec = parse_estimator_spec(_need(cfg, "estimator"))
     vec = estimators.estimate(ds, spec, a)
-    payload = {"estimator": spec.label, "estimate": [float(v) for v in vec]}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json_document({"estimator": spec.label, "estimate": [float(v) for v in vec]})
     if args.out is not None or cfg.get("out"):
         prefix = _out_prefix(cfg, args)
-        with open(f"{prefix}.estimate.json", "w") as fh:
-            fh.write(text + "\n")
+        Path(f"{prefix}.estimate.json").write_text(text)
         print(f"wrote {prefix}.estimate.json")
     else:
-        print(text)
+        print(text, end="")
     return 0
 
 

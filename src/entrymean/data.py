@@ -1,17 +1,17 @@
 """Sample tables with an explicit mask for hidden entries, and their CSV form.
 
-This module is the one reader of numeric CSV tables: datasets, and through
-:func:`read_dense_csv` distributions, structures and covariances. A blank
-line or a ``#`` comment is refused. The reader takes two routes. A plain
-file (decimal numbers, empty cells for hidden entries, LF or CRLF line ends)
-is read in blocks of whole lines: the hidden mask comes from where the empty
-fields sit, and one float ``np.loadtxt`` parses each block, a ``0`` written
-into every empty field. numpy's parse of a field is ``float``'s, so the
-values are the correctly rounded ones. See :func:`_parse_block`. Anything
-else (quotes, spaces, underscores, blank lines, ragged rows, a cell that
-does not parse) makes the whole file go through a per-cell ``csv.reader``
-loop, which also raises the errors. Both routes give the same table, bit
-for bit.
+This module is the one reader and writer of numeric CSV tables (datasets,
+distributions, structures; covariances are only read) and gives the text of
+every JSON document, by :func:`json_document`. The reader refuses a blank
+line or a ``#`` comment and takes two routes. A plain file (decimal numbers,
+empty cells for hidden entries, LF or CRLF line ends) is read in blocks of
+whole lines: the hidden mask comes from where the empty fields sit, and one
+float ``np.loadtxt`` parses each block, a ``0`` written into every empty
+field. numpy's parse of a field is ``float``'s, so the values are the
+correctly rounded ones. See :func:`_parse_block`. Anything else (quotes,
+spaces, underscores, blank lines, ragged rows, a cell that does not parse)
+makes the whole file go through a per-cell ``csv.reader`` loop, which also
+raises the errors. Both routes give the same table, bit for bit.
 
 The CSV writer gives the bytes of ``csv.writer`` with every visible cell as
 ``'%.17g' % v``, without a Python call for most cells. With k the decimal
@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,12 +242,16 @@ def save_dataset_csv(ds: Dataset, path) -> None:
     that is one hidden cell written as ``""``. The cells are formatted by
     :func:`write_csv_rows`.
     """
-    with open(path, "wb") as fh:
-        write_csv_rows(fh, ds.values, ds.mask, b'""' if ds.dim == 1 else b"")
+    write_csv_rows(path, ds.values, ds.mask, b'""' if ds.dim == 1 else b"")
 
 
-def write_csv_rows(fh, values: np.ndarray, hidden: np.ndarray | None = None, fill=b"") -> None:
-    """Write a 2-d float table to the binary file ``fh`` as CSV lines.
+def json_document(obj) -> str:
+    """The text of a JSON document: two-space indent, sorted keys, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_csv_rows(path, values: np.ndarray, hidden: np.ndarray | None = None, fill=b"") -> None:
+    """Write a 2-d float table to the file ``path`` as CSV lines.
 
     A visible cell is written as ``'%.17g' % v``, a hidden one as the bytes
     ``fill`` (at most ``_FIELD``); cells are separated by commas and rows
@@ -261,23 +266,24 @@ def write_csv_rows(fh, values: np.ndarray, hidden: np.ndarray | None = None, fil
     fill = np.frombuffer(fill, dtype=np.uint8)
     n_cols = values.shape[1]
     step = max(1, _BLOCK_CELLS // n_cols)
-    for start in range(0, values.shape[0], step):
-        rows = slice(start, start + step)
-        block_hidden = hidden[rows]
-        slots = np.zeros((block_hidden.size, _SLOT), dtype=np.uint8)
-        length = _format_g17(values[rows].ravel(), ~block_hidden.ravel(), slots)
-        slots[block_hidden.ravel(), : fill.size] = fill
-        length[block_hidden.ravel()] = fill.size
-        # Each field is followed by "," or, at the end of a row, by CRLF.
-        flat = slots.ravel()
-        at = np.arange(0, flat.size, _SLOT) + length
-        flat[at] = _COMMA
-        last = at[n_cols - 1 :: n_cols]
-        flat[last] = _CR
-        flat[last + 1] = _LF
-        end = length + 1
-        end[n_cols - 1 :: n_cols] += 1
-        fh.write(slots[np.arange(_SLOT, dtype=np.uint8) < end.astype(np.uint8)[:, None]].tobytes())
+    with open(path, "wb") as fh:
+        for start in range(0, values.shape[0], step):
+            rows = slice(start, start + step)
+            block_hidden = hidden[rows]
+            slots = np.zeros((block_hidden.size, _SLOT), dtype=np.uint8)
+            length = _format_g17(values[rows].ravel(), ~block_hidden.ravel(), slots)
+            slots[block_hidden.ravel(), : fill.size] = fill
+            length[block_hidden.ravel()] = fill.size
+            # Each field is followed by "," or, at the end of a row, by CRLF.
+            flat = slots.ravel()
+            at = np.arange(0, flat.size, _SLOT) + length
+            flat[at] = _COMMA
+            last = at[n_cols - 1 :: n_cols]
+            flat[last] = _CR
+            flat[last + 1] = _LF
+            end = (length + 1).astype(np.uint8)
+            end[n_cols - 1 :: n_cols] += 1
+            fh.write(slots[np.arange(_SLOT, dtype=np.uint8) < end[:, None]].tobytes())
 
 
 _FIELD = 24  # the widest %.17g field: -1.2345678901234567e-308

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corruption import ADVERSARIES, DEFAULT_SHIFT, apply_plan, make_plan
-from .data import Dataset, _reduce_visible_columns, load_dataset_csv
+from .data import Dataset, _reduce_visible_columns, json_document, load_dataset_csv
 from .datagen import (
     LatentSpec,
     StructureSpec,
@@ -385,18 +385,15 @@ def format_value(value: float) -> str:
 
 def write_results(result: ExperimentResult, prefix: str) -> tuple[str, str]:
     """Write ``<prefix>.csv`` with all rows and ``<prefix>.summary.json``."""
-    csv_path = f"{prefix}.csv"
-    json_path = f"{prefix}.summary.json"
+    csv_path, json_path = f"{prefix}.csv", f"{prefix}.summary.json"
     with open(csv_path, "w", newline="") as fh:
         fh.write("method,budget,trial,metric,value\n")
         for r in result.rows:
             fh.write(
                 f"{r.method},{format(r.budget, '.17g')},{r.trial},{r.metric},{format_value(r.value)}\n"
             )
-    payload = {"config": result.config.raw, "summary": result.summary()}
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_document({"config": result.config.raw, "summary": result.summary()}))
     return csv_path, json_path
 
 

@@ -384,5 +384,4 @@ def load_distribution_csv(path) -> DiscreteDistribution:
 
 def save_distribution_csv(dist: DiscreteDistribution, path) -> None:
     """Write one row per atom, its coordinates then its mass, each as ``'%.17g'``."""
-    with open(path, "wb") as fh:
-        write_csv_rows(fh, np.column_stack([dist.support, dist.probs]))
+    write_csv_rows(path, np.column_stack([dist.support, dist.probs]))

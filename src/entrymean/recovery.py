@@ -34,7 +34,6 @@ one-sample decoders the status of their :class:`RecoveryOutcome`.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -89,7 +88,8 @@ class RecoveryOutcome:
 
 @dataclass
 class CompletionReport:
-    """Outcome of a whole-table completion.
+    """Outcome of a whole-table completion. It writes no file: ``recover`` writes
+    :meth:`to_dict` as ``<out>.report.json`` by :func:`.data.json_document`.
 
     ``status`` holds one :class:`RecoveryStatus` code (int8) per input row, and
     ``completed`` the rows not ``UNRECOVERABLE``, in their original order.
@@ -107,11 +107,6 @@ class CompletionReport:
             "iterations": self.iterations,
             "converged": self.converged,
         }
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _certified_inverse(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -557,11 +552,15 @@ def recover_by_sparse_decoding(
     with the count of entries it moves by more than ``ENTRY_MATCH_TOL``
     max(1, |x|_inf); otherwise the sample is unrecoverable at this sparsity
     level. The decoder draws nothing: equal inputs give equal outcomes.
+    A positive sparsity of n - rank(A) (F's rows) or more raises ValueError
+    first: that many columns of F generically explain any syndrome, so any x passes.
     """
     x = _fully_visible(x, a)
+    f = a.parity_check
+    if sparsity > 0 and sparsity >= f.shape[0]:
+        raise ValueError(f"sparsity must be below n - rank(A) = {f.shape[0]}")
     if _in_range(x, a):
         return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
-    f = a.parity_check
     repaired = x - orthogonal_matching_pursuit(f, f @ x, sparsity)
     if not _in_range(repaired, a):
         return RecoveryOutcome(RecoveryStatus.UNRECOVERABLE)

@@ -16,7 +16,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .data import read_dense_csv
+from .data import read_dense_csv, write_csv_rows
 from .errors import CapExceededError, DegenerateMatrixError
 
 # Singular values at most this times the largest count as zero in every rank decision.
@@ -186,4 +186,4 @@ def load_structure_csv(path) -> StructureMatrix:
 
 
 def save_structure_csv(a: StructureMatrix, path) -> None:
-    np.savetxt(path, a.entries, delimiter=",", fmt="%.17g")
+    write_csv_rows(path, a.entries)

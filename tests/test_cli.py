@@ -165,7 +165,7 @@ def test_recover_round_trip(tmp_path):
         },
     )
     assert main(["recover", "--config", recover_cfg]) == 0
-    report = json.load(open(tmp_path / "fixed.report.json"))
+    report = json.loads((tmp_path / "fixed.report.json").read_text())
     repaired = load_dataset_csv(tmp_path / "fixed.recovered.csv")
     clean = load_dataset_csv(data_path)
     kept = [i for i in range(clean.n_samples) if i not in report["discarded_indices"]]
@@ -192,7 +192,7 @@ def test_recover_iterative_svd(tmp_path):
         },
     )
     assert main(["recover", "--config", cfg]) == 0
-    report = json.load(open(tmp_path / "svd.report.json"))
+    report = json.loads((tmp_path / "svd.report.json").read_text())
     assert report["converged"] is True
     repaired = load_dataset_csv(tmp_path / "svd.recovered.csv")
     clean = load_dataset_csv(data_path)
@@ -354,8 +354,36 @@ def test_estimate_writes_file_with_out(tmp_path):
         },
     )
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "est")]) == 0
-    payload = json.load(open(tmp_path / "est.estimate.json"))
+    payload = json.loads((tmp_path / "est.estimate.json").read_text())
     assert len(payload["estimate"]) == 6
+
+
+def test_json_documents_share_one_format(tmp_path, capsys):
+    def document(text):
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    data_path, structure_path = run_gen(tmp_path)
+    files = {"data_csv": str(data_path), "structure_csv": str(structure_path)}
+    recover = dict(files, method="known_structure", out=str(tmp_path / "fixed"))
+    assert main(["recover", "--config", write_json(tmp_path / "recover.json", recover)]) == 0
+    estimate = dict(files, estimator={"kind": "two_step", "recovery": {"method": "known_structure"}})
+    estimate_cfg = write_json(tmp_path / "estimate.json", estimate)
+    capsys.readouterr()
+    assert main(["estimate", "--config", estimate_cfg]) == 0
+    document(capsys.readouterr().out)
+    assert main(["estimate", "--config", estimate_cfg, "--out", str(tmp_path / "est")]) == 0
+    experiment = {
+        "seed": 3,
+        "trials": 1,
+        "adversary": "tail_hiding",
+        "budgets": [0.1],
+        "data": {"kind": "csv", "path": str(data_path)},
+        "methods": [{"kind": "empirical_mean"}],
+        "out": str(tmp_path / "run"),
+    }
+    assert main(["experiment", "--config", write_json(tmp_path / "exp.json", experiment)]) == 0
+    for name in ("fixed.report.json", "est.estimate.json", "run.summary.json"):
+        document((tmp_path / name).read_text())
 
 
 def test_estimate_standardizes_the_structure_with_the_table(tmp_path, capsys):
@@ -573,14 +601,14 @@ def test_experiment_subcommand(tmp_path):
     assert main(["experiment", "--config", cfg, "--threads", "2"]) == 0
     rows = read_result_rows(tmp_path / "run.csv")
     assert len(rows) == 2 * 2 * 2
-    summary = json.load(open(tmp_path / "run.summary.json"))
+    summary = json.loads((tmp_path / "run.summary.json").read_text())
     assert summary["config"]["seed"] == 3
     assert len(summary["summary"]) == 4
     # seed override changes results
     assert main(
         ["experiment", "--config", cfg, "--seed", "4", "--out", str(tmp_path / "run2")]
     ) == 0
-    assert json.load(open(tmp_path / "run2.summary.json"))["config"]["seed"] == 4
+    assert json.loads((tmp_path / "run2.summary.json").read_text())["config"]["seed"] == 4
     assert (tmp_path / "run2.csv").read_bytes() != (tmp_path / "run.csv").read_bytes()
 
 

@@ -76,15 +76,15 @@ def test_rerun_is_byte_identical(tmp_path):
     first = write_results(run_experiment(cfg), str(tmp_path / "a"))
     second = write_results(run_experiment(cfg), str(tmp_path / "b"))
     for pa, pb in zip(first, second):
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_threaded_run_matches_serial(tmp_path):
     cfg = parse_config(base_config())
     serial = write_results(run_experiment(cfg, threads=1), str(tmp_path / "s"))
     threaded = write_results(run_experiment(cfg, threads=3), str(tmp_path / "t"))
-    assert open(serial[0], "rb").read() == open(threaded[0], "rb").read()
-    assert open(serial[1], "rb").read() == open(threaded[1], "rb").read()
+    assert Path(serial[0]).read_bytes() == Path(threaded[0]).read_bytes()
+    assert Path(serial[1]).read_bytes() == Path(threaded[1]).read_bytes()
 
 
 def test_threaded_run_matches_serial_with_svd_completion(tmp_path):
@@ -120,7 +120,7 @@ def test_estimator_failure_becomes_na(tmp_path):
     assert all(np.isnan(v) for v in by_method["empirical_mean"])
     assert all(np.isfinite(v) for v in by_method["two_step+known_structure+empirical_mean"])
     csv_path, _ = write_results(result, str(tmp_path / "na"))
-    text = open(csv_path).read()
+    text = Path(csv_path).read_text()
     assert text.count(",NA\n") == 6  # two failing methods, three trials
 
 
@@ -312,7 +312,7 @@ def test_write_read_round_trip(tmp_path):
             assert np.isnan(got.value)
         else:
             assert got.value == orig.value  # 17 significant digits round-trip
-    payload = json.load(open(json_path))
+    payload = json.loads(Path(json_path).read_text())
     assert payload["config"] == cfg_obj
     assert len(payload["summary"]) == 2
 

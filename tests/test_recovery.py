@@ -1080,6 +1080,24 @@ def test_sparse_decoding_reports_unrecoverable():
         assert np.max(np.abs(a.entries @ z - outcome.sample)) < 1e-5
 
 
+def test_sparse_decoding_refuses_a_sparsity_that_explains_every_syndrome():
+    # n - rank(A) = 5: five columns of F span its syndrome space, so at sparsity
+    # 5 or more any sample would come back RECOVERED, here one that is not x.
+    a = random_general_position(8, 3, seed=105)
+    x = a.entries @ np.ones(3)
+    corrupted = corrupt_coords(x, [0, 2, 4, 6], np.random.default_rng(7))
+    assert a.parity_check.shape[0] == 5
+    for sparsity in (1, 2, 3, 4):
+        outcome = recover_by_sparse_decoding(a, corrupted, sparsity)
+        assert outcome.status is RecoveryStatus.UNRECOVERABLE
+    for sparsity in (5, 6, 8):
+        with pytest.raises(ValueError, match=r"n - rank\(A\) = 5"):
+            recover_by_sparse_decoding(a, corrupted, sparsity)
+        # Refused before the range test: a clean sample raises too.
+        with pytest.raises(ValueError, match=r"n - rank\(A\) = 5"):
+            recover_by_sparse_decoding(a, x, sparsity)
+
+
 # ------------------------------------------------------------------ row blocks
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entrymean import structure
+from entrymean.data import write_csv_rows
 from entrymean.datagen import StructureSpec, make_structure
 from entrymean.errors import CapExceededError, DegenerateMatrixError
 from entrymean.structure import (
@@ -243,6 +244,19 @@ def test_structure_csv_round_trip(tmp_path):
     save_structure_csv(a, path)
     back = load_structure_csv(path)
     np.testing.assert_array_equal(back.entries, a.entries)
+
+
+def test_structure_csv_is_written_in_the_dataset_dialect(tmp_path):
+    entries = np.array([[-0.0, 0.0], [1e-5, 0.1], [123456789.125, 1e17]])
+    path = tmp_path / "structure.csv"
+    save_structure_csv(StructureMatrix(entries), path)
+    write_csv_rows(tmp_path / "table.csv", entries)
+    assert path.read_bytes() == (tmp_path / "table.csv").read_bytes()
+    lines = ["-0,0", "1.0000000000000001e-05,0.10000000000000001", "123456789.125,1e+17"]
+    assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+    assert lines == [",".join("%.17g" % v for v in row) for row in entries]
+    back = load_structure_csv(path).entries
+    np.testing.assert_array_equal(back.view(np.int64), entries.view(np.int64))
 
 
 def test_structure_csv_reads_like_loadtxt(tmp_path):
