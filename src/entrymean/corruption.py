@@ -29,6 +29,7 @@ from .structure import StructureMatrix
 HIDE = "hide"
 REPLACE = "replace"
 DEFAULT_SHIFT = 10.0  # what sample_shift adds to each victim cell when no shift is given
+_PLAN_ROWS = 4096  # edits save_plan_csv turns into text at once: ~100 B of Python objects each
 
 
 class AdversaryKind(str, Enum):
@@ -125,7 +126,7 @@ def plan_budget(plan: CorruptionPlan, kind: AdversaryKind, n_samples: int, dim: 
     if len(plan) and (plan.sample.max() >= n_samples or plan.coord.max() >= dim):
         raise ValueError(f"plan does not fit a {n_samples}x{dim} table")
     if kind is AdversaryKind.SAMPLE_FRACTION:
-        return np.unique(plan.sample).size / n_samples
+        return np.count_nonzero(np.bincount(plan.sample)) / n_samples
     if kind is AdversaryKind.PER_COORDINATE_FRACTION:
         return float(np.bincount(plan.coord).max(initial=0)) / n_samples
     return len(plan) / (n_samples * dim)
@@ -180,7 +181,8 @@ def _hide_smallest(ds: Dataset, coords: np.ndarray, count: int) -> CorruptionPla
     first already-hidden cell in that order.
     """
     hidden = ds.mask[:, coords]
-    key = np.nan_to_num(np.where(hidden, np.inf, ds.values[:, coords]), nan=np.inf)
+    key = ds.values[:, coords]  # a copy; visible cells are finite
+    key[hidden] = np.inf
     order = _smallest_first(key.T, count)  # (coordinate, rank)
     keep = ~np.logical_or.accumulate(np.take_along_axis(hidden.T, order, axis=1), axis=1)
     return CorruptionPlan.hiding(order[keep], coords[np.nonzero(keep)[0]])
@@ -307,14 +309,16 @@ def save_plan_csv(plan: CorruptionPlan, path) -> None:
     action word, and a replacement value as ``format(v, ".17g")`` or an empty
     cell for a hidden one.
     """
-    columns = (plan.sample.tolist(), plan.coord.tolist(), plan.hide.tolist(), plan.value.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("sample,coord,action,value\r\n")
-        rows = (
-            f"{s},{c},{HIDE},\r\n" if h else f"{s},{c},{REPLACE},{v:.17g}\r\n"
-            for s, c, h, v in zip(*columns)
-        )
-        fh.write("".join(rows))
+        for start in range(0, len(plan), _PLAN_ROWS):
+            edits = slice(start, start + _PLAN_ROWS)
+            columns = (plan.sample[edits], plan.coord[edits], plan.hide[edits], plan.value[edits])
+            rows = (
+                f"{s},{c},{HIDE},\r\n" if h else f"{s},{c},{REPLACE},{v:.17g}\r\n"
+                for s, c, h, v in zip(*(column.tolist() for column in columns))
+            )
+            fh.write("".join(rows))
 
 
 def load_plan_csv(path) -> CorruptionPlan:

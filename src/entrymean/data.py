@@ -22,6 +22,21 @@ float64 on every platform, so the significand is hi + rint(lo), and the one
 check left is the range test 1e16 < significand < 1e17. Every cell it does
 not cover (zeros, exponent notation, power-of-ten edges) falls back to
 Python's ``'%.17g'``. See :func:`_format_g17`.
+
+A :class:`Dataset` owns the arrays it is given: it keeps a float64 table
+whose hidden cells already hold NaN (the reader, the planners' ``apply_plan``,
+``synthesize`` and the decoders build theirs so), and copies one only to
+write NaN into the hidden cells of an array its caller passed in, or to
+compact a view that would keep a larger buffer alive. So one table costs one
+table's memory, not two.
+
+No package call loads ``numpy.ma`` or ``numpy.char``: importing them costs a
+process about 15 ms and 1.2 MB of resident memory that it never uses.
+``np.median`` loads ``numpy.ma`` for its NaN check, and so does ``np.unique``
+when it returns no index, inverse or counts; ``np.char.str_len`` loads
+``numpy.char``. So medians come from :func:`median`, ``np.unique`` is always
+asked for an index or inverse (or ``np.bincount`` counts), and the writer
+reads field lengths from the bytes it wrote.
 """
 from __future__ import annotations
 
@@ -41,26 +56,41 @@ class Dataset:
     ``mask[i, j]`` is True where the entry is hidden. Hidden cells always hold
     NaN in ``values`` so that accidental arithmetic on them is loud; visible
     cells are always finite.
+
+    The dataset takes ownership of the arrays it is given (``np.asarray``):
+    a float64 table whose hidden cells already hold NaN is kept, not copied,
+    and so is a bool mask. The table is copied only where NaN must be written
+    into the hidden cells of an array the caller passed in, and where it is
+    a view cut from a larger buffer, which it would otherwise keep alive.
+    Callers hand over arrays they no longer write to; :meth:`copy` gives an
+    independent dataset.
     """
 
     values: np.ndarray
     mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError("values must be a non-empty 2-d array")
         if self.mask is None:
             mask = np.zeros(values.shape, dtype=bool)
         else:
-            mask = np.array(self.mask, dtype=bool)
+            mask = np.asarray(self.mask, dtype=bool)
         if mask.shape != values.shape:
             raise ValueError(
                 f"mask shape {mask.shape} does not match values shape {values.shape}"
             )
-        values[mask] = np.nan
-        # Hidden cells are NaN now, so this counts the finite visible cells.
-        if np.count_nonzero(np.isfinite(values)) != values.size - np.count_nonzero(mask):
+        if getattr(values.base, "nbytes", 0) > values.nbytes:
+            values = values.copy(order="K")
+        nan = np.isnan(values)
+        if not np.array_equal(nan, mask):
+            if np.any(nan > mask):
+                raise ValueError("visible entries must be finite")
+            if values is self.values or values.base is not None:  # the caller's memory
+                values = values.copy(order="K")
+            values[mask] = np.nan
+        if np.isinf(values).any():
             raise ValueError("visible entries must be finite")
         self.values = values
         self.mask = mask
@@ -85,14 +115,29 @@ def _reduce_visible_columns(values: np.ndarray, mask: np.ndarray, reduce) -> np.
 
     Columns with one visible count form one contiguous block, a row each, so
     a row gets the same pairwise sum or median as its 1-d column would.
+    Columns with nothing hidden are copied once, others twice.
     """
     counts = mask.shape[0] - mask.sum(axis=0)
     out = np.empty(values.shape[1])
-    for count in np.unique(counts):
-        cols = np.flatnonzero(counts == count)
-        block = values[:, cols].T[~mask[:, cols].T].reshape(cols.size, count)
+    levels, level_of = np.unique(counts, return_inverse=True)
+    for level, count in enumerate(levels.tolist()):
+        cols = np.flatnonzero(level_of == level)
+        block = values.T[cols]
+        if count < values.shape[0]:
+            block = block[~mask.T[cols]].reshape(cols.size, count)
         out[cols] = reduce(block, axis=1)
     return out
+
+
+def median(rows: np.ndarray, axis: int = 1) -> np.ndarray:
+    """``np.median(rows, axis=axis)`` of finite rows, bit for bit, each of one or more
+    entries: the same ``np.partition`` and the same ``np.mean`` of the middle one or
+    two, without ``np.median``'s NaN check, which loads ``numpy.ma``."""
+    size = rows.shape[axis]
+    half = size // 2
+    middle = [half - 1, half] if size % 2 == 0 else [half]
+    part = np.partition(rows, [*middle, -1], axis=axis)  # np.median's kth, NaN slot included
+    return np.mean(np.take(part, middle, axis=axis), axis=axis)
 
 
 def load_dataset_csv(path) -> Dataset:
@@ -158,7 +203,8 @@ def _parse_block(block: bytes, width: int | None):
     ``width`` is None), and every field empty or a number. The mask comes
     from the field boundaries: a field is hidden when it is empty, so a
     visible ``nan`` stays visible and :class:`Dataset` refuses it. Each empty
-    field then gets a ``0`` and one float ``np.loadtxt`` parses the block.
+    field then gets a ``0``, one float ``np.loadtxt`` parses the block, and
+    its hidden cells are set to NaN.
     numpy converts a field with ``PyOS_string_to_double``, the correctly
     rounded conversion ``float`` uses, so on these bytes the two give the
     same bits; a field it refuses makes the block not plain.
@@ -195,7 +241,9 @@ def _parse_block(block: bytes, width: int | None):
         )
     except ValueError:
         return None
-    return values.reshape(n_rows, width), empty.reshape(n_rows, width)
+    values, empty = values.reshape(n_rows, width), empty.reshape(n_rows, width)
+    values[empty] = np.nan  # the one write of the hidden cells: Dataset keeps this array
+    return values, empty
 
 
 def _load_by_cell(path) -> tuple[np.ndarray, np.ndarray]:
@@ -257,42 +305,51 @@ def write_csv_rows(path, values: np.ndarray, hidden: np.ndarray | None = None, f
     ``fill`` (at most ``_FIELD``); cells are separated by commas and rows
     ended by CRLF, as ``csv.writer`` does for fields that need no quotes.
     Blocks of about ``_BLOCK_CELLS`` cells are formatted by
-    :func:`_format_g17`, each into one byte array with a fixed-width slot per
-    cell, and the unused bytes of the slots are dropped with one boolean mask.
+    :func:`_format_g17`, each straight into one byte array with a fixed-width
+    slot per cell, and the unused bytes of the slots are dropped with one
+    boolean mask; the packed bytes go to the file as they are.
     """
     values = np.asarray(values, dtype=float)
     if hidden is None:
         hidden = np.zeros(values.shape, dtype=bool)
     fill = np.frombuffer(fill, dtype=np.uint8)
-    n_cols = values.shape[1]
-    step = max(1, _BLOCK_CELLS // n_cols)
+    step = max(1, _BLOCK_CELLS // values.shape[1])
     with open(path, "wb") as fh:
         for start in range(0, values.shape[0], step):
             rows = slice(start, start + step)
-            block_hidden = hidden[rows]
-            slots = np.zeros((block_hidden.size, _SLOT), dtype=np.uint8)
-            length = _format_g17(values[rows].ravel(), ~block_hidden.ravel(), slots)
-            slots[block_hidden.ravel(), : fill.size] = fill
-            length[block_hidden.ravel()] = fill.size
-            # Each field is followed by "," or, at the end of a row, by CRLF.
-            flat = slots.ravel()
-            at = np.arange(0, flat.size, _SLOT) + length
-            flat[at] = _COMMA
-            last = at[n_cols - 1 :: n_cols]
-            flat[last] = _CR
-            flat[last + 1] = _LF
-            end = (length + 1).astype(np.uint8)
-            end[n_cols - 1 :: n_cols] += 1
-            fh.write(slots[np.arange(_SLOT, dtype=np.uint8) < end[:, None]].tobytes())
+            fh.write(_csv_lines(values[rows], hidden[rows], fill))
+
+
+def _csv_lines(values: np.ndarray, hidden: np.ndarray, fill: np.ndarray) -> np.ndarray:
+    """The packed bytes of one block's CSV lines (:func:`write_csv_rows`). Its
+    buffers end with the call, before the next block allocates its own."""
+    n_cols = values.shape[1]
+    hidden = hidden.ravel()
+    slots = np.zeros((hidden.size, _SLOT), dtype=np.uint8)
+    length = _format_g17(values.ravel(), ~hidden, slots)
+    slots[hidden, : fill.size] = fill
+    length[hidden] = fill.size
+    # Each field is followed by "," or, at the end of a row, by CRLF.
+    flat = slots.ravel()
+    at = np.arange(0, flat.size, _SLOT) + length
+    flat[at] = _COMMA
+    last = at[n_cols - 1 :: n_cols]
+    flat[last] = _CR
+    flat[last + 1] = _LF
+    end = (length + 1).astype(np.uint8)
+    end[n_cols - 1 :: n_cols] += 1
+    return slots[np.arange(_SLOT, dtype=np.uint8) < end[:, None]]
 
 
 _FIELD = 24  # the widest %.17g field: -1.2345678901234567e-308
 _SLOT = _FIELD + 2  # a field and its separator, "," or CRLF
 # Blocks bound the transient buffers: one block per table added ~10 MB of peak RSS.
-# On a 4 000 x 16 table (2-vCPU Xeon, 30 interleaved writes) 2^14 / 2^13 / 2^12
-# cells took a median 18.9 / 16.6 / 18.1 ms with 3.9 / 2.0 / 1.0 MiB traced; 50
-# in-process CLI chains peaked at 47.8 / 45.2 / 44.8 MB. tracemalloc sees numpy's
-# buffers, not the heap the allocator keeps, so judge a block size by ru_maxrss.
+# Fields laid out straight into the slots, one block's buffers freed before the
+# next's, on a 4 000 x 16 table with hidden cells (2-vCPU Xeon, 40-60 interleaved
+# in-process writes, three runs): 2^13 / 2^12 cells took a median 15.8-19.9 /
+# 17.9-23.1 ms with 1.09 / 0.55 MiB traced, against 16.7-21.1 ms and 2.37 MiB for
+# the earlier layout at 2^13. tracemalloc sees numpy's buffers, not the heap the
+# allocator keeps, so judge a block size by ru_maxrss.
 _BLOCK_CELLS = 1 << 13
 # 10**p = 5**p * 2**p with 5**p < 2**53, so each power the writer uses,
 # p <= 20, is exact in float64.
@@ -305,51 +362,64 @@ def _format_g17(x: np.ndarray, visible: np.ndarray, slots: np.ndarray) -> np.nda
 
     Returns the field lengths (0 for a cell that is not visible). A visible
     cell with 1e-4 <= |v| < 1e17 takes k = floor(log10 |v|), clipped to
-    -4..16, and P = |v| * 10**(16 - k) = hi + lo exactly by Dekker's
-    two-product: the power is exact, each step is a separate float64 array
-    operation, so no fused multiply-add occurs, and on this range nothing
-    overflows or underflows. Where P > 1e16 > 2**53, hi is an even integer,
-    so hi + rint(lo) is the correctly rounded significand, ties to even as
-    ``%.17g`` rounds. The range test 1e16 < hi + rint(lo) < 1e17 makes k its
-    decimal exponent (log10 may be off by one next to a power of ten) and
-    rules out a carry into the next power. Its digits come from divmod by
-    powers of ten and a table of 4-digit words. Each (k, sign) class is one
-    contiguous block after a stable sort and is laid out by one fixed
-    template; trailing zeros of the fraction are then cut, and the point with
-    them, as ``%g`` does. Every other visible cell (zero, an exponent-notation
-    magnitude, a cell that fails the range test) is formatted by Python's
-    ``'%.17g'``.
+    -4..16, and the significand of :func:`_significand`. The range test
+    1e16 < significand < 1e17 makes k its decimal exponent (log10 may be off
+    by one next to a power of ten) and rules out a carry into the next
+    power. Its digits come from divmod by powers of ten and a table of
+    4-digit words. Each (k, sign) class is one contiguous run after a stable
+    sort and is laid out into its slots by one fixed template; trailing zeros
+    of the fraction are then cut, and the point with them, as ``%g`` does.
+    Every other visible cell (zero, an exponent-notation magnitude, a cell
+    that fails the range test) is formatted by Python's ``'%.17g'``.
     """
     length = np.zeros(x.size, dtype=np.intp)
-    magnitude = np.abs(x)
-    cand = np.flatnonzero(visible & (magnitude >= 1e-4) & (magnitude < 1e17))
-    k = np.clip(np.floor(np.log10(magnitude[cand])), -4, 16).astype(np.intp)
-    a, b = magnitude[cand], _POW10[16 - k]
-    hi = a * b
-    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    whole = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    ok = (whole > 10**16) & (whole < 10**17)
-    cells, k, whole = cand[ok], k[ok], whole[ok]
+    cells, k, whole = _fixed_notation(x, visible)
     cls = ((k + 4) * 2 + (x[cells] < 0)).astype(np.uint8)
     order = np.argsort(cls, kind="stable")
     cells, k, cls = cells[order], k[order], cls[order]
     digits = _digits17(whole[order])
-    block = np.zeros((cells.size, slots.shape[1]), dtype=np.uint8)
     starts = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1]]) if cells.size else cells
     for start, stop in zip(starts, np.r_[starts[1:], cells.size]):
-        _lay_out(block[start:stop], digits[start:stop], int(k[start]), bool(cls[start] & 1))
-    slots.view(f"V{slots.shape[1]}")[cells, 0] = block.view(f"V{slots.shape[1]}")[:, 0]
+        run = slice(start, stop)
+        _lay_out(slots, cells[run], digits[run], int(k[start]), bool(cls[start] & 1))
     fraction = 16 - k
     cut = np.minimum(np.argmax(digits[:, ::-1] != _ZERO, axis=1), fraction)
     full = (cls & 1) + np.where(k >= 0, 18 - (k == 16), 18 - k)
     length[cells] = full - cut - ((cut == fraction) & (fraction > 0))
     rest = np.flatnonzero(visible & (length == 0))  # a written field is never empty
     if rest.size:
-        texts = _python_g17(x[rest])
-        slots[rest, :_FIELD] = texts.view(np.uint8).reshape(-1, _FIELD)
-        length[rest] = np.char.str_len(texts)
+        texts = _python_g17(x[rest]).view(np.uint8).reshape(-1, _FIELD)
+        slots[rest, :_FIELD] = texts
+        length[rest] = np.count_nonzero(texts, axis=1)  # NUL-padded, and '%.17g' has no NUL
     return length
+
+
+def _fixed_notation(x: np.ndarray, visible: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The visible cells of ``x`` whose 17-digit significand passes the range
+    test, with their exponents and significands; the temporaries end with the call."""
+    magnitude = np.abs(x)
+    cand = np.flatnonzero(visible & (magnitude >= 1e-4) & (magnitude < 1e17))
+    magnitude = magnitude[cand]
+    k = np.clip(np.floor(np.log10(magnitude)), -4, 16).astype(np.intp)
+    whole = _significand(magnitude, k)
+    ok = (whole > 10**16) & (whole < 10**17)
+    return cand[ok], k[ok], whole[ok]
+
+
+def _significand(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """hi + rint(lo) as int64, where P = a * 10**(16 - k) = hi + lo exactly.
+
+    Dekker's two-product: the power is exact, each step is a separate float64
+    array operation, so no fused multiply-add occurs, and for 1e-4 <= a < 1e17
+    nothing overflows or underflows. Where P > 1e16 > 2**53, hi is an even
+    integer, so hi + rint(lo) is the correctly rounded significand, ties to
+    even as ``%.17g`` rounds. Its temporaries end with the call.
+    """
+    b = _POW10[16 - k]
+    hi = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,10 +437,13 @@ def _python_g17(x: np.ndarray) -> np.ndarray:
 
 def _digits17(whole: np.ndarray) -> np.ndarray:
     """ASCII digits of 17-digit integers, one row each."""
-    lead, rest = np.divmod(whole, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    parts = np.stack([lead, *np.divmod(high, 10**4), *np.divmod(low, 10**4)], axis=1)
-    return _digits4()[parts].view(np.uint8)[:, 3:]  # the lead word reads "000d"
+    words = np.empty((whole.size, 5), dtype=np.uint32)
+    rest = whole
+    for column, unit in enumerate((10**16, 10**12, 10**8, 10**4)):
+        word, rest = np.divmod(rest, unit)
+        words[:, column] = _digits4()[word]
+    words[:, 4] = _digits4()[rest]
+    return words.view(np.uint8)[:, 3:]  # the lead word reads "000d"
 
 
 @functools.cache
@@ -384,17 +457,20 @@ def _digits4() -> np.ndarray:
     return digits.astype(np.uint8).view(np.uint32).ravel()
 
 
-def _lay_out(block: np.ndarray, digits: np.ndarray, k: int, negative: bool) -> None:
-    """Fixed-notation fields of one exponent ``k`` and sign, before cutting zeros."""
+def _lay_out(
+    slots: np.ndarray, rows: np.ndarray, digits: np.ndarray, k: int, negative: bool
+) -> None:
+    """Fixed-notation fields of one exponent ``k`` and sign into ``slots[rows]``,
+    before cutting zeros."""
     at = int(negative)
     if negative:
-        block[:, 0] = _MINUS
+        slots[rows, 0] = _MINUS
     if k >= 0:
-        block[:, at : at + k + 1] = digits[:, : k + 1]
+        slots[rows, at : at + k + 1] = digits[:, : k + 1]
         if k < 16:
-            block[:, at + k + 1] = _POINT
-            block[:, at + k + 2 : at + 18] = digits[:, k + 1 :]
+            slots[rows, at + k + 1] = _POINT
+            slots[rows, at + k + 2 : at + 18] = digits[:, k + 1 :]
     else:
-        block[:, at : at + 1 - k] = _ZERO
-        block[:, at + 1] = _POINT
-        block[:, at + 1 - k : at + 18 - k] = digits
+        slots[rows, at : at + 1 - k] = _ZERO
+        slots[rows, at + 1] = _POINT
+        slots[rows, at + 1 - k : at + 18 - k] = digits

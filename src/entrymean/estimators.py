@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _reduce_visible_columns
+from .data import Dataset, _reduce_visible_columns, median
 from .errors import (
     CompletionNotConvergedError,
     FullyHiddenCoordinateError,
@@ -94,7 +94,7 @@ def empirical_mean(ds: Dataset) -> np.ndarray:
 
 def coordinate_median(ds: Dataset) -> np.ndarray:
     """Per-coordinate median of the visible entries (midpoint on even counts)."""
-    return _reduce_visible(ds, np.median)
+    return _reduce_visible(ds, median)
 
 
 def complete_case_mean(ds: Dataset) -> np.ndarray:

@@ -294,7 +294,7 @@ def ingest_csv(
         entries = structure.entries.copy()
         entries[seen] /= spread[:, None]
         structure = StructureMatrix(entries)
-    out = ds.values.copy()
+    out = ds.values  # read here, so this call owns it
     out[:, seen] = (values - center) / spread
     return Dataset(out, ds.mask), structure
 

@@ -97,7 +97,7 @@ class DiscreteDistribution:
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        if np.unique(support + 0.0, axis=0).shape[0] != support.shape[0]:
+        if np.unique(support + 0.0, axis=0, return_index=True)[1].size != support.shape[0]:
             raise ValueError("atoms must be pairwise distinct")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)

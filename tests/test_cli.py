@@ -868,6 +868,60 @@ def test_only_coupling_metrics_import_scipy_optimize(tmp_path):
     assert loads_optimize(tmp_path, ["metric", "--config", avg])
 
 
+# Runs the shipped CLI chain from argv[1]'s configs (the metric on argv[2]'s),
+# an experiment (argv[3], JSON) whose rank-only completion takes the median
+# start, and every budget accounting of a plan; then prints which of
+# numpy.ma and numpy.char are loaded, and how many medians started a completion.
+LOADS_MA_OR_CHAR = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "from entrymean import corruption, data, experiment, recovery\n"
+    "from entrymean.cli import main\n"
+    "for name in ('gen', 'corrupt', 'recover', 'estimate'):\n"
+    "    assert main([name, '--config', f'{sys.argv[1]}/{name}.json']) == 0, name\n"
+    "assert main(['metric', '--config', sys.argv[2]]) == 0\n"
+    "starts = []\n"
+    "def counted(rows, axis=1):\n"
+    "    starts.append(rows.shape)\n"
+    "    return data.median(rows, axis)\n"
+    "recovery.median = counted\n"
+    "experiment.run_experiment(experiment.parse_config(json.loads(sys.argv[3])))\n"
+    "ds = data.load_dataset_csv('out/demo.data.csv')\n"
+    "plan = corruption.plan_tail_hiding(ds, 0.1)\n"
+    "for kind in corruption.AdversaryKind:\n"
+    "    corruption.plan_budget(plan, kind, ds.n_samples, ds.dim)\n"
+    "print(json.dumps([sorted({'numpy.ma', 'numpy.char'} & set(sys.modules)), len(starts)]))\n"
+)
+
+
+def test_the_package_never_loads_numpy_ma_or_numpy_char(tmp_path):
+    # np.median and a plain np.unique load numpy.ma, np.char.str_len numpy.char:
+    # about 1.2 MB of resident memory a process never needs.
+    configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    (tmp_path / "out").mkdir()
+    (tmp_path / "p.csv").write_text("0,0,0.5\n1,0,0.5\n")
+    (tmp_path / "q.csv").write_text("0,0,0.5\n0,1,0.5\n")
+    avg = write_json(
+        tmp_path / "avg.json", {"kind": "entrywise_avg", "left_csv": "p.csv", "right_csv": "q.csv"}
+    )
+    sweep = json.loads((configs / "experiment.json").read_text())
+    sweep.pop("out")
+    # At 40 rows and budget 0.2 fewer than 8 rows are complete, so rank-8
+    # completion starts from the coordinate medians.
+    sweep["data"]["n_samples"] = 40
+    sweep.update(trials=1, budgets=[0.2], metrics=["l2"], methods=[
+        {"kind": "coordinate_median"},
+        {"kind": "two_step", "recovery": {"method": "iterative_svd", "rank": 8}},
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_MA_OR_CHAR, str(configs), avg, json.dumps(sweep)],
+        capture_output=True, text=True, env=package_env(), cwd=tmp_path, check=True,
+    )
+    loaded, median_starts = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert median_starts > 0
+    assert loaded == []
+
+
 def test_import_entrymean_leaves_scipy_optimize_unloaded():
     probe = "import sys, entrymean; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run(

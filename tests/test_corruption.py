@@ -139,6 +139,12 @@ def test_tail_hiding_hides_smallest_per_coordinate():
         plan = plan_tail_hiding(Dataset(values, mask), rho)
         expected = tail_hiding_direct(values.tolist(), mask.tolist(), int(np.floor(rho * n)))
         assert list(zip(plan.sample.tolist(), plan.coord.tolist())) == expected
+    # The largest finite value is visible data and sorts before a hidden cell.
+    values = np.array([[np.nan], [np.finfo(float).max], [1.0]])
+    mask = np.isnan(values)
+    plan = plan_tail_hiding(Dataset(values, mask), 1.0)
+    expected = tail_hiding_direct(values.tolist(), mask.tolist(), 3)
+    assert list(zip(plan.sample.tolist(), plan.coord.tolist())) == expected == [(2, 0), (1, 0)]
 
 
 def test_tail_hiding_zero_budget_is_empty():

@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,11 @@ def test_dataset_rejects_nonfinite_visible_entries():
         Dataset(np.array([[1.0]]), np.array([[True, False]]))
     with pytest.raises(ValueError, match="visible entries must be finite"):
         Dataset(np.array([[1.0, 2.0], [-np.inf, 3.0]]), np.array([[True, False], [False, True]]))
+    # Hidden cells already NaN, so the table would be kept as it is.
+    with pytest.raises(ValueError, match="visible entries must be finite"):
+        Dataset(np.array([[np.nan, np.nan]]), np.array([[True, False]]))
+    with pytest.raises(ValueError, match="visible entries must be finite"):
+        Dataset(np.array([[np.nan, -np.inf]]), np.array([[True, False]]))
 
 
 def test_dataset_copy_is_independent():
@@ -34,6 +40,54 @@ def test_dataset_copy_is_independent():
     dup = ds.copy()
     dup.values[0, 0] = 7.0
     assert ds.values[0, 0] == 1.0
+
+
+def test_dataset_keeps_a_float64_table_whose_hidden_cells_are_nan():
+    values = np.array([[1.0, np.nan], [3.0, 4.0]])
+    mask = np.isnan(values)
+    ds = Dataset(values, mask)
+    assert ds.values is values and ds.mask is mask
+    table = np.arange(6.0).reshape(3, 2)
+    assert Dataset(table).values is table
+
+
+def test_dataset_never_writes_into_the_callers_array():
+    # A number in one hidden cell, NaN in another: the table is copied, and
+    # the caller's array keeps every bit.
+    values = np.ones((5, 4))
+    mask = np.zeros(values.shape, dtype=bool)
+    values[0, 1] = np.nan
+    mask[0, 1] = mask[-1, 2] = True
+    before = values.copy()
+    ds = Dataset(values, mask)
+    assert values.tobytes() == before.tobytes()
+    assert not np.shares_memory(ds.values, values)
+    assert np.isnan(ds.values[-1, 2]) and np.count_nonzero(np.isnan(ds.values)) == 2
+    hidden_inf = np.array([[np.inf, 1.0]])
+    assert np.isnan(Dataset(hidden_inf, np.array([[True, False]])).values[0, 0])
+    assert hidden_inf[0, 0] == np.inf
+    # A view of the caller's memory that is not the caller's array object.
+    buffer = np.ones(4)
+    view = Dataset(np.frombuffer(buffer, dtype=float).reshape(2, 2), np.eye(2, dtype=bool))
+    assert buffer.tolist() == [1.0] * 4 and np.isnan(view.values[0, 0])
+
+
+def test_dataset_compacts_a_view_of_a_larger_buffer():
+    buffer = np.ones((10, 3))
+    ds = Dataset(buffer[:4])
+    assert ds.values.shape == (4, 3) and not np.shares_memory(ds.values, buffer)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
+def test_median_is_np_median_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    rows = rng.standard_normal((60, width)) * 10.0 ** rng.integers(-300, 301, (60, width))
+    rows[:10] = rng.integers(-2, 3, (10, width))  # ties
+    rows[10] = 0.0
+    rows[10, ::2] = -0.0  # signed zeros
+    rows[11] = -0.0
+    assert data_module.median(rows, axis=1).tobytes() == np.median(rows, axis=1).tobytes()
+    assert data_module.median(rows.T, axis=0).tobytes() == np.median(rows.T, axis=0).tobytes()
 
 
 def test_csv_round_trip_with_hidden_cells(tmp_path):
@@ -222,6 +276,25 @@ def test_csv_writer_blocks_split_anywhere(tmp_path, monkeypatch, block_cells):
     monkeypatch.setattr(data_module, "_BLOCK_CELLS", block_cells)
     ds = _awkward_table(np.random.default_rng(12), 90, 70)
     assert_writes_like_direct(tmp_path, ds.values, ds.mask)
+
+
+def test_csv_writer_holds_one_block_at_a_time(tmp_path):
+    # A 2^13-cell block's buffers peak at about 1.1 MiB traced and are freed
+    # before the next block allocates its own; a stale block added ~0.35 MiB,
+    # a second layout array ~0.9 MiB (2.4 MiB in all, before).
+    rng = np.random.default_rng(15)
+    values = rng.standard_normal((4000, 16))
+    hidden = rng.random(values.shape) < 0.05
+    values[hidden] = np.nan
+    path = tmp_path / "w.csv"
+    data_module.write_csv_rows(path, values, hidden)  # builds the cached digit table
+    tracemalloc.start()
+    try:
+        data_module.write_csv_rows(path, values, hidden)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * 2**20, peak / 2**20
 
 
 def outside_fixed_notation(values, mask):
