@@ -49,7 +49,6 @@ from .recovery import (
     RecoveryOutcome,
     RecoveryStatus,
     iterative_svd_complete,
-    orthogonal_matching_pursuit,
     recover_by_sparse_decoding,
     recover_replacement_exhaustive,
     recover_replacement_randomized,

@@ -18,15 +18,12 @@ most fully visible samples lie in and decodes against it by :func:`recover_table
 at radius 0, else completes the table by iterated rank truncation from medians.
 
 One sample at a time, the minimum-Hamming decoders (exhaustive, or over random
-independent row subsets) also search past the radius, where distinct
-reconstructions can tie, and sparse decoding (:func:`recover_by_sparse_decoding`)
-projects the sample by the structure's cached parity check F, the same one the
-range test uses, so corruption shows up as the syndrome F e of a sparse e that
-orthogonal matching pursuit can decode. They share one sample check and return
-a sample that passes :func:`recover_table`'s range test unchanged; the Hamming
-decoders score r-row subsets by stacked solves. An entry matches when it is
-within ``ENTRY_MATCH_TOL`` max(1, |x|_inf), so no rule depends on the sample's
-scale.
+independent row subsets) score r-row subsets by stacked solves, and sparse
+decoding (:func:`recover_by_sparse_decoding`) is :func:`recover_table` on one
+sample. All three share one sample check, keep a sample that passes the range
+test, and accept a repair moving w entries only when m > 2w; past the radius,
+where reconstructions can tie, a sample is ``UNRECOVERABLE``. An entry matches
+within ``ENTRY_MATCH_TOL`` max(1, |x|_inf), so no rule depends on scale.
 
 Every route reports what became of a sample as a :class:`RecoveryStatus`: the
 table routes one int8 code per input row in ``CompletionReport.status``, the
@@ -53,15 +50,14 @@ from .structure import (
     RANK_TOL,
     StructureMatrix,
     _in_blocks,
-    _independent_subsets,
-    numerical_rank,
+    _margin_up_to,
     sample_independent_rows,
 )
 
 ENTRY_MATCH_TOL = 1e-8
 RANGE_RESIDUAL_TOL = 1e-6
 # Most subsystem solves a replacement decoder takes on: random draws per sample
-# in recover_replacement_randomized, supports per table in decode_replacements.
+# in recover_replacement_randomized, supports within the radius of recover_table.
 REPLACEMENT_SOLVE_CAP = 100_000
 # iterative_svd_complete's hard-impute: most sweeps, and the absolute stopping change.
 COMPLETION_SWEEP_CAP = 500
@@ -85,6 +81,9 @@ class RecoveryStatus(IntEnum):
 
 @dataclass
 class RecoveryOutcome:
+    """An ``UNRECOVERABLE`` outcome has no ``sample``; its ``residual_hamming`` is the
+    least a Hamming decoder found but could not certify, or None from sparse decoding."""
+
     status: RecoveryStatus
     sample: np.ndarray | None = None
     residual_hamming: int | None = None
@@ -148,10 +147,10 @@ def _certified_inverse(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_starts(count: int) -> list[int]:
     """Starts of blocks of ``_ROW_BLOCK`` rows of ``range(count)``; a lone last row
-    joins the block before it. numpy multiplies a one-row matrix by gemv, which
-    rounds unlike gemm, and gemm rounds a row alike in any call of two or more
-    rows, so a row's products do not depend on the blocks unless a factor has
-    one column (rank or co-rank 1), which sends every call to gemv."""
+    joins the block before it, as numpy multiplies a one-row matrix by gemv, which
+    rounds unlike gemm. Reruns of one table are byte-identical, but a row's last
+    bits can depend on its neighbours: decoded alone, a 12 000-row prefix of a
+    100 000-row table moved 362 of its 11 996 kept rows by up to 7e-16 relative."""
     starts = list(range(0, count, _ROW_BLOCK))
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()
@@ -250,22 +249,28 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     formed per hiding pattern (:func:`_fit_by_pattern`). A fully visible sample
     x is kept byte for byte when its syndrome x F' (F = ``a.parity_check``)
     passes the same test. For k = 1 ... ``radius`` and each support T of k
-    coordinates in order, one least-squares fit over the samples still open
-    finds the corruption e_T that best explains each syndrome; a sample whose
-    fit passes becomes x - e_T. Every other sample is discarded rather than
-    trusted.
+    coordinates in order, until no sample is open, one least-squares fit over
+    the samples still open finds the corruption e_T that best explains each
+    syndrome; a sample whose fit passes becomes x - e_T. Every other sample is
+    discarded rather than trusted. More than ``REPLACEMENT_SOLVE_CAP`` supports
+    within the radius raise :class:`CapExceededError` first.
 
     The fits, the range tests and the write-back run on blocks of about
     ``_ROW_BLOCK`` rows, into one copy of the table that becomes the output;
     where rows are discarded, the kept rows are packed in place and the
     output is a compact copy of them. So besides the per-pattern factors the
-    call allocates about 2 times the table at most, the output included. For a structure
-    of rank and co-rank at least 2 each row's arithmetic is that of one call
-    over all rows (:func:`_block_starts`), so the result does not depend on
-    the block size.
+    call allocates about 2 times the table at most, the output included. The
+    blocks are fixed by the table itself, so reruns of one table are
+    byte-identical; a row's last bits can depend on its neighbours
+    (:func:`_block_starts`).
     """
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
+    n_supports = sum(math.comb(a.n, k) for k in range(1, radius + 1))
+    if n_supports > REPLACEMENT_SOLVE_CAP:
+        raise CapExceededError(
+            f"{n_supports} supports within radius {radius} exceed the cap {REPLACEMENT_SOLVE_CAP}"
+        )
     hidden = ds.mask.any(axis=1)
     blocks = _fit_by_pattern(a, ds, np.flatnonzero(hidden))  # factors formed before the copy
     values = ds.values.copy()
@@ -285,6 +290,8 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     syndrome = ds.values[open_rows] @ f.T
     bound = RANGE_RESIDUAL_TOL * np.linalg.norm(ds.values[open_rows], axis=1)
     for support in chain.from_iterable(combinations(range(a.n), k) for k in range(1, radius + 1)):
+        if not open_rows.size:
+            break
         columns = f[:, list(support)]
         e, *_ = np.linalg.lstsq(columns, syndrome.T, rcond=None)
         fits = np.linalg.norm(syndrome - (columns @ e).T, axis=1) <= bound
@@ -414,21 +421,15 @@ def decode_replacements(ds: Dataset, a: StructureMatrix) -> CompletionReport:
     at most that radius would differ by a vector of range(A) of weight below
     m, so every sample decoded is decoded uniquely. A table with hidden cells,
     a structure past the margin's exhaustive cap, and more than
-    ``REPLACEMENT_SOLVE_CAP`` supports within the radius are refused.
+    ``REPLACEMENT_SOLVE_CAP`` supports within the radius are refused by
+    :class:`ReplacementDecodingError`.
     """
     if ds.mask.any():
         raise ReplacementDecodingError("replacement decoding expects a fully visible table")
     try:
-        radius = (a.removal_margin - 1) // 2
+        return recover_table(ds, a, radius=(a.removal_margin - 1) // 2)
     except CapExceededError as exc:
         raise ReplacementDecodingError(f"replacement decoding: {exc}") from None
-    n_supports = sum(math.comb(a.n, k) for k in range(1, radius + 1))
-    if n_supports > REPLACEMENT_SOLVE_CAP:
-        raise ReplacementDecodingError(
-            f"replacement decoding: {n_supports} supports within radius {radius}"
-            f" exceed the cap {REPLACEMENT_SOLVE_CAP}"
-        )
-    return recover_table(ds, a, radius=radius)
 
 
 def _fully_visible(x, a: StructureMatrix) -> np.ndarray:
@@ -467,7 +468,19 @@ def replacement_candidates(a: StructureMatrix, x: np.ndarray) -> tuple[np.ndarra
     :func:`.structure.is_general_position` finds independent; the rest are
     skipped, and more than ``SUBSET_CAP`` subsets are refused.
     """
-    return _score_subsets(a, _fully_visible(x, a), _independent_subsets(a))
+    return _score_subsets(a, _fully_visible(x, a), a._independent_subsets)
+
+
+def _certified(a: StructureMatrix, candidates: np.ndarray, residuals: np.ndarray) -> RecoveryOutcome:
+    """The first candidate of least residual w, ``RECOVERED`` when the removal margin
+    m exceeds 2w (no other point of range(A) is as near the sample), else
+    ``UNRECOVERABLE``; m is searched only that far (:func:`_margin_up_to`, which
+    refuses more than ``REMOVAL_SEARCH_CAP`` rows by :class:`CapExceededError`)."""
+    best = int(np.argmin(residuals))
+    w = int(residuals[best])
+    if _margin_up_to(a, 2 * w) > 2 * w:
+        return RecoveryOutcome(RecoveryStatus.RECOVERED, candidates[best].copy(), w)
+    return RecoveryOutcome(RecoveryStatus.UNRECOVERABLE, None, w)
 
 
 def recover_replacement_exhaustive(a: StructureMatrix, x: np.ndarray) -> RecoveryOutcome:
@@ -475,18 +488,15 @@ def recover_replacement_exhaustive(a: StructureMatrix, x: np.ndarray) -> Recover
 
     After the subset cap of :func:`replacement_candidates`, a sample that
     passes the range test of :func:`recover_table` is returned unchanged.
-    Otherwise ties between distinct optimal reconstructions are broken by
-    picking the lexicographically smallest vector, so the result is
-    deterministic even in the ambiguous regime.
+    Otherwise the first subset of least residual gives the answer, accepted
+    only within the unique-decoding radius (:func:`_certified`); past it,
+    where distinct reconstructions can tie, the sample is ``UNRECOVERABLE``.
     """
     x = _fully_visible(x, a)
-    subsets = _independent_subsets(a)
+    subsets = a._independent_subsets
     if _in_range(x, a):
         return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
-    candidates, residuals = _score_subsets(a, x, subsets)
-    best = int(residuals.min())
-    winner = min(map(tuple, candidates[residuals == best]))
-    return RecoveryOutcome(RecoveryStatus.RECOVERED, np.array(winner), best)
+    return _certified(a, *_score_subsets(a, x, subsets))
 
 
 def recover_replacement_randomized(
@@ -497,7 +507,8 @@ def recover_replacement_randomized(
     A sample that passes the range test is returned unchanged without sampling.
     Otherwise each draw picks ``r`` independent rows uniformly, all draws are
     scored at once by :func:`_score_subsets`, and the first of least residual
-    wins. An r**2 above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`;
+    wins, accepted only within the unique-decoding radius (:func:`_certified`).
+    An r**2 above ``REPLACEMENT_SOLVE_CAP`` raises :class:`CapExceededError`;
     an ``rng`` that is not a ``np.random.Generator`` raises ``TypeError``.
     """
     x = _fully_visible(x, a)
@@ -511,71 +522,28 @@ def recover_replacement_randomized(
     if _in_range(x, a):
         return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
     subsets = np.array([sample_independent_rows(a, a.r, rng) for _ in range(n_draws)])
-    candidates, residuals = _score_subsets(a, x, subsets)
-    best = int(np.argmin(residuals))
-    return RecoveryOutcome(RecoveryStatus.RECOVERED, candidates[best].copy(), int(residuals[best]))
-
-
-def orthogonal_matching_pursuit(f: np.ndarray, y: np.ndarray, sparsity: int) -> np.ndarray:
-    """Greedy decode of y = F @ e for an e with at most ``sparsity`` nonzeros.
-
-    Per round: pick the unused column whose direction is most correlated
-    with the residual (inner products are scaled by column norm, as for a
-    unit-norm dictionary), refit e on the chosen columns by least squares
-    and recompute the residual, which is therefore nonincreasing in norm.
-    Stops early once the residual is negligible.
-    """
-    f = np.atleast_2d(np.asarray(f, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != f.shape[0]:
-        raise ValueError(f"y length {y.size} does not match {f.shape[0]} rows")
-    if not 0 <= sparsity <= f.shape[1]:
-        raise ValueError(f"sparsity must lie in [0, {f.shape[1]}]")
-    e = np.zeros(f.shape[1])
-    support: list[int] = []
-    residual = y.copy()
-    floor = 1e-12 * max(1.0, np.linalg.norm(y))
-    norms = np.linalg.norm(f, axis=0)
-    for _ in range(sparsity):
-        if np.linalg.norm(residual) <= floor:
-            break
-        scores = np.abs(f.T @ residual) / np.where(norms > 0, norms, 1.0)
-        scores[support] = -1.0
-        pick = int(np.argmax(scores))
-        support.append(pick)
-        columns = f[:, support]
-        if numerical_rank(columns) < len(support):
-            raise ValueError("selected columns became rank deficient")
-        coef, *_ = np.linalg.lstsq(columns, y, rcond=None)
-        residual = y - columns @ coef
-    if support:
-        e[support] = coef
-    return e
+    return _certified(a, *_score_subsets(a, x, subsets))
 
 
 def recover_by_sparse_decoding(
     a: StructureMatrix, x: np.ndarray, sparsity: int
 ) -> RecoveryOutcome:
-    """Decode replacement corruption through the parity check of range(A).
+    """Undo at most ``sparsity`` replaced entries of one sample, within the unique-decoding radius.
 
-    A sample that passes the range test of :func:`recover_table` is returned
-    unchanged. Otherwise projecting x by the structure's cached orthonormal
-    F (``a.parity_check``, F @ A = 0) erases the clean part, leaving
-    y = F @ e with e the corruption vector. If the e found by matching pursuit
-    brings x - e through the same range test, the repaired sample is returned
-    with the count of entries it moves by more than ``ENTRY_MATCH_TOL``
-    max(1, |x|_inf); otherwise the sample is unrecoverable at this sparsity
-    level. The decoder draws nothing: equal inputs give equal outcomes.
-    A positive sparsity of n - rank(A) (F's rows) or more raises ValueError
-    first: that many columns of F generically explain any syndrome, so any x passes.
+    :func:`recover_table` on the one sample at radius min(``sparsity``, t), t =
+    (m - 1) // 2, the removal margin m searched only up to 2 * ``sparsity``
+    removed rows (:func:`_margin_up_to`, capped as there); a repair comes with the
+    count of entries it moves (:func:`_misses`). The decoder draws nothing. A
+    negative sparsity, or a positive one of n - rank(A) or more, raises ValueError
+    first: that many columns of the parity check generically explain any syndrome.
     """
     x = _fully_visible(x, a)
-    f = a.parity_check
-    if sparsity > 0 and sparsity >= f.shape[0]:
-        raise ValueError(f"sparsity must be below n - rank(A) = {f.shape[0]}")
-    if _in_range(x, a):
-        return RecoveryOutcome(RecoveryStatus.UNCHANGED, x.copy(), 0)
-    repaired = x - orthogonal_matching_pursuit(f, f @ x, sparsity)
-    if not _in_range(repaired, a):
+    if sparsity != 0 and not 0 < sparsity < len(a.parity_check):
+        raise ValueError(f"sparsity must be 0, or below n - rank(A) = {len(a.parity_check)}")
+    radius = min(sparsity, (_margin_up_to(a, 2 * sparsity) - 1) // 2)
+    try:
+        report = recover_table(Dataset(x[None, :]), a, radius=radius)
+    except AllSamplesDiscardedError:
         return RecoveryOutcome(RecoveryStatus.UNRECOVERABLE)
-    return RecoveryOutcome(RecoveryStatus.RECOVERED, repaired, int(_misses(repaired, x)))
+    sample = report.completed.values[0]
+    return RecoveryOutcome(RecoveryStatus(report.status[0]), sample, int(_misses(sample, x)))

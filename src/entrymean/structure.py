@@ -70,6 +70,18 @@ class StructureMatrix:
         return min_rows_to_drop_rank(self)
 
     @cached_property
+    def _independent_subsets(self) -> np.ndarray:
+        """The r-row subsets, in lexicographic order, whose rows are independent, as a
+        read-only array found once per matrix. More than ``SUBSET_CAP`` are refused."""
+        n, r = self.entries.shape
+        if math.comb(n, r) > SUBSET_CAP:
+            raise CapExceededError(f"C({n}, {r}) subsets exceed the cap {SUBSET_CAP}")
+        subsets = np.array(list(combinations(range(n), r)), dtype=np.intp).reshape(-1, r)
+        subsets = subsets[_subset_ranks(self, subsets) == r]
+        subsets.flags.writeable = False
+        return subsets
+
+    @cached_property
     def parity_check(self) -> np.ndarray:
         """F with F A = 0: a read-only orthonormal basis (as rows) of range(A)'s complement."""
         f = null_space_basis(self.entries.T)
@@ -116,39 +128,40 @@ def min_rows_to_drop_rank(a: StructureMatrix) -> int:
     1 (any single row is load bearing) while a matrix whose rows are all equal
     gives ``a.n`` (the shared direction survives until nothing is left).
     """
+    return _margin_up_to(a, a.n)
+
+
+def _margin_up_to(a: StructureMatrix, most: int) -> int:
+    """min(m, ``most`` + 1), m the removal margin of ``a``: the search of
+    :func:`min_rows_to_drop_rank` cut at ``most`` removed rows. A margin it finds
+    is cached as ``a.removal_margin``, and a cached one spares the search."""
+    if "removal_margin" in vars(a):
+        return min(a.removal_margin, most + 1)
     if a.n > REMOVAL_SEARCH_CAP:
         raise CapExceededError(f"n={a.n} exceeds the exhaustive-search cap {REMOVAL_SEARCH_CAP}")
     if a.rank == 0:
         raise ValueError("zero matrix has no row-space dimension to lose")
-    for k in range(1, a.n - a.rank + 1):
+    for k in range(1, min(most, a.n - a.rank) + 1):
         kept = combinations(range(a.n), a.n - k)
         while chunk := list(islice(kept, _MARGIN_CHUNK)):
             if np.any(_subset_ranks(a, np.array(chunk)) < a.rank):
+                vars(a)["removal_margin"] = k
                 return k
-    return a.n - a.rank + 1
-
-
-def _independent_subsets(a: StructureMatrix) -> np.ndarray:
-    """The r-row subsets of ``a``, in lexicographic order, whose rows are independent.
-
-    More than ``SUBSET_CAP`` subsets to test are refused.
-    """
-    if math.comb(a.n, a.r) > SUBSET_CAP:
-        raise CapExceededError(f"C({a.n}, {a.r}) subsets exceed the cap {SUBSET_CAP}")
-    subsets = np.array(list(combinations(range(a.n), a.r)), dtype=np.intp).reshape(-1, a.r)
-    return subsets[_subset_ranks(a, subsets) == a.r]
+    if most > a.n - a.rank:
+        vars(a)["removal_margin"] = a.n - a.rank + 1
+    return min(most + 1, a.n - a.rank + 1)
 
 
 def is_general_position(a: StructureMatrix) -> bool:
     """Whether every r-subset of rows is linearly independent.
 
     A matrix without full column rank is never in general position. Otherwise
-    :func:`_independent_subsets` tests all C(n, r) subsets, so more than
+    ``a._independent_subsets`` tests all C(n, r) subsets, so more than
     ``SUBSET_CAP`` of them are refused.
     """
     if a.rank < a.r:
         return False
-    return len(_independent_subsets(a)) == math.comb(a.n, a.r)
+    return len(a._independent_subsets) == math.comb(a.n, a.r)
 
 
 def null_space_basis(matrix) -> np.ndarray:

@@ -124,11 +124,20 @@ def randomized_replacement_direct(entries, x, exponent, rng):
     until the picked rows have r singular values above 1e-10 times the largest,
     solves that square system, and counts the coordinates where entries @ z
     misses ``x`` by more than 1e-8 max(1, max |x|). The first draw of least
-    count wins: ``("recovered", entries @ z, count)``.
+    count wins: ``("recovered", entries @ z, count)`` when removing any
+    2 * count or fewer rows of ``entries`` keeps its rank (by the same
+    singular-value rule), else ``("unrecoverable", None, count)``.
     """
     entries = np.asarray(entries, dtype=float)
     x = np.asarray(x, dtype=float)
     n, r = entries.shape
+
+    def rank(rows):
+        if len(rows) == 0:
+            return 0
+        s = np.linalg.svd(entries[rows], compute_uv=False)
+        return sum(1 for v in s if v > 1e-10 * s[0])
+
     z, *_ = np.linalg.lstsq(entries, x, rcond=None)
     if np.linalg.norm(entries @ z - x) <= 1e-6 * np.linalg.norm(x):
         return "unchanged", x.copy(), 0
@@ -137,8 +146,7 @@ def randomized_replacement_direct(entries, x, exponent, rng):
     for _ in range(int(np.ceil(r**exponent))):
         for _ in range(1000):
             rows = np.sort(rng.choice(n, size=r, replace=False))
-            s = np.linalg.svd(entries[rows], compute_uv=False)
-            if sum(1 for v in s if v > 1e-10 * s[0]) == r:
+            if rank(rows) == r:
                 break
         else:
             raise AssertionError("no independent draw in 1000 tries")
@@ -146,6 +154,12 @@ def randomized_replacement_direct(entries, x, exponent, rng):
         count = sum(1 for got, want in zip(sample, x) if abs(got - want) > tol)
         if best_count is None or count < best_count:
             best_sample, best_count = sample, count
+    # A removal loses rank whenever a smaller one inside it does, so removals of
+    # exactly min(2 * count, n) rows cover every smaller one.
+    full = rank(list(range(n)))
+    for dropped in combinations(range(n), min(2 * best_count, n)):
+        if rank([i for i in range(n) if i not in dropped]) < full:
+            return "unrecoverable", None, best_count
     return "recovered", best_sample, best_count
 
 

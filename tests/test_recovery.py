@@ -23,7 +23,6 @@ from entrymean.errors import (
 from entrymean.recovery import (
     RecoveryStatus,
     iterative_svd_complete,
-    orthogonal_matching_pursuit,
     recover_by_sparse_decoding,
     recover_replacement_exhaustive,
     recover_replacement_randomized,
@@ -759,9 +758,13 @@ def test_replacement_tie_at_half_margin_is_detectable():
     optima = candidates[residuals == best]
     distinct = np.unique(np.round(optima, 6), axis=0)
     assert len(distinct) >= 2  # the minimizer is not unique
+    # Past the radius the exhaustive decoder certifies neither optimum.
     outcome = recover_replacement_exhaustive(a, corrupted)
-    winner = min(map(tuple, distinct.tolist()))
-    np.testing.assert_allclose(outcome.sample, winner, atol=1e-6)
+    assert (outcome.status, outcome.sample, outcome.residual_hamming) == (
+        RecoveryStatus.UNRECOVERABLE,
+        None,
+        2,
+    )
 
 
 def test_replacement_randomized_matches_truth():
@@ -837,9 +840,13 @@ def test_replacement_randomized_matches_direct_oracle():
         )
         assert got.status.name.lower() == status
         assert got.residual_hamming == residual
-        np.testing.assert_allclose(got.sample, sample, rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
+        if sample is None:
+            assert got.sample is None
+        else:
+            atol = 1e-12 * max(1.0, np.abs(x).max())
+            np.testing.assert_allclose(got.sample, sample, rtol=0, atol=atol)
         statuses.add(status)
-    assert statuses == {"unchanged", "recovered"}
+    assert statuses == {"unchanged", "recovered", "unrecoverable"}
 
 
 @pytest.mark.parametrize("scale", [1e8, 1e12])
@@ -1042,32 +1049,6 @@ def test_decode_replacements_refuses_hidden_cells_and_caps(monkeypatch):
 # ------------------------------------------------------------ sparse decoding
 
 
-def test_omp_exact_on_planted_sparse_vector():
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal((12, 20))
-    e_true = np.zeros(20)
-    e_true[[3, 11]] = [2.5, -1.0]
-    e_hat = orthogonal_matching_pursuit(f, f @ e_true, sparsity=2)
-    np.testing.assert_allclose(e_hat, e_true, atol=1e-10)
-
-
-def test_omp_zero_observation_gives_zero():
-    f = np.random.default_rng(3).standard_normal((5, 8))
-    np.testing.assert_array_equal(orthogonal_matching_pursuit(f, np.zeros(5), 3), np.zeros(8))
-
-
-def test_omp_residual_nonincreasing_in_sparsity():
-    rng = np.random.default_rng(4)
-    f = rng.standard_normal((10, 15))
-    y = rng.standard_normal(10)
-    last = np.inf
-    for k in range(1, 8):
-        e = orthogonal_matching_pursuit(f, y, k)
-        res = np.linalg.norm(y - f @ e)
-        assert res <= last + 1e-12
-        last = res
-
-
 def test_sparse_decoding_repairs_one_replacement():
     a = random_general_position(16, 4, seed=103)
     rng = np.random.default_rng(5)
@@ -1123,11 +1104,8 @@ def test_sparse_decoding_reports_unrecoverable():
     corrupted = corrupt_coords(x, [0, 2, 4, 6], rng)
     # Sparsity budget far below the actual corruption level.
     outcome = recover_by_sparse_decoding(a, corrupted, sparsity=1)
-    assert outcome.status in (RecoveryStatus.UNRECOVERABLE, RecoveryStatus.RECOVERED)
-    if outcome.status is RecoveryStatus.RECOVERED:
-        # If it claims recovery the result must genuinely sit in range(A).
-        z, *_ = np.linalg.lstsq(a.entries, outcome.sample, rcond=None)
-        assert np.max(np.abs(a.entries @ z - outcome.sample)) < 1e-5
+    assert outcome.status is RecoveryStatus.UNRECOVERABLE
+    assert outcome.sample is None
 
 
 def test_sparse_decoding_refuses_a_sparsity_that_explains_every_syndrome():
@@ -1146,6 +1124,64 @@ def test_sparse_decoding_refuses_a_sparsity_that_explains_every_syndrome():
         # Refused before the range test: a clean sample raises too.
         with pytest.raises(ValueError, match=r"n - rank\(A\) = 5"):
             recover_by_sparse_decoding(a, x, sparsity)
+
+
+def test_sparse_decoding_matches_direct_oracle():
+    # Sparse Gaussian structures have margins from 1 up to n - r + 1, so the
+    # radius min(sparsity, t) is sometimes the sparsity and sometimes t.
+    rng = np.random.default_rng(145)
+    statuses = set()
+    for _ in range(150):
+        n = int(rng.integers(3, 9))
+        r = int(rng.integers(1, n))
+        entries = rng.standard_normal((n, r)) * (rng.random((n, r)) < 0.7)
+        if not entries.any():
+            continue
+        a = StructureMatrix(entries)
+        t = (min_rows_to_drop_rank_direct(entries) - 1) // 2
+        sparsity = int(rng.integers(0, n - a.rank))
+        x = entries @ rng.standard_normal(r)
+        coords = rng.choice(n, int(rng.integers(0, n - a.rank + 1)), replace=False)
+        x[coords] += rng.uniform(0.5, 2.0, coords.size) * rng.choice([-1.0, 1.0], coords.size)
+        got = recover_by_sparse_decoding(a, x, sparsity)
+        expected = decode_within_radius_direct(entries, x, min(sparsity, t))
+        statuses.add(got.status)
+        if expected is None:
+            assert (got.status, got.sample) == (RecoveryStatus.UNRECOVERABLE, None)
+        else:
+            assert got.status is not RecoveryStatus.UNRECOVERABLE
+            np.testing.assert_allclose(got.sample, expected, rtol=0, atol=1e-9 * np.abs(x).max())
+    assert statuses == set(RecoveryStatus)
+
+
+def test_single_sample_decoders_recover_no_wrong_sample():
+    # The shipped structure (margin 5, radius 2) with k = 1 ... 4 cells of each
+    # sample moved by +-U(3, 8). Within the radius every decoder repairs every
+    # sample; past it, none may call a wrong sample RECOVERED, at any sparsity.
+    a = make_structure(SHIPPED_STRUCTURE)
+    radius = (min_rows_to_drop_rank_direct(a.entries) - 1) // 2
+    assert radius == 2
+    rng = np.random.default_rng(146)
+    decoders = {
+        "exhaustive": lambda s, k: recover_replacement_exhaustive(a, s),
+        "randomized": lambda s, k: recover_replacement_randomized(a, s, np.random.default_rng(k)),
+        "sparse at sparsity k": lambda s, k: recover_by_sparse_decoding(a, s, k),
+        "sparse at sparsity 7": lambda s, k: recover_by_sparse_decoding(a, s, 7),
+    }
+    assert a.parity_check.shape[0] == 8  # so 7 is the largest sparsity accepted
+    for k in range(1, 5):
+        clean = rng.standard_normal((20, a.r)) @ a.entries.T
+        corrupted = clean.copy()
+        for x in corrupted:
+            cells = rng.choice(a.n, k, replace=False)
+            x[cells] += rng.choice([-1.0, 1.0], k) * rng.uniform(3, 8, k)
+        for name, decode in decoders.items():
+            for x, sample in zip(clean, corrupted):
+                outcome = decode(sample, k)
+                if outcome.status is RecoveryStatus.RECOVERED:
+                    np.testing.assert_allclose(outcome.sample, x, rtol=0, atol=1e-8, err_msg=name)
+                else:
+                    assert k > radius and outcome.status is RecoveryStatus.UNRECOVERABLE, name
 
 
 # ------------------------------------------------------------------ row blocks
