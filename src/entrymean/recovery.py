@@ -10,8 +10,10 @@ radius (m - 1) // 2, m the removal margin of A (the minimum number of rows
 whose loss drops its row space), within which decoding is unique. Factors are
 formed once per distinct hiding pattern; the work done per sample (solves,
 residual and range tests, the write-back) runs on blocks of about
-``_ROW_BLOCK`` samples, so besides its output the decoder holds no array that
-grows with the table faster than its patterns and row indices.
+``_ROW_BLOCK`` samples, so besides one copy of the table and its output the
+decoder holds no array that grows with the table faster than its patterns and
+row indices. At radius 0 a sample's bits depend only on it, its hiding pattern
+and A, whenever two or more samples share its solve route in the call.
 
 Structure unknown, rank known: :func:`iterative_svd_complete` learns the span
 most fully visible samples lie in and decodes against it by :func:`recover_table`
@@ -145,21 +147,14 @@ def _certified_inverse(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root.transpose(2, 1, 0) @ root.transpose(2, 0, 1), certified
 
 
-def _block_starts(count: int) -> list[int]:
-    """Starts of blocks of ``_ROW_BLOCK`` rows of ``range(count)``; a lone last row
-    joins the block before it, as numpy multiplies a one-row matrix by gemv, which
-    rounds unlike gemm. Reruns of one table are byte-identical, but a row's last
-    bits can depend on its neighbours: decoded alone, a 12 000-row prefix of a
-    100 000-row table moved 362 of its 11 996 kept rows by up to 7e-16 relative."""
+def _row_blocks(count: int) -> list[slice]:
+    """Blocks of about ``_ROW_BLOCK`` rows of ``range(count)``; a lone last row
+    joins the block before it, as numpy multiplies a one-row matrix by gemv,
+    which rounds unlike gemm. A gemm row rounds alike in every call of two or
+    more rows, so a row's bits do not depend on the blocks."""
     starts = list(range(0, count, _ROW_BLOCK))
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()
-    return starts
-
-
-def _row_blocks(count: int) -> list[slice]:
-    """:func:`_block_starts` of ``range(count)`` as slices."""
-    starts = _block_starts(count)
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
@@ -179,15 +174,16 @@ def _fit_by_pattern(
     so their transients are freed before the caller allocates its output. A
     pattern certified by :func:`_certified_inverse` keeps every singular value
     far above both cutoffs below, so it spans; its rows are solved by the
-    semi-normal equations plus one refinement step. Other patterns take a
-    stacked SVD of A with the hidden coordinates zeroed: the rank test counts
-    the singular values above ``RANK_TOL`` times the largest, a cutoff the
-    rounding-level ones of the zeroed coordinates stay far below, and the
+    semi-normal equations plus one refinement step, by gemm. Other patterns
+    take a stacked SVD of A with the hidden coordinates zeroed: the rank test
+    counts the singular values above ``RANK_TOL`` times the largest, a cutoff
+    the rounding-level ones of the zeroed coordinates stay far below, and the
     pseudo-inverse drops those at or below eps * max(visible count, columns)
-    times the largest. The per-row work (gathers of the factors, solves,
-    residual tests) runs on blocks of about ``_ROW_BLOCK`` rows, the certified
-    patterns' rows first; a lone row of either kind rides in a block of the
-    other (:func:`_block_starts`).
+    times the largest; their rows are solved by einsum alone. Each route's
+    rows run in blocks of their own (:func:`_row_blocks`), so a row's bits
+    depend only on the row, its pattern and A whenever its route has two or
+    more rows: the Gram matrices are one gemm with the patterns as rows (a
+    lone pattern padded), and no solve of a row mixes in another row.
     """
     keys = np.packbits(~ds.mask[rows], axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
@@ -196,7 +192,10 @@ def _fit_by_pattern(
     basis = a.entries
     n, r = basis.shape
     outer = (basis[:, :, None] * basis[:, None, :]).reshape(n, r * r)
-    gram_inv, certified = _certified_inverse((outer.T @ patterns.T).reshape(r, r, -1))
+    padded = np.zeros((max(len(patterns), 2), n))  # two rows at least: gemm, not gemv
+    padded[: len(patterns)] = patterns
+    grams = (padded @ outer)[: len(patterns)].reshape(-1, r, r)
+    gram_inv, certified = _certified_inverse(grams.transpose(1, 2, 0))
     rest = ~certified
     u, s, vt = np.linalg.svd(basis * patterns[rest, :, None], full_matrices=False)
     top = s[:, :1]
@@ -205,33 +204,32 @@ def _fit_by_pattern(
     cutoff = np.finfo(float).eps * np.maximum(patterns[rest].sum(axis=1), r)[:, None] * top
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     slot = np.cumsum(rest) - 1
-    on_gram = certified[inverse]
-    order = np.argsort(~on_gram, kind="stable")
-    n_gram = int(np.count_nonzero(on_gram))
 
-    def fit(start: int, stop: int):
-        block = rows[order[start:stop]]
-        pattern = inverse[order[start:stop]]
+    def semi_normal(pattern, x, visible):
+        g = gram_inv[pattern]
+        z = np.einsum("kij,kj->ki", g, x @ basis)
+        residual = (x - z @ basis.T) * visible
+        z += np.einsum("kij,kj->ki", g, residual @ basis)
+        return z @ basis.T
+
+    def pseudo_inverse(pattern, x, visible):
+        j = slot[pattern]
+        z = np.einsum("kji,kj->ki", vt[j], np.einsum("kji,kj->ki", u[j], x) * inv_s[j])
+        return np.einsum("ij,kj->ki", basis, z)
+
+    def fit(take, solve):
+        block, pattern = rows[take], inverse[take]
         hidden = ds.mask[block]
         x = np.where(hidden, 0.0, ds.values[block])
         visible = ~hidden
-        k = min(max(n_gram - start, 0), stop - start)  # the block's certified rows lead
-        g, xs = gram_inv[pattern[:k]], x[:k]
-        z = np.empty((stop - start, r))
-        z0 = np.einsum("kij,kj->ki", g, xs @ basis)
-        residual = (xs - z0 @ basis.T) * visible[:k]
-        z[:k] = z0 + np.einsum("kij,kj->ki", g, residual @ basis)
-        j = slot[pattern[k:]]
-        z[k:] = np.einsum("kji,kj->ki", vt[j], np.einsum("kji,kj->ki", u[j], x[k:]) * inv_s[j])
-        samples = z @ basis.T
+        samples = solve(pattern, x, visible)
         residual = np.linalg.norm((samples - x) * visible, axis=1)
         fits = residual <= RANGE_RESIDUAL_TOL * np.linalg.norm(x, axis=1)
         return block, samples, spans[pattern] & fits
 
-    starts = _block_starts(n_gram) + [n_gram + s for s in _block_starts(rows.size - n_gram)]
-    if 1 in (n_gram, rows.size - n_gram) and len(starts) > 1:
-        starts.remove(n_gram)
-    return (fit(start, stop) for start, stop in zip(starts, starts[1:] + [rows.size]))
+    on_gram = certified[inverse]
+    routes = [(np.flatnonzero(on_gram), semi_normal), (np.flatnonzero(~on_gram), pseudo_inverse)]
+    return (fit(take[block], solve) for take, solve in routes for block in _row_blocks(take.size))
 
 
 def _in_range(x: np.ndarray, a: StructureMatrix) -> np.ndarray:
@@ -256,13 +254,12 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     within the radius raise :class:`CapExceededError` first.
 
     The fits, the range tests and the write-back run on blocks of about
-    ``_ROW_BLOCK`` rows, into one copy of the table that becomes the output;
-    where rows are discarded, the kept rows are packed in place and the
-    output is a compact copy of them. So besides the per-pattern factors the
-    call allocates about 2 times the table at most, the output included. The
-    blocks are fixed by the table itself, so reruns of one table are
-    byte-identical; a row's last bits can depend on its neighbours
-    (:func:`_block_starts`).
+    ``_ROW_BLOCK`` rows, into one copy of the table that becomes the output,
+    or whose kept rows do where rows are discarded. So besides the
+    per-pattern factors the call allocates about 2 times the table at most,
+    the output included. At radius 0, a row's bits depend only on the row,
+    its hiding pattern and A whenever its route has two or more rows in the
+    call (:func:`_fit_by_pattern`), and reruns of one table are byte-identical.
     """
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
@@ -279,14 +276,12 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     for rows, samples, fits in blocks:
         values[rows[fits]] = samples[fits]
         status[rows[fits]] = RecoveryStatus.RECOVERED
-    # Whole blocks are range-tested, hidden cells zeroed, so each product has
-    # the rows of one call over the whole table; only fully visible rows count.
-    in_range = np.zeros(ds.n_samples, dtype=bool)
-    for block in _row_blocks(ds.n_samples):
-        if not hidden[block].all():
-            in_range[block] = _in_range(np.where(ds.mask[block], 0.0, ds.values[block]), a)
+    open_rows = np.flatnonzero(~hidden)
+    in_range = np.zeros(open_rows.size, dtype=bool)
+    for block in _row_blocks(open_rows.size):
+        in_range[block] = _in_range(ds.values[open_rows[block]], a)
+    open_rows = open_rows[~in_range]
     f = a.parity_check
-    open_rows = np.flatnonzero(~hidden & ~in_range)
     syndrome = ds.values[open_rows] @ f.T
     bound = RANGE_RESIDUAL_TOL * np.linalg.norm(ds.values[open_rows], axis=1)
     for support in chain.from_iterable(combinations(range(a.n), k) for k in range(1, radius + 1)):
@@ -302,17 +297,8 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     keep = status != RecoveryStatus.UNRECOVERABLE
     if not keep.any():
         raise AllSamplesDiscardedError("recovery discarded every sample")
-    completed = Dataset(values if keep.all() else _kept_rows(values, keep))
+    completed = Dataset(values if keep.all() else values[keep])
     return CompletionReport(completed, status, 0, True)
-
-
-def _kept_rows(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``values[keep]`` formed in place: the kept rows move up a block at a time,
-    never onto a row still to be read, and the leading rows are returned as a view."""
-    kept = np.flatnonzero(keep)
-    for block in _row_blocks(kept.size):
-        values[block] = values[kept[block]]
-    return values[: kept.size]
 
 
 def _consensus_span(rows: np.ndarray, rank: int) -> np.ndarray | None:

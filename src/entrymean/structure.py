@@ -70,6 +70,11 @@ class StructureMatrix:
         return min_rows_to_drop_rank(self)
 
     @cached_property
+    def _rank_drops(self) -> dict[int, bool]:
+        """Whether some k-row removal drops the rank, by k: the memo of :func:`_margin_up_to`."""
+        return {}
+
+    @cached_property
     def _independent_subsets(self) -> np.ndarray:
         """The r-row subsets, in lexicographic order, whose rows are independent, as a
         read-only array found once per matrix. More than ``SUBSET_CAP`` are refused."""
@@ -133,22 +138,23 @@ def min_rows_to_drop_rank(a: StructureMatrix) -> int:
 
 def _margin_up_to(a: StructureMatrix, most: int) -> int:
     """min(m, ``most`` + 1), m the removal margin of ``a``: the search of
-    :func:`min_rows_to_drop_rank` cut at ``most`` removed rows. A margin it finds
-    is cached as ``a.removal_margin``, and a cached one spares the search."""
-    if "removal_margin" in vars(a):
-        return min(a.removal_margin, most + 1)
+    :func:`min_rows_to_drop_rank` cut at ``most`` removed rows. Whether some
+    k-row removal drops the rank is monotone in k, and each answer is kept in
+    ``a._rank_drops``, so no size is searched twice on one matrix."""
     if a.n > REMOVAL_SEARCH_CAP:
         raise CapExceededError(f"n={a.n} exceeds the exhaustive-search cap {REMOVAL_SEARCH_CAP}")
     if a.rank == 0:
         raise ValueError("zero matrix has no row-space dimension to lose")
+    drops = a._rank_drops
     for k in range(1, min(most, a.n - a.rank) + 1):
-        kept = combinations(range(a.n), a.n - k)
-        while chunk := list(islice(kept, _MARGIN_CHUNK)):
-            if np.any(_subset_ranks(a, np.array(chunk)) < a.rank):
-                vars(a)["removal_margin"] = k
-                return k
-    if most > a.n - a.rank:
-        vars(a)["removal_margin"] = a.n - a.rank + 1
+        if k not in drops:
+            kept = combinations(range(a.n), a.n - k)
+            drops[k] = any(
+                np.any(_subset_ranks(a, np.array(chunk)) < a.rank)
+                for chunk in iter(lambda: list(islice(kept, _MARGIN_CHUNK)), [])
+            )
+        if drops[k]:
+            return k
     return min(most + 1, a.n - a.rank + 1)
 
 

@@ -8,6 +8,7 @@ from entrymean import recovery
 from entrymean.corruption import (
     CorruptionPlan,
     apply_plan,
+    plan_concentrated_hiding,
     plan_sample_shift,
     plan_tail_hiding,
     plan_unrecoverable_hiding,
@@ -1245,6 +1246,43 @@ def test_row_blocks_do_not_change_the_decode(decode, make_table, refuse, block, 
     assert recovered_rows(blocked) == recovered_rows(whole)
     assert discarded_rows(blocked) == discarded_rows(whole)
     assert recovered_rows(whole)
+
+
+def decoded_rows(report):
+    """Each input row's decoded sample, NaN where ``report`` discards the row."""
+    out = np.full((report.status.size, report.completed.dim), np.nan)
+    out[report.status != RecoveryStatus.UNRECOVERABLE] = report.completed.values
+    return out
+
+
+def test_a_decoded_row_does_not_depend_on_its_neighbours():
+    # A prefix and every other row share no block, and few patterns, with the
+    # whole table; a row's bits depend only on it, its pattern and A.
+    a = make_structure(SHIPPED_STRUCTURE)
+    ds = synthesize(a, draw_latents(LatentSpec("gaussian", 8), 5000, np.random.default_rng(7)))
+    table = apply_plan(ds, plan_tail_hiding(ds, 0.2))
+    whole = recover_table(table, a)
+    assert recovered_rows(whole) and discarded_rows(whole)
+    for rows in (np.arange(1000), np.arange(0, 5000, 2)):
+        part = recover_table(Dataset(table.values[rows], table.mask[rows]), a)
+        assert part.status.tobytes() == whole.status[rows].tobytes()
+        assert decoded_rows(part).tobytes() == decoded_rows(whole)[rows].tobytes()
+
+
+def test_a_lone_hiding_pattern_decodes_as_among_others():
+    # Every hidden row of a concentrated_hiding table shares one pattern; one
+    # more row hiding another coordinate makes a second pattern.
+    a, ds, _ = criterion_7_tables(0.05)
+    table = apply_plan(ds, plan_concentrated_hiding(ds, 0.05))
+    (target,) = np.flatnonzero(table.mask.any(axis=0))
+    extra = ds.values[:1].copy()
+    extra[0, (target + 1) % a.n] = np.nan
+    alone = recover_table(table, a)
+    assert recovered_rows(alone)
+    values = np.vstack([table.values, extra])
+    grown = recover_table(Dataset(values, np.isnan(values)), a)
+    assert decoded_rows(grown)[:-1].tobytes() == decoded_rows(alone).tobytes()
+    assert grown.status[-1] == RecoveryStatus.RECOVERED
 
 
 @pytest.mark.parametrize("block", [2, 5, 10**9])

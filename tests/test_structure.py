@@ -123,6 +123,30 @@ def test_min_rows_on_the_search_structures(name):
     assert min_rows_to_drop_rank(make_structure(spec)) == margin
 
 
+def test_margin_searches_rank_each_removal_size_once(monkeypatch):
+    # A certificate that proves m > 4 (the single-sample decoders' bounded
+    # search), repeated, and then the full margin: sizes 1-4 are ranked once.
+    a = make_structure(SEARCH_STRUCTURES["shipped"][0])
+    ranked = []
+    rank_subsets = structure._subset_ranks
+
+    def counted(a, subsets):
+        ranked.append(len(subsets[0]))
+        return rank_subsets(a, subsets)
+
+    monkeypatch.setattr(structure, "_subset_ranks", counted)
+    assert structure._margin_up_to(a, 4) == 5
+    assert sorted(set(ranked)) == [12, 13, 14, 15]  # kept rows of 4, 3, 2, 1 removals
+    ranked.clear()
+    assert structure._margin_up_to(a, 4) == 5
+    assert ranked == []
+    assert a.removal_margin == 5
+    assert set(ranked) == {11}
+    ranked.clear()
+    assert structure._margin_up_to(a, 10) == 5
+    assert ranked == []
+
+
 def test_min_rows_search_memory_stays_small():
     a = make_structure(SEARCH_STRUCTURES["blocks_n20"][0])
     tracemalloc.start()
