@@ -143,26 +143,17 @@ def cmd_metric(args) -> int:
         "metric", cfg, ("kind", "left_csv", "right_csv", "estimate", "reference", "covariance_csv")
     )
     kind = _need(cfg, "kind")
-    if kind in ("tv", "entrywise_avg", "entrywise_max"):
-        left = metrics.load_distribution_csv(_need(cfg, "left_csv"))
-        right = metrics.load_distribution_csv(_need(cfg, "right_csv"))
-        if kind == "tv":
-            value = metrics.tv_distance(left, right)
-        elif kind == "entrywise_avg":
-            value = metrics.entrywise_distance_avg(left, right)
-        else:
-            value = metrics.entrywise_distance_max(left, right)
-    elif kind in ("l2", "mahalanobis"):
-        est = numbers("estimate", _need(cfg, "estimate"))
-        ref = numbers("reference", _need(cfg, "reference"))
-        if kind == "l2":
-            value = metrics.l2_error(est, ref)
-        else:
-            sigma = read_dense_csv(_need(cfg, "covariance_csv"))
-            value = metrics.mahalanobis_error(est, ref, sigma)
-    else:
+    if not isinstance(kind, str) or kind not in metrics.METRICS:
         raise ConfigError(f"unknown metric kind {kind!r}")
-    print(json.dumps({"kind": kind, "value": value}))
+    readers = {
+        "left": lambda: metrics.load_distribution_csv(_need(cfg, "left_csv")),
+        "right": lambda: metrics.load_distribution_csv(_need(cfg, "right_csv")),
+        "estimate": lambda: numbers("estimate", _need(cfg, "estimate")),
+        "reference": lambda: numbers("reference", _need(cfg, "reference")),
+        "covariance": lambda: read_dense_csv(_need(cfg, "covariance_csv")),
+    }
+    inputs = {name: readers[name]() for name in metrics.METRICS[kind][1]}
+    print(json.dumps({"kind": kind, "value": metrics.evaluate(kind, inputs)}))
     return 0
 
 
@@ -175,7 +166,7 @@ def cmd_experiment(args) -> int:
     prefix = _out_prefix(cfg.raw, args)
     result = run_experiment(cfg, threads=args.threads)
     csv_path, json_path = write_results(result, prefix)
-    print(f"wrote {csv_path} and {json_path} ({len(result.rows)} rows)")
+    print(f"wrote {csv_path} and {json_path} ({result.values.size} rows)")
     return 0
 
 

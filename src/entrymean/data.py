@@ -83,15 +83,14 @@ class Dataset:
             )
         if getattr(values.base, "nbytes", 0) > values.nbytes:
             values = values.copy(order="K")
-        nan = np.isnan(values)
-        if not np.array_equal(nan, mask):
-            if np.any(nan > mask):
-                raise ValueError("visible entries must be finite")
+        # One bool table: finite or hidden, then NaN (hidden cells only, once visible ones pass).
+        flags = np.isfinite(values)
+        if not np.logical_or(flags, mask, out=flags).all():
+            raise ValueError("visible entries must be finite")
+        if np.count_nonzero(np.isnan(values, out=flags)) != np.count_nonzero(mask):
             if values is self.values or values.base is not None:  # the caller's memory
                 values = values.copy(order="K")
             values[mask] = np.nan
-        if np.isinf(values).any():
-            raise ValueError("visible entries must be finite")
         self.values = values
         self.mask = mask
 

@@ -1,16 +1,17 @@
 """Benchmark harness: sweep corruption budgets, score estimators, emit tables.
 
-A run is fully described by an :class:`ExperimentConfig`. Rows are produced
-for every (method, budget, trial, metric) combination; when a method or
-metric fails on the corrupted data the row is kept with a NaN value, which
-the CSV writer renders as ``NA``. Reruns with the same config are
-byte-identical: per-trial randomness derives from ``seed + trial`` and rows
-are sorted into a canonical order before writing.
+A run is fully described by an :class:`ExperimentConfig`. Its result is one
+array of scores on the config's (method, budget, trial, metric) axes, in the
+config's order; a cell whose method or metric fails on the corrupted data
+keeps NaN, which the CSV writer renders as ``NA``. Reruns with the same config
+are byte-identical: per-trial randomness derives from ``seed + trial``, and
+the CSV lists the cells in the array's (C) order.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -36,10 +37,10 @@ from .errors import (
     whole_number,
 )
 from .estimators import EstimatorSpec, RecoverySpec, empirical_mean, estimate
-from .metrics import l2_error, mahalanobis_error
+from .metrics import METRICS, evaluate
 from .structure import StructureMatrix, load_structure_csv
 
-METRIC_KINDS = ("l2", "mahalanobis")
+METRIC_KINDS = tuple(kind for kind, (_, takes) in METRICS.items() if "estimate" in takes)
 NA = "NA"
 
 
@@ -69,6 +70,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One line of a results CSV (:func:`read_result_rows`)."""
+
     method: str
     budget: float
     trial: int
@@ -78,28 +81,27 @@ class ResultRow:
 
 @dataclass
 class ExperimentResult:
+    """``values[i, j, t, k]``: method i's metric k at budget j in trial t, in the
+    config's order; NaN where the estimate or the metric failed."""
+
     config: ExperimentConfig
-    rows: list[ResultRow]
+    values: np.ndarray
 
     def summary(self) -> list[dict]:
         """Mean and standard deviation over the trials that produced a value."""
-        groups: dict[tuple[str, float, str], list[float]] = {}
-        for r in self.rows:
-            if not np.isnan(r.value):
-                groups.setdefault((r.method, r.budget, r.metric), []).append(r.value)
-        out = []
-        for spec in self.config.methods:
-            for budget in self.config.budgets:
-                for metric in self.config.metrics:
-                    vals = groups.get((spec.label, budget, metric), [])
+        cfg, out = self.config, []
+        for spec, per_method in zip(cfg.methods, self.values):
+            for budget, per_budget in zip(cfg.budgets, per_method):
+                for metric, trials in zip(cfg.metrics, per_budget.T):
+                    vals = trials[~np.isnan(trials)]
                     out.append(
                         {
                             "method": spec.label,
                             "budget": budget,
                             "metric": metric,
-                            "mean": float(np.mean(vals)) if vals else None,
-                            "sd": float(np.std(vals)) if vals else None,
-                            "n": len(vals),
+                            "mean": float(np.mean(vals)) if vals.size else None,
+                            "sd": float(np.std(vals)) if vals.size else None,
+                            "n": vals.size,
                         }
                     )
         return out
@@ -322,12 +324,13 @@ def _prepare_run(cfg: ExperimentConfig) -> _RunInputs:
     return _RunInputs(ds, structure, empirical_mean(ds), covariance)
 
 
-def _run_trial(cfg: ExperimentConfig, inputs: _RunInputs, trial: int) -> list[ResultRow]:
+def _run_trial(cfg: ExperimentConfig, inputs: _RunInputs, trial: int, out: np.ndarray) -> None:
+    """Score trial ``trial`` into ``out[method, budget, metric]``; a failure leaves its NaN."""
     ds = inputs.ds
     if ds is None:
         rng = np.random.default_rng(cfg.seed + trial)
         ds = synthesize(inputs.structure, draw_latents(cfg.data.latent, cfg.data.n_samples, rng))
-    rows = []
+    scores = {"reference": inputs.reference, "covariance": inputs.covariance}
     for budget_idx, budget in enumerate(cfg.budgets):
         # Seed sequences keyed by position make reruns reproducible cell by cell.
         plan_rng = np.random.default_rng((cfg.seed, trial, budget_idx))
@@ -335,30 +338,20 @@ def _run_trial(cfg: ExperimentConfig, inputs: _RunInputs, trial: int) -> list[Re
             cfg.adversary, ds, budget, plan_rng, shift=cfg.shift, structure=inputs.structure
         )
         corrupted = apply_plan(ds, plan)
-        for spec in cfg.methods:
+        for method_idx, spec in enumerate(cfg.methods):
             try:
-                value_vec = estimate(corrupted, spec, inputs.structure)
+                scores["estimate"] = estimate(corrupted, spec, inputs.structure)
             except EstimatorFailure:
-                value_vec = None
-            for metric in cfg.metrics:
-                if value_vec is None:
-                    rows.append(ResultRow(spec.label, budget, trial, metric, float("nan")))
-                    continue
+                continue
+            for metric_idx, metric in enumerate(cfg.metrics):
                 try:
-                    if metric == "l2":
-                        value = l2_error(value_vec, inputs.reference)
-                    else:
-                        if inputs.covariance is None:
-                            raise MetricFailure("no covariance available")
-                        value = mahalanobis_error(value_vec, inputs.reference, inputs.covariance)
+                    out[method_idx, budget_idx, metric_idx] = evaluate(metric, scores)
                 except MetricFailure:
-                    value = float("nan")
-                rows.append(ResultRow(spec.label, budget, trial, metric, value))
-    return rows
+                    pass
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Execute all trials one after another and sort the rows into canonical order.
+    """Execute all trials one after another into one NaN-filled array of scores.
 
     ``threads`` is accepted for compatibility and must be at least 1; trials
     always run serially, because a thread pool measured no gain on the
@@ -370,30 +363,27 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if threads < 1:
         raise ConfigError("threads must be at least 1")
     inputs = _prepare_run(cfg)
-    rows = [row for t in range(cfg.trials) for row in _run_trial(cfg, inputs, t)]
-    method_order = {m.label: i for i, m in enumerate(cfg.methods)}
-    metric_order = {m: i for i, m in enumerate(cfg.metrics)}
-    rows.sort(
-        key=lambda r: (method_order[r.method], r.budget, r.trial, metric_order[r.metric])
-    )
-    return ExperimentResult(cfg, rows)
-
-
-def format_value(value: float) -> str:
-    return NA if np.isnan(value) else format(value, ".17g")
+    shape = (len(cfg.methods), len(cfg.budgets), cfg.trials, len(cfg.metrics))
+    values = np.full(shape, np.nan)
+    for t in range(cfg.trials):
+        _run_trial(cfg, inputs, t, values[:, :, t])
+    return ExperimentResult(cfg, values)
 
 
 def write_results(result: ExperimentResult, prefix: str) -> tuple[str, str]:
-    """Write ``<prefix>.csv`` with all rows and ``<prefix>.summary.json``."""
+    """Write ``<prefix>.csv``, one row per cell of ``result.values`` in C order,
+    and ``<prefix>.summary.json``."""
+    cfg = result.config
     csv_path, json_path = f"{prefix}.csv", f"{prefix}.summary.json"
+    labels, budgets = [m.label for m in cfg.methods], [format(b, ".17g") for b in cfg.budgets]
+    keys = product(labels, budgets, range(cfg.trials), cfg.metrics)
     with open(csv_path, "w", newline="") as fh:
         fh.write("method,budget,trial,metric,value\n")
-        for r in result.rows:
-            fh.write(
-                f"{r.method},{format(r.budget, '.17g')},{r.trial},{r.metric},{format_value(r.value)}\n"
-            )
+        for (method, budget, trial, metric), value in zip(keys, result.values.ravel().tolist()):
+            text = NA if np.isnan(value) else format(value, ".17g")
+            fh.write(f"{method},{budget},{trial},{metric},{text}\n")
     with open(json_path, "w") as fh:
-        fh.write(json_document({"config": result.config.raw, "summary": result.summary()}))
+        fh.write(json_document({"config": cfg.raw, "summary": result.summary()}))
     return csv_path, json_path
 
 
@@ -406,13 +396,6 @@ def read_result_rows(csv_path) -> list[ResultRow]:
             raise ValueError(f"unexpected header {header!r}")
         for line in fh:
             method, budget, trial, metric, value = line.rstrip("\n").split(",")
-            rows.append(
-                ResultRow(
-                    method,
-                    float(budget),
-                    int(trial),
-                    metric,
-                    float("nan") if value == NA else float(value),
-                )
-            )
+            value = float("nan") if value == NA else float(value)
+            rows.append(ResultRow(method, float(budget), int(trial), metric, value))
     return rows

@@ -350,9 +350,11 @@ def mahalanobis_error(estimate, reference, covariance) -> float:
 
     For rank-deficient covariance the error must lie in the range of Sigma
     (projection residual within 1e-6 relative), otherwise the quantity is
-    infinite in spirit and a MetricFailure is raised. A non-finite input
-    raises :class:`NonFiniteMetricInputError`.
+    infinite in spirit and a MetricFailure is raised, as it is when there is
+    no covariance (None). A non-finite input raises :class:`NonFiniteMetricInputError`.
     """
+    if covariance is None:
+        raise MetricFailure("no covariance available")
     d = _finite("estimate", estimate).ravel() - _finite("reference", reference).ravel()
     sigma = np.atleast_2d(_finite("covariance", covariance))
     if sigma.shape != (d.size, d.size):
@@ -367,6 +369,23 @@ def mahalanobis_error(estimate, reference, covariance) -> float:
     if np.linalg.norm(residual) > 1e-6 * max(1.0, np.linalg.norm(d)):
         raise MetricFailure("error vector lies outside the range of the covariance")
     return float(np.sqrt(np.sum(coords**2 / eigvals[keep])))
+
+
+# Every metric by kind: its function's name here and the inputs it takes, in order.
+# Looked up by name per call, so a wrapper installed on the binding sees each call.
+METRICS = {
+    "tv": ("tv_distance", ("left", "right")),
+    "entrywise_avg": ("entrywise_distance_avg", ("left", "right")),
+    "entrywise_max": ("entrywise_distance_max", ("left", "right")),
+    "l2": ("l2_error", ("estimate", "reference")),
+    "mahalanobis": ("mahalanobis_error", ("estimate", "reference", "covariance")),
+}
+
+
+def evaluate(kind: str, inputs) -> float:
+    """Metric ``kind`` of ``inputs``, a mapping from each input name it takes to a value."""
+    name, takes = METRICS[kind]
+    return globals()[name](*(inputs[k] for k in takes))
 
 
 def load_distribution_csv(path) -> DiscreteDistribution:

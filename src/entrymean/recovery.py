@@ -12,8 +12,8 @@ formed once per distinct hiding pattern; the work done per sample (solves,
 residual and range tests, the write-back) runs on blocks of about
 ``_ROW_BLOCK`` samples, so besides one copy of the table and its output the
 decoder holds no array that grows with the table faster than its patterns and
-row indices. At radius 0 a sample's bits depend only on it, its hiding pattern
-and A, whenever two or more samples share its solve route in the call.
+row indices. At every radius a sample's bits depend only on it, its hiding
+pattern and A, whenever two or more samples share its solve route in the call.
 
 Structure unknown, rank known: :func:`iterative_svd_complete` learns the span
 most fully visible samples lie in and decodes against it by :func:`recover_table`
@@ -247,19 +247,21 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
     formed per hiding pattern (:func:`_fit_by_pattern`). A fully visible sample
     x is kept byte for byte when its syndrome x F' (F = ``a.parity_check``)
     passes the same test. For k = 1 ... ``radius`` and each support T of k
-    coordinates in order, until no sample is open, one least-squares fit over
-    the samples still open finds the corruption e_T that best explains each
-    syndrome; a sample whose fit passes becomes x - e_T. Every other sample is
-    discarded rather than trusted. More than ``REPLACEMENT_SOLVE_CAP`` supports
-    within the radius raise :class:`CapExceededError` first.
+    coordinates in order, until no sample is open, the pseudo-inverse of F's
+    columns at T (one stacked call per k), applied to each open sample's
+    syndrome by einsum, finds the corruption e_T that best explains it; a sample whose fit passes
+    becomes x - e_T. Every other sample is discarded rather than trusted.
+    More than ``REPLACEMENT_SOLVE_CAP`` supports within the radius raise
+    :class:`CapExceededError` first.
 
     The fits, the range tests and the write-back run on blocks of about
     ``_ROW_BLOCK`` rows, into one copy of the table that becomes the output,
     or whose kept rows do where rows are discarded. So besides the
     per-pattern factors the call allocates about 2 times the table at most,
-    the output included. At radius 0, a row's bits depend only on the row,
-    its hiding pattern and A whenever its route has two or more rows in the
-    call (:func:`_fit_by_pattern`), and reruns of one table are byte-identical.
+    the output included. At every radius, a row's bits depend only on the
+    row, its hiding pattern and A whenever its route has two or more rows in
+    the call (:func:`_fit_by_pattern`; the syndromes and support fits are
+    einsum, row by row), and reruns of one table are byte-identical.
     """
     if ds.dim != a.n:
         raise ValueError(f"sample length {ds.dim} does not match n={a.n}")
@@ -282,17 +284,21 @@ def recover_table(ds: Dataset, a: StructureMatrix, *, radius: int = 0) -> Comple
         in_range[block] = _in_range(ds.values[open_rows[block]], a)
     open_rows = open_rows[~in_range]
     f = a.parity_check
-    syndrome = ds.values[open_rows] @ f.T
+    syndrome = np.einsum("ij,kj->ki", f, ds.values[open_rows])
     bound = RANGE_RESIDUAL_TOL * np.linalg.norm(ds.values[open_rows], axis=1)
-    for support in chain.from_iterable(combinations(range(a.n), k) for k in range(1, radius + 1)):
+    for k in range(1, radius + 1):
         if not open_rows.size:
             break
-        columns = f[:, list(support)]
-        e, *_ = np.linalg.lstsq(columns, syndrome.T, rcond=None)
-        fits = np.linalg.norm(syndrome - (columns @ e).T, axis=1) <= bound
-        values[np.ix_(open_rows[fits], support)] -= e[:, fits].T
-        status[open_rows[fits]] = RecoveryStatus.RECOVERED
-        open_rows, syndrome, bound = open_rows[~fits], syndrome[~fits], bound[~fits]
+        supports = list(combinations(range(a.n), k))
+        stacked = f[:, supports].transpose(1, 0, 2)  # F's columns at each support
+        for support, columns, factor in zip(supports, stacked, np.linalg.pinv(stacked)):
+            if not open_rows.size:
+                break
+            e = np.einsum("ij,kj->ki", factor, syndrome)
+            fits = np.linalg.norm(syndrome - np.einsum("ij,kj->ki", columns, e), axis=1) <= bound
+            values[np.ix_(open_rows[fits], support)] -= e[fits]
+            status[open_rows[fits]] = RecoveryStatus.RECOVERED
+            open_rows, syndrome, bound = open_rows[~fits], syndrome[~fits], bound[~fits]
     status[open_rows] = RecoveryStatus.UNRECOVERABLE
     keep = status != RecoveryStatus.UNRECOVERABLE
     if not keep.any():

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from entrymean import cli
+from entrymean import experiment as experiment_module
+from entrymean import metrics as metrics_module
 from entrymean import recovery as recovery_module
 from entrymean.cli import main
 from entrymean.corruption import ADVERSARIES, apply_plan, load_plan_csv
@@ -444,6 +446,41 @@ def test_metric_vector_errors(tmp_path, capsys):
     )
     assert main(["metric", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0)
+
+
+def test_experiment_and_metric_command_score_through_one_table(tmp_path, capsys, monkeypatch):
+    # The harness's metric kinds are the table's error kinds, and a function
+    # replaced in the table's module is what both the harness and the
+    # command call for its kind.
+    errors = [k for k, (_, takes) in metrics_module.METRICS.items() if "estimate" in takes]
+    assert experiment_module.METRIC_KINDS == tuple(errors) == ("l2", "mahalanobis")
+    for value, kind in enumerate(errors, start=2):
+        name = metrics_module.METRICS[kind][0]
+        monkeypatch.setattr(metrics_module, name, lambda *args, value=value: float(value))
+    run = experiment_module.parse_config(
+        {
+            "seed": 1,
+            "trials": 2,
+            "adversary": "tail_hiding",
+            "budgets": [0.1],
+            "data": {
+                "kind": "synthetic",
+                "structure": {"kind": "dense", "n": 5, "r": 3},
+                "latent": {"kind": "gaussian", "dim": 3},
+                "n_samples": 30,
+            },
+            "methods": [{"kind": "empirical_mean"}],
+            "metrics": errors,
+        }
+    )
+    values = experiment_module.run_experiment(run).values
+    cov = tmp_path / "cov.csv"
+    cov.write_text("1,0\n0,1\n")
+    for k, kind in enumerate(errors):
+        assert (values[..., k] == k + 2).all()
+        cfg = {"kind": kind, "estimate": [1, 2], "reference": [0, 0], "covariance_csv": str(cov)}
+        assert main(["metric", "--config", write_json(tmp_path / f"{kind}.json", cfg)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"kind": kind, "value": k + 2.0}
 
 
 @pytest.mark.parametrize("kind", ["tv", "entrywise_avg", "entrywise_max"])

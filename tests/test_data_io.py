@@ -78,6 +78,23 @@ def test_dataset_compacts_a_view_of_a_larger_buffer():
     assert ds.values.shape == (4, 3) and not np.shares_memory(ds.values, buffer)
 
 
+def test_dataset_checks_a_table_with_one_bool_table_of_temporaries():
+    # The reader's case: NaN at every hidden cell, so values and mask are kept
+    # and the finiteness checks hold one bool table at a time.
+    rng = np.random.default_rng(16)
+    values = rng.standard_normal((100_000, 16))
+    mask = rng.random(values.shape) < 0.1
+    values[mask] = np.nan
+    tracemalloc.start()
+    try:
+        ds = Dataset(values, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.values is values and ds.mask is mask
+    assert peak <= 1.1 * mask.nbytes, peak / mask.nbytes
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
 def test_median_is_np_median_bit_for_bit(width):
     rng = np.random.default_rng(width)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -58,17 +57,18 @@ def base_config() -> dict:
     return copy.deepcopy(BASE_CONFIG)
 
 
-def test_row_count_and_canonical_order():
+def test_row_count_and_canonical_order(tmp_path):
     cfg = parse_config(base_config())
     result = run_experiment(cfg)
-    assert len(result.rows) == 3 * 2 * 3 * 1  # methods x budgets x trials x metrics
+    assert result.values.shape == (3, 2, 3, 1)  # methods x budgets x trials x metrics
+    rows = read_result_rows(write_results(result, str(tmp_path / "run"))[0])
+    assert len(rows) == 3 * 2 * 3 * 1
     labels = [m.label for m in cfg.methods]
-    keys = [
-        (labels.index(r.method), r.budget, r.trial, r.metric) for r in result.rows
-    ]
+    keys = [(labels.index(r.method), r.budget, r.trial, r.metric) for r in rows]
     assert keys == sorted(keys)
-    # every combination appears exactly once
+    # every combination appears exactly once, with its cell's value
     assert len(set(keys)) == len(keys)
+    assert [r.value for r in rows] == result.values.ravel().tolist()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -113,12 +113,11 @@ def test_estimator_failure_becomes_na(tmp_path):
     ]
     cfg = parse_config(cfg_obj)
     result = run_experiment(cfg)
-    by_method = {}
-    for row in result.rows:
-        by_method.setdefault(row.method, []).append(row.value)
-    assert all(np.isnan(v) for v in by_method["complete_case_mean"])
-    assert all(np.isnan(v) for v in by_method["empirical_mean"])
-    assert all(np.isfinite(v) for v in by_method["two_step+known_structure+empirical_mean"])
+    assert [m.label for m in cfg.methods][2] == "two_step+known_structure+empirical_mean"
+    complete_case, empirical, two_step = result.values
+    assert np.isnan(complete_case).all()
+    assert np.isnan(empirical).all()
+    assert np.isfinite(two_step).all()
     csv_path, _ = write_results(result, str(tmp_path / "na"))
     text = Path(csv_path).read_text()
     assert text.count(",NA\n") == 6  # two failing methods, three trials
@@ -138,8 +137,9 @@ def test_replacement_decoding_failure_becomes_na(tmp_path, monkeypatch, case):
     if case == "support_cap":
         monkeypatch.setattr(recovery_module, "REPLACEMENT_SOLVE_CAP", 4)
     result = run_experiment(parse_config(cfg_obj))
-    for row in result.rows:
-        assert np.isnan(row.value) == (row.method != "empirical_mean")
+    empirical, replacement = result.values
+    assert not np.isnan(empirical).any()
+    assert np.isnan(replacement).all()
     csv_path, _ = write_results(result, str(tmp_path / "na"))
     assert Path(csv_path).read_text().count(",NA\n") == 2 * 3  # budgets x trials
 
@@ -187,13 +187,11 @@ def test_known_structure_discards_every_sample_shift_victim(monkeypatch):
         discarded = [np.flatnonzero(r.status == RecoveryStatus.UNRECOVERABLE) for r in method_reports]
         assert [d.tolist() for d in discarded] == victims
         assert not any((r.status == RecoveryStatus.RECOVERED).any() for r in method_reports)
-    values = {}
-    for row in result.rows:
-        values.setdefault((row.method, row.metric), []).append(row.value)
-    for metric in cfg_obj["metrics"]:
-        known = values[("two_step+known_structure+empirical_mean", metric)]
-        assert known == values[("two_step+replacement+empirical_mean", metric)]
-        assert known == values[("two_step+iterative_svd+empirical_mean", metric)]
+    labels = [m.label for m in result.config.methods]
+    values = dict(zip(labels, result.values))  # (budget, trial, metric) per method
+    known = values["two_step+known_structure+empirical_mean"]
+    assert np.array_equal(known, values["two_step+replacement+empirical_mean"])
+    assert np.array_equal(known, values["two_step+iterative_svd+empirical_mean"])
     means = {(e["method"], e["budget"], e["metric"]): e["mean"] for e in result.summary()}
     for budget in cfg_obj["budgets"]:
         known = means[("two_step+known_structure+empirical_mean", budget, "l2")]
@@ -223,9 +221,10 @@ def test_metric_failure_becomes_na(tmp_path):
         }
     )
     result = run_experiment(cfg)
-    values = {r.metric: r.value for r in result.rows}
-    assert np.isfinite(values["l2"])
-    assert np.isnan(values["mahalanobis"])
+    assert result.values.shape == (1, 1, 1, 2)
+    l2, mahalanobis = result.values.ravel()
+    assert np.isfinite(l2)
+    assert np.isnan(mahalanobis)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -238,7 +237,7 @@ def test_non_finite_estimate_becomes_na(tmp_path):
     cfg.update(budgets=[0.0], data={"kind": "csv", "path": str(path)}, metrics=["l2", "mahalanobis"])
     cfg["methods"] = cfg["methods"][:2]
     result = run_experiment(parse_config(cfg))
-    assert len(result.rows) == 2 * 3 * 2 and all(np.isnan(r.value) for r in result.rows)
+    assert result.values.shape == (2, 1, 3, 2) and np.isnan(result.values).all()
 
 
 def test_summary_statistics_match_rows():
@@ -246,15 +245,15 @@ def test_summary_statistics_match_rows():
     result = run_experiment(cfg)
     summary = result.summary()
     assert len(summary) == 3 * 2 * 1
+    labels = [m.label for m in cfg.methods]
     for entry in summary:
-        vals = [
-            r.value
-            for r in result.rows
-            if r.method == entry["method"]
-            and r.budget == entry["budget"]
-            and r.metric == entry["metric"]
-            and not np.isnan(r.value)
-        ]
+        cell = (
+            labels.index(entry["method"]),
+            cfg.budgets.index(entry["budget"]),
+            slice(None),
+            cfg.metrics.index(entry["metric"]),
+        )
+        vals = [v for v in result.values[cell].tolist() if not np.isnan(v)]
         assert entry["n"] == len(vals) == cfg.trials
         assert entry["mean"] == pytest.approx(np.mean(vals))
         assert entry["sd"] == pytest.approx(np.std(vals))
@@ -266,20 +265,16 @@ def test_summary_equals_a_per_group_recomputation():
     cfg_obj = base_config()
     cfg_obj["metrics"] = ["l2", "mahalanobis"]
     result = run_experiment(parse_config(cfg_obj))
-    result.rows = [
-        dataclasses.replace(r, value=float("nan")) if i % 4 == 0 else r
-        for i, r in enumerate(result.rows)
-    ]
+    result.values.reshape(-1)[::4] = np.nan  # every fourth cell in the CSV's order
+    groups = {}
+    for (i, j, _, k), value in np.ndenumerate(result.values):
+        if not np.isnan(value):
+            groups.setdefault((i, j, k), []).append(float(value))
     expected = []
-    for spec in result.config.methods:
-        for budget in result.config.budgets:
-            for metric in result.config.metrics:
-                vals = [
-                    r.value
-                    for r in result.rows
-                    if (r.method, r.budget, r.metric) == (spec.label, budget, metric)
-                    and not np.isnan(r.value)
-                ]
+    for i, spec in enumerate(result.config.methods):
+        for j, budget in enumerate(result.config.budgets):
+            for k, metric in enumerate(result.config.metrics):
+                vals = groups.get((i, j, k), [])
                 expected.append(
                     {
                         "method": spec.label,
@@ -302,16 +297,19 @@ def test_write_read_round_trip(tmp_path):
     result = run_experiment(parse_config(cfg_obj))
     csv_path, json_path = write_results(result, str(tmp_path / "run"))
     back = read_result_rows(csv_path)
-    assert len(back) == len(result.rows)
-    for orig, got in zip(result.rows, back):
-        assert got.method == orig.method
-        assert got.budget == orig.budget
-        assert got.trial == orig.trial
-        assert got.metric == orig.metric
-        if np.isnan(orig.value):
+    cells = list(np.ndindex(result.values.shape))
+    assert len(back) == len(cells)
+    cfg = result.config
+    for (i, j, t, k), got in zip(cells, back):
+        assert got.method == cfg.methods[i].label
+        assert got.budget == cfg.budgets[j]
+        assert got.trial == t
+        assert got.metric == cfg.metrics[k]
+        value = result.values[i, j, t, k]
+        if np.isnan(value):
             assert np.isnan(got.value)
         else:
-            assert got.value == orig.value  # 17 significant digits round-trip
+            assert got.value == value  # 17 significant digits round-trip
     payload = json.loads(Path(json_path).read_text())
     assert payload["config"] == cfg_obj
     assert len(payload["summary"]) == 2
@@ -412,10 +410,11 @@ def test_standardizing_a_csv_experiment_keeps_its_na_set(tmp_path):
             "structure_path": str(structure_path),
             "standardize": standardize,
         }
-        rows = run_experiment(parse_config(cfg_obj)).rows
-        missing.append({(r.method, r.budget, r.trial, r.metric) for r in rows if np.isnan(r.value)})
-        assert any(r.method.startswith("two_step") and np.isfinite(r.value) for r in rows)
-    assert missing[0] == missing[1]
+        result = run_experiment(parse_config(cfg_obj))
+        missing.append(np.isnan(result.values))
+        two_step = [i for i, m in enumerate(result.config.methods) if m.kind == "two_step"]
+        assert np.isfinite(result.values[two_step]).any()
+    assert np.array_equal(missing[0], missing[1])
 
 
 def svd_method(**options):
@@ -616,7 +615,7 @@ def test_removal_margin_is_computed_once_per_run(monkeypatch, tmp_path):
     cfg_obj = base_config()
     cfg_obj["adversary"] = "unrecoverable_hiding"
     result = run_experiment(parse_config(cfg_obj))
-    assert len(result.rows) == 3 * 2 * 3
+    assert result.values.size == 3 * 2 * 3
     assert len(calls) == 1  # the structure is shared by the 3 trials
 
     # CSV data: the table is ingested once and the structure loaded once.
@@ -661,6 +660,5 @@ def test_trial_seeds_differ_across_trials():
     cfg_obj = base_config()
     cfg_obj["trials"] = 2
     result = run_experiment(parse_config(cfg_obj))
-    first = [r.value for r in result.rows if r.trial == 0]
-    second = [r.value for r in result.rows if r.trial == 1]
-    assert first != second
+    first, second = result.values[:, :, 0], result.values[:, :, 1]
+    assert not np.array_equal(first, second, equal_nan=True)

@@ -1257,16 +1257,27 @@ def decoded_rows(report):
 
 def test_a_decoded_row_does_not_depend_on_its_neighbours():
     # A prefix and every other row share no block, and few patterns, with the
-    # whole table; a row's bits depend only on it, its pattern and A.
+    # whole table; a row's bits depend only on it, its pattern and A. Both at
+    # radius 0 (hidden cells) and within the decoding radius, where 1-2 cells
+    # of 1 500 rows are moved by +-U(3, 8), each undone by its support's fixed
+    # factor, row by row.
     a = make_structure(SHIPPED_STRUCTURE)
     ds = synthesize(a, draw_latents(LatentSpec("gaussian", 8), 5000, np.random.default_rng(7)))
-    table = apply_plan(ds, plan_tail_hiding(ds, 0.2))
-    whole = recover_table(table, a)
-    assert recovered_rows(whole) and discarded_rows(whole)
-    for rows in (np.arange(1000), np.arange(0, 5000, 2)):
-        part = recover_table(Dataset(table.values[rows], table.mask[rows]), a)
-        assert part.status.tobytes() == whole.status[rows].tobytes()
-        assert decoded_rows(part).tobytes() == decoded_rows(whole)[rows].tobytes()
+    rng = np.random.default_rng(2)
+    replaced = synthesize(a, draw_latents(LatentSpec("gaussian", 8), 5000, rng)).values
+    for i in rng.choice(5000, 1500, replace=False):
+        cells = rng.choice(a.n, rng.integers(1, 3), replace=False)
+        replaced[i, cells] += rng.choice([-1, 1], cells.size) * rng.uniform(3, 8, cells.size)
+    assert (a.removal_margin - 1) // 2 == 2
+    hidden = apply_plan(ds, plan_tail_hiding(ds, 0.2))
+    cases = [(hidden, recover_table, True), (Dataset(replaced), recovery.decode_replacements, False)]
+    for table, decode, discards in cases:
+        whole = decode(table, a)
+        assert recovered_rows(whole) and bool(discarded_rows(whole)) == discards
+        for rows in (np.arange(1000), np.arange(0, 5000, 2)):
+            part = decode(Dataset(table.values[rows], table.mask[rows]), a)
+            assert part.status.tobytes() == whole.status[rows].tobytes()
+            assert decoded_rows(part).tobytes() == decoded_rows(whole)[rows].tobytes()
 
 
 def test_a_lone_hiding_pattern_decodes_as_among_others():
